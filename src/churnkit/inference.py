@@ -4,8 +4,9 @@ Filtering consumes observed sessions with deterministic posterior-mean
 latents, which makes evaluation reproducible and causal.  At the prediction
 frontier the latent is drawn S times from the prior at the current hidden
 state and the point prediction is the sample mean of the model-implied next
-gap and duration.  With the intensity slope frozen at zero the mean next gap
-has closed form exp(-a), so no quadrature is involved.
+gap and duration.  The mean next gap is exact for every intensity slope
+(tppmath.expected_gap), and a user's whole prediction frontier is evaluated
+as one (records, samples) array.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import DataError, NumericalError
 from .eventlog import derive_seed
 from .model import initial_step, prior_params, step
-from .tppmath import WT_ZERO_EPS, IntensitySpec, expected_gap
+from .tppmath import IntensitySpec, expected_gap
 
 
 @dataclass
@@ -64,34 +65,42 @@ def filter_sequence(params, seq):
     return outs
 
 
-def _predict_at(params, h, rng, n_samples):
-    """Posterior-predictive mean of (next gap, next duration) by averaging
-    the heads over prior draws of z at hidden state h."""
+def _predict_at(params, hs, rngs, n_samples):
+    """Posterior-predictive means of (next gap, next duration) at each hidden
+    state in hs, averaging the heads over n_samples prior draws of z.
+
+    Row r uses only hs[r] and rngs[r], and every operation across rows is
+    elementwise, so a record's prediction is the same whichever records
+    share the call.
+    """
     wz = float(params.head_wz)
-    base_a = float(params.head_wh @ h) + float(params.head_bt)
     dur_wz = float(params.dur_wz)
-    base_lg = float(params.dur_wh @ h) + float(params.dur_b)
-    wt = float(params.head_wt)
+    base_a = np.array([float(params.head_wh @ h) + float(params.head_bt) for h in hs])
+    base_lg = np.array([float(params.dur_wh @ h) + float(params.dur_b) for h in hs])
 
     if params.latent_mode == "fixed":
-        z = np.full(n_samples, 0.5)
+        z = np.full((len(hs), n_samples), 0.5)
     else:
-        prior = prior_params(params, h)
-        eps = rng.standard_normal(n_samples)
-        u = prior.mu + prior.sigma * eps
+        priors = [prior_params(params, h) for h in hs]
+        mu = np.array([p.mu for p in priors])[:, None]
+        sigma = np.array([p.sigma for p in priors])[:, None]
+        eps = np.array([rng.standard_normal(n_samples) for rng in rngs])
+        u = mu + sigma * eps
         e = np.exp(-np.abs(u))
         z = np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    a = wz * z + base_a
-    lg = dur_wz * z + base_lg
-    if np.any(np.abs(a) > 700.0) or np.any(np.abs(lg) > 700.0):
-        raise NumericalError("predict: head values diverged")
-    if abs(wt) < WT_ZERO_EPS:
-        pred_gap = float(np.mean(np.exp(-a)))
-    else:
-        pred_gap = float(np.mean([expected_gap(IntensitySpec(float(ai), wt)) for ai in a]))
-    pred_dur = float(np.mean(np.exp(lg)))
+    a = wz * z + base_a[:, None]
+    lg = dur_wz * z + base_lg[:, None]
+    # written so that NaN fails the check too
+    if not (np.all(np.abs(a) <= 700.0) and np.all(np.abs(lg) <= 700.0)):
+        raise NumericalError("predict: head values diverged or are not finite")
+    pred_gap = expected_gap(IntensitySpec(a, float(params.head_wt))).mean(axis=1)
+    pred_dur = np.exp(lg).mean(axis=1)
     return pred_gap, pred_dur
+
+
+def _record_rng(seed, user_id, step):
+    return np.random.default_rng(derive_seed(seed, "pred", user_id, step))
 
 
 def predict_next(params, prefix, n_samples=32, seed=0):
@@ -102,13 +111,13 @@ def predict_next(params, prefix, n_samples=32, seed=0):
         raise ValueError(f"predict_next: n_samples must be >= 1, got {n_samples}")
     outs = filter_sequence(params, prefix)
     frontier = outs[len(prefix)]
-    rng = np.random.default_rng(derive_seed(seed, "pred", prefix.user_id, len(prefix)))
-    pred_gap, pred_dur = _predict_at(params, frontier.state.h, rng, n_samples)
+    rng = _record_rng(seed, prefix.user_id, len(prefix))
+    pred_gap, pred_dur = _predict_at(params, [frontier.state.h], [rng], n_samples)
     return PredictionRecord(
         user_id=prefix.user_id,
         step=len(prefix),
-        pred_gap=pred_gap,
-        pred_dur=pred_dur,
+        pred_gap=float(pred_gap[0]),
+        pred_dur=float(pred_dur[0]),
         a=frontier.a,
         gamma=frontier.gamma,
     )
@@ -117,29 +126,32 @@ def predict_next(params, prefix, n_samples=32, seed=0):
 def rolling_evaluate(params, seq, n_samples=32, seed=0):
     """One prediction per prefix length i = 1..n-1, paired with what the user
     actually did next.  Exactly n-1 records; identical to calling
-    predict_next on each prefix because filtering is causal and deterministic."""
+    predict_next on each prefix because filtering is causal and deterministic
+    and each record draws from its own stream."""
     n = len(seq)
     if n < 2:
         raise DataError(f"rolling_evaluate: need >= 2 sessions, got {n} for {seq.user_id!r}")
     outs = filter_sequence(params, seq)
-    records = []
-    for i in range(1, n):
-        rng = np.random.default_rng(derive_seed(seed, "pred", seq.user_id, i))
-        pred_gap, pred_dur = _predict_at(params, outs[i].state.h, rng, n_samples)
-        nxt = seq.sessions[i]
-        records.append(
-            PredictionRecord(
-                user_id=seq.user_id,
-                step=i,
-                pred_gap=pred_gap,
-                pred_dur=pred_dur,
-                obs_gap=nxt.g,
-                obs_dur=nxt.d,
-                a=outs[i].a,
-                gamma=outs[i].gamma,
-            )
+    steps = range(1, n)
+    pred_gap, pred_dur = _predict_at(
+        params,
+        [outs[i].state.h for i in steps],
+        [_record_rng(seed, seq.user_id, i) for i in steps],
+        n_samples,
+    )
+    return [
+        PredictionRecord(
+            user_id=seq.user_id,
+            step=i,
+            pred_gap=float(pred_gap[i - 1]),
+            pred_dur=float(pred_dur[i - 1]),
+            obs_gap=seq.sessions[i].g,
+            obs_dur=seq.sessions[i].d,
+            a=outs[i].a,
+            gamma=outs[i].gamma,
         )
-    return records
+        for i in steps
+    ]
 
 
 def _rolling_job(args):

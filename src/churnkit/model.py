@@ -222,7 +222,7 @@ def heads(params, z, h):
     """Intensity base a and duration rate gamma evaluated at (z, h)."""
     a = float(params.head_wz) * z + float(params.head_wh @ h) + float(params.head_bt)
     lg = float(params.dur_wz) * z + float(params.dur_wh @ h) + float(params.dur_b)
-    if abs(a) > 700.0 or abs(lg) > 700.0:
+    if not (abs(a) <= 700.0 and abs(lg) <= 700.0):  # NaN fails too
         raise NumericalError(f"heads: diverged (a={a:.3g}, log gamma={lg:.3g})")
     return a, math.exp(lg)
 

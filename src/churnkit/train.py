@@ -546,7 +546,12 @@ def load_checkpoint(path, expect_hidden=None, expect_mlp_hidden=None):
                 f"parameter {name!r} carries {len(data) if isinstance(data, list) else '??'} "
                 f"values for shape {shape}"
             )
-        arrays[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+        try:
+            arrays[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise CorruptCheckpointError(f"parameter {name!r} is not numeric: {exc}") from None
+        if not np.all(np.isfinite(arrays[name])):
+            raise CorruptCheckpointError(f"parameter {name!r} holds non-finite values")
     params = ModelParams(
         hidden=hidden, mlp_hidden=mlp_hidden, wt_mode=wt_mode, latent_mode=latent_mode, **arrays
     )

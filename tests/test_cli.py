@@ -6,6 +6,8 @@ import json
 import pytest
 
 from churnkit.cli import main
+from churnkit.model import init_params
+from churnkit.train import save_checkpoint
 
 
 def test_version_exits_zero(capsys):
@@ -154,3 +156,38 @@ def test_checkpoint_error_maps_to_data_error(tmp_path):
     code = main(["predict", "--sessions", str(sessions), "--model", str(bad_model),
                  "--out", str(tmp_path / "p.csv"), "--split", "all"])
     assert code == 2
+
+
+def _predict_exit_code(tmp_path, params, edit_payload=None):
+    """Exit code of `predict` on a small sessions file and a checkpoint of
+    params, optionally edited as JSON before it is read back."""
+    sessions = tmp_path / "sessions.jsonl"
+    main(["simulate", "--kind", "stationary", "--users", "4", "--horizon", "30",
+          "--seed", "3", "--out", str(sessions)])
+    model = tmp_path / "model.json"
+    save_checkpoint(params, model)
+    if edit_payload is not None:
+        payload = json.loads(model.read_text())
+        edit_payload(payload)
+        model.write_text(json.dumps(payload))
+    return main(["predict", "--sessions", str(sessions), "--model", str(model),
+                 "--out", str(tmp_path / "p.csv"), "--split", "all"])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "abc"])
+def test_non_finite_checkpoint_is_data_error(tmp_path, value):
+    def edit(payload):
+        payload["params"]["head_bt"]["data"] = [value]
+
+    assert _predict_exit_code(tmp_path, init_params(4, 3, seed=1), edit) == 2
+
+
+def test_non_finite_head_is_numerical_error(tmp_path):
+    # finite but extreme prior weights: mu = -inf and sigma = inf, so the
+    # latent draw mu + sigma * eps, and with it the head value, is NaN
+    params = init_params(4, 3, seed=1)
+    params.prior_W1[...] = 0.0
+    params.prior_b1[...] = 50.0
+    params.prior_W2[0] = -1e308
+    params.prior_W2[1] = 1e308
+    assert _predict_exit_code(tmp_path, params) == 3

@@ -26,6 +26,12 @@ def _seq(gaps, durs, user="u"):
     return SessionSequence(user, sessions)
 
 
+def _learned_params(hidden, seed, wt):
+    p = init_params(hidden, 4, seed=seed, wt_mode="learned")
+    p.head_wt[...] = wt
+    return p
+
+
 def _zero_params(hidden=4):
     p = init_params(hidden, 4, seed=0)
     for name in PARAM_FIELDS:
@@ -104,21 +110,21 @@ class TestRollingEvaluate:
         assert all(r.pred_gap == pytest.approx(1.0) for r in records)
 
     def test_matches_predict_next_per_prefix(self):
-        p = init_params(5, 4, seed=6)
-        records = rolling_evaluate(p, SEQ, n_samples=8, seed=11)
-        for i in (1, 2, 4):
-            prefix = SessionSequence(SEQ.user_id, SEQ.sessions[:i])
-            solo = predict_next(p, prefix, n_samples=8, seed=11)
-            assert records[i - 1].pred_gap == pytest.approx(solo.pred_gap, rel=1e-12)
-            assert records[i - 1].pred_dur == pytest.approx(solo.pred_dur, rel=1e-12)
+        for p in (init_params(5, 4, seed=6), _learned_params(5, 6, -0.05), _learned_params(5, 6, 0.2)):
+            records = rolling_evaluate(p, SEQ, n_samples=8, seed=11)
+            for i in (1, 2, 4):
+                prefix = SessionSequence(SEQ.user_id, SEQ.sessions[:i])
+                solo = predict_next(p, prefix, n_samples=8, seed=11)
+                assert records[i - 1].pred_gap == pytest.approx(solo.pred_gap, rel=1e-12)
+                assert records[i - 1].pred_dur == pytest.approx(solo.pred_dur, rel=1e-12)
 
     def test_appending_future_does_not_change_earlier_records(self):
-        p = init_params(5, 4, seed=7)
         longer = _seq([0.0, 2.0, 1.5, 3.0, 0.9, 4.4], [2, 4, 1, 3, 5, 2])
-        short_recs = rolling_evaluate(p, SEQ, 8, 3)
-        long_recs = rolling_evaluate(p, longer, 8, 3)
-        for a, b in zip(short_recs, long_recs):
-            assert a.pred_gap == b.pred_gap and a.pred_dur == b.pred_dur
+        for p in (init_params(5, 4, seed=7), _learned_params(5, 7, -0.05), _learned_params(5, 7, 0.2)):
+            short_recs = rolling_evaluate(p, SEQ, 8, 3)
+            long_recs = rolling_evaluate(p, longer, 8, 3)
+            for a, b in zip(short_recs, long_recs):
+                assert a.pred_gap == b.pred_gap and a.pred_dur == b.pred_dur
 
     def test_needs_two_sessions(self):
         with pytest.raises(DataError):

@@ -6,9 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from churnkit.errors import NumericalError
 from churnkit.tppmath import (
+    WT_ZERO_EPS,
     GaussianParams,
     IntensitySpec,
     cumulative_intensity,
@@ -110,6 +114,54 @@ class TestExpectedGap:
         with pytest.raises(ValueError):
             expected_gap(IntensitySpec(0.0, 0.0), "guess")
 
+    @pytest.mark.parametrize(
+        "a, wt, mean",
+        [(5.0, -0.038, 0.006740), (0.7, -2e-7, 0.4966), (0.0, -1e-3, None), (5.0, -0.5, None)],
+    )
+    def test_quadrature_finds_mass_near_zero(self, a, wt, mean):
+        # a defective law whose mass sits far below the old fixed upper
+        # limit of the integration range
+        spec = IntensitySpec(a, wt)
+        quad = expected_gap(spec, "quadrature")
+        assert quad > 0.0
+        assert quad == pytest.approx(expected_gap(spec), rel=1e-6)
+        if mean is not None:
+            assert quad == pytest.approx(mean, rel=1e-3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        a=st.floats(-6.0, 6.0),
+        log10_wt=st.floats(-8.0, 1.0),
+        negative=st.booleans(),
+    )
+    def test_closed_form_matches_quadrature(self, a, log10_wt, negative):
+        wt = -(10.0**log10_wt) if negative else 10.0**log10_wt
+        spec = IntensitySpec(a, wt)
+        assert expected_gap(spec) == pytest.approx(expected_gap(spec, "quadrature"), rel=1e-6)
+
+    @pytest.mark.parametrize("a", [-3.0, 0.0, 3.0])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_closed_form_continuous_across_zero_slope_cutoff(self, a, sign):
+        # just below the cutoff the slope is treated as zero and the mean is
+        # exp(-a); just above, the exact mean differs from it by about
+        # |wt| exp(-a) relative
+        below = expected_gap(IntensitySpec(a, sign * WT_ZERO_EPS * (1.0 - 1e-9)))
+        above = expected_gap(IntensitySpec(a, sign * WT_ZERO_EPS * (1.0 + 1e-9)))
+        assert below == pytest.approx(math.exp(-a), rel=1e-15)
+        assert above == pytest.approx(below, rel=3.0 * WT_ZERO_EPS * math.exp(-a))
+
+    @pytest.mark.parametrize("wt", [-2.0, -0.04, -1e-6, 0.0, 1e-6, 0.04, 2.0])
+    def test_closed_form_is_elementwise_over_arrays(self, wt):
+        # spans every branch: series, special functions and asymptotic
+        a = np.linspace(-12.0, 12.0, 35).reshape(5, 7)
+        means = expected_gap(IntensitySpec(a, wt))
+        assert means.shape == a.shape
+        assert all(means[i, j] == expected_gap(IntensitySpec(a[i, j], wt)) for i, j in np.ndindex(a.shape))
+
+    def test_closed_form_rejects_non_finite_input(self):
+        with pytest.raises(NumericalError):
+            expected_gap(IntensitySpec(np.array([0.0, np.nan]), 0.3))
+
 
 class TestSampleGap:
     def test_law_of_large_numbers(self):
@@ -190,6 +242,16 @@ class TestZeroTruncatedPoisson:
         for k in (1, 2, 3, 5):
             frac = np.mean(draws == k)
             assert frac == pytest.approx(math.exp(zt_poisson_log_pmf(rate, k)), abs=4e-3)
+
+    def test_sampler_at_large_rate(self):
+        # pmf(1) underflows to zero here, so the walk cannot start at k = 1
+        rng = np.random.default_rng(17)
+        rate = 1000.0
+        draws = np.array([sample_zt_poisson(rate, rng) for _ in range(20_000)])
+        assert abs(draws.mean() - rate) < 4.0 * math.sqrt(rate / len(draws))
+        assert draws.var() == pytest.approx(rate, rel=0.05)
+        for k in (950, 1000, 1050):
+            assert np.mean(draws <= k) == pytest.approx(stats.poisson.cdf(k, rate), abs=0.015)
 
 
 class TestGaussianKL:
