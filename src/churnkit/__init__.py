@@ -4,7 +4,8 @@ User activity logs are segmented into sessions; a recurrent network with a
 logit-normal latent loyalty variable defines the conditional intensity of a
 temporal point process over absence gaps and a Poisson model over session
 durations.  Training maximizes a per-step variational lower bound by
-backpropagation through time on a small built-in autodiff tape.
+truncated backpropagation through time, written out by hand over fused
+per-step kernels.
 """
 
 from ._kernels import NUMBA_ENABLED
@@ -17,7 +18,6 @@ from .errors import (
     NumericalError,
 )
 from .eventlog import (
-    Event,
     Session,
     SessionSequence,
     derive_seed,
@@ -71,7 +71,6 @@ __all__ = [
     "ChurnkitError",
     "CorruptCheckpointError",
     "DataError",
-    "Event",
     "GaussianParams",
     "GeneratorSpec",
     "HiddenState",

@@ -4,8 +4,8 @@ Every kernel is written as plain vectorized numpy and compiled with numba's
 ``@njit`` at import time.  Setting the environment variable
 ``CHURNKIT_NO_NUMBA=1`` (or numba being unavailable) selects the pure-numpy
 path instead; both paths run the same source.  The undecorated functions are
-kept around with a ``_py`` suffix so tests and benchmarks can compare the two
-paths in-process.
+kept around with a ``_py`` suffix so tests can compare the two paths
+in-process.  churnkit.train drives the fused step pair in its BPTT loops.
 
 Conventions: float64 throughout; LSTM gate order is [input, forget, output,
 candidate], each block H wide inside the stacked (4H,) preactivation; the
@@ -43,12 +43,6 @@ except ImportError:
 
 def _jit(func):
     return _njit(cache=True)(func)
-
-
-def sigmoid_py(v):
-    # stable for large |v|: never exponentiates a positive argument
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def dense_tanh_fwd_py(W, x, b):
@@ -119,7 +113,6 @@ def lstm_bwd_py(state, W, gates, xh, out, dout):
     return dstate, dxh[2], dW, dpre
 
 
-sigmoid = _jit(sigmoid_py)
 dense_tanh_fwd = _jit(dense_tanh_fwd_py)
 dense_tanh_bwd = _jit(dense_tanh_bwd_py)
 affine_fwd = _jit(affine_fwd_py)
@@ -338,7 +331,6 @@ def warmup():
     dense_tanh_bwd(Wd, xd, y, np.ones(3))
     y2 = affine_fwd(Wd, xd, bd)
     affine_bwd(Wd, xd, np.ones_like(y2))
-    sigmoid(np.zeros(3))
 
     qW1 = np.zeros((P, H + 2))
     qb1 = np.zeros(P)

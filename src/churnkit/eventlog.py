@@ -29,18 +29,6 @@ GAP_MODES = ("start-to-start", "end-to-start")
 
 
 @dataclass(frozen=True)
-class Event:
-    user_id: str
-    timestamp: float  # hours
-
-    def __post_init__(self):
-        if not self.user_id:
-            raise DataError("Event: empty user_id")
-        if not math.isfinite(self.timestamp):
-            raise DataError(f"Event: non-finite timestamp for user {self.user_id!r}")
-
-
-@dataclass(frozen=True)
 class Session:
     """(start time, previous absence gap, duration in events)."""
 
@@ -272,8 +260,10 @@ def read_sessions(path):
             try:
                 sessions = [Session(t=float(s["t"]), g=float(s["g"]), d=int(s["d"])) for s in obj["sessions"]]
                 sequences.append(SessionSequence(user_id=str(obj["user_id"]), sessions=sessions))
-            except (KeyError, TypeError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"line {lineno}: bad session record ({exc})") from None
+            if any(s.g <= 0.0 for s in sessions[1:]):
+                raise DataError(f"line {lineno}: a gap after the first session must be positive")
     if not sequences:
         raise DataError("sessions file contains no sequences")
     return sequences

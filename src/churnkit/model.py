@@ -9,9 +9,9 @@ approximate-posterior parameters of logit(z) come from two one-hidden-layer
 MLPs shared across time-steps.
 
 The functions here are plain numpy and are used for filtering, prediction and
-generation; training builds the same computation on a diffgraph tape (see
-churnkit.train) through the same fused kernels, so both paths share one
-implementation of the numerics.
+generation.  Training (see churnkit.train) runs the same computation through
+the fused step kernels of churnkit._kernels, which share the LSTM and dense
+layer kernels used here.
 """
 
 from __future__ import annotations

@@ -251,7 +251,7 @@ def test_criterion_8_bound_property():
     true_sum = 0.0
     for seq in test_seqs:
         rng = np.random.default_rng(derive_seed(0, "bound", seq.user_id))
-        elbo_u = sequence_elbo(params, seq, 8, rng).value
+        elbo_u = sequence_elbo(params, seq, 8, rng)
         true_u = truth["users"][seq.user_id]["loglik"]
         elbo_sum += elbo_u
         true_sum += true_u

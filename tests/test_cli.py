@@ -191,3 +191,43 @@ def test_non_finite_head_is_numerical_error(tmp_path):
     params.prior_W2[0] = -1e308
     params.prior_W2[1] = 1e308
     assert _predict_exit_code(tmp_path, params) == 3
+
+
+def _sessions_exit_code(tmp_path, subcommand, sessions_records):
+    """Exit code of `predict` or `evaluate` on a hand-written sessions file."""
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("".join(json.dumps(r) + "\n" for r in sessions_records))
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1), model)
+    return main([subcommand, "--sessions", str(sessions), "--model", str(model),
+                 "--out", str(tmp_path / "out.csv"), "--split", "all", "--pred-samples", "2",
+                 *(["--methods", "model,global_mean"] if subcommand == "evaluate" else [])])
+
+
+def test_non_numeric_session_field_is_data_error(tmp_path):
+    records = [{"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": "x", "g": 1.0, "d": 2}]}]
+    assert _sessions_exit_code(tmp_path, "predict", records) == 2
+
+
+def test_zero_gap_after_first_session_is_data_error(tmp_path):
+    # start times still increase, but a zero gap would divide by zero in the
+    # relative-error metrics
+    records = [
+        {"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": 1.0, "g": 1.0, "d": 2},
+                                       {"t": 2.0, "g": 0.0, "d": 1}]},
+        {"user_id": "u2", "sessions": [{"t": 0.0, "g": 0.0, "d": 3}, {"t": 2.5, "g": 2.5, "d": 1}]},
+    ]
+    assert _sessions_exit_code(tmp_path, "evaluate", records) == 2
+
+
+def test_diverging_training_is_numerical_error(tmp_path, capsys):
+    # a huge learning rate throws the duration bias out of exp range after
+    # the first batch; the message names the failing step and user
+    sessions = tmp_path / "sessions.jsonl"
+    main(["simulate", "--kind", "stationary", "--users", "12", "--horizon", "60",
+          "--seed", "5", "--out", str(sessions)])
+    code = main(["train", "--sessions", str(sessions), "--out", str(tmp_path / "m.json"),
+                 "--epochs", "2", "--lr", "1e6", "--hidden", "4", "--mlp-hidden", "3",
+                 "--batch-size", "4", "--seed", "1"])
+    assert code == 3
+    assert "diverged at epoch 1, batch 1: step 0 of 'u0000'" in capsys.readouterr().err

@@ -2,12 +2,11 @@
 structural properties (causality, determinism, positivity)."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import churnkit.diffgraph as dg
-from churnkit.diffgraph import grad_check
 from churnkit.errors import NumericalError
 from churnkit.model import (
     PARAM_FIELDS,
@@ -22,6 +21,7 @@ from churnkit.model import (
     zero_state,
 )
 from churnkit.tppmath import IntensitySpec, expected_gap
+from churnkit.train import _mlp2_bwd, _mlp2_fwd, grad_check
 
 SOFTPLUS_HALF = math.log(2.0) + 1e-4  # softplus(0) plus the sigma floor
 
@@ -88,20 +88,20 @@ class TestPriorPosterior:
         assert posterior_params(p, 1.0, 2, h) == posterior_params(p, 1.0, 2, h)
 
     def test_prior_gradients_match_finite_differences(self):
+        """Training's hand-written prior-MLP backward against central
+        differences of the model's own prior_params (both heads)."""
         p = init_params(3, 3, seed=6)
         h = np.random.default_rng(1).normal(size=3) * 0.5
+        names = ("prior_W1", "prior_b1", "prior_W2", "prior_b2")
+        values = {name: getattr(p, name) for name in names}
 
-        def build(tape, nodes):
-            hid = dg.dense_tanh(tape.const(h), nodes["W1"], nodes["b1"])
-            out = dg.affine(hid, nodes["W2"], nodes["b2"])
-            return dg.index(out, 0)  # mu head
+        def loss(v):
+            prior = prior_params(replace(p, **v), h)
+            return prior.mu - 0.5 * prior.sigma
 
-        report = grad_check(
-            build,
-            {"W1": p.prior_W1, "b1": p.prior_b1, "W2": p.prior_W2, "b2": p.prior_b2},
-            h=1e-5,
-            tol=1e-5,
-        )
+        grads = {name: np.zeros_like(a) for name, a in values.items()}
+        _mlp2_bwd(values, "prior", _mlp2_fwd(values, "prior", h)[2], 1.0, -0.5, grads)
+        report = grad_check(loss, values, grads, h=1e-5, tol=1e-5)
         assert report.passed, report.summary()
 
     def test_posterior_input_validation(self):

@@ -14,11 +14,13 @@ from churnkit.errors import (
     DataError,
 )
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.model import PARAM_FIELDS, init_params
+from churnkit.model import PARAM_FIELDS, init_params, initial_step, step
 from churnkit.simulate import GeneratorSpec, generate
+from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
 from churnkit.train import (
     TrainConfig,
     elbo_and_grads,
+    grad_check,
     gradcheck_elbo,
     load_checkpoint,
     save_checkpoint,
@@ -44,6 +46,28 @@ def _zero_params(hidden=4, mlp=4):
     return p
 
 
+def _reference_terms(p, seq, eps_row):
+    """(log-likelihood, KL) of one latent trajectory, assembled from the
+    filtering/generation step and the tppmath densities."""
+    out = initial_step(p, "infer", float(eps_row[0]))
+    ll = poisson_log_pmf(out.gamma, seq.sessions[0].d)
+    kl = 0.0
+    n = len(seq)
+    for i in range(1, n + 1):
+        prev = seq.sessions[i - 1]
+        out = step(p, out.state, prev.g, prev.d, "infer", float(eps_row[i]) if i < n else 0.0)
+        kl += gaussian_kl(out.posterior, out.prior)
+        if i < n:
+            s = seq.sessions[i]
+            ll += log_gap_density(IntensitySpec(out.a, float(p.head_wt)), s.g)
+            ll += poisson_log_pmf(out.gamma, s.d)
+    return ll, kl
+
+
+def _reference_elbo(p, seq, eps):
+    return sum(ll - kl for ll, kl in (_reference_terms(p, seq, row) for row in eps)) / len(eps)
+
+
 class TestSequenceElbo:
     def test_zero_weight_closed_form(self):
         # unit-rate gap model and unit-rate durations: per-step gap term is
@@ -51,8 +75,8 @@ class TestSequenceElbo:
         p = _zero_params()
         gaps = [0.0, 1.3, 0.4, 2.7]
         seq = _seq(gaps, [1, 1, 1, 1])
-        node = sequence_elbo(p, seq, 1, np.random.default_rng(0))
-        assert node.value == pytest.approx(-(1.3 + 0.4 + 2.7) - 4.0, rel=1e-12)
+        value = sequence_elbo(p, seq, 1, np.random.default_rng(0))
+        assert value == pytest.approx(-(1.3 + 0.4 + 2.7) - 4.0, rel=1e-12)
 
     def test_kl_contribution_is_zero_when_q_equals_p(self):
         # zero the second-layer weights of both MLPs and give them the same
@@ -63,20 +87,12 @@ class TestSequenceElbo:
         p.post_b2[...] = np.array([0.3, 0.1])
         p.prior_b2[...] = np.array([0.3, 0.1])
         seq = _seq([0.0, 2.0, 1.0], [2, 3, 1])
-        rng = np.random.default_rng(1)
-        with_kl = sequence_elbo(p, seq, 1, rng).value
+        with_kl = sequence_elbo(p, seq, 1, np.random.default_rng(1))
 
-        q = replace(p, latent_mode="full")
-        # compare against explicit term reconstruction: gap+duration sums only
-        from churnkit.diffgraph import Tape
-        from churnkit.train import build_elbo_terms, make_param_nodes
-
-        tape = Tape()
-        pn, _ = make_param_nodes(tape, q)
         eps = np.random.default_rng(1).standard_normal((1, 3))
-        ll, kl, _ = build_elbo_terms(tape, pn, seq, eps[0], 0, 4, np.zeros((2, 5)), "full", fused=False)
-        assert sum(k.value for k in kl) == pytest.approx(0.0, abs=1e-14)
-        assert with_kl == pytest.approx(sum(t.value for t in ll), rel=1e-12)
+        ll, kl = _reference_terms(p, seq, eps[0])
+        assert kl == pytest.approx(0.0, abs=1e-14)
+        assert with_kl == pytest.approx(ll, rel=1e-12)
 
     def test_requires_two_sessions(self):
         with pytest.raises(DataError):
@@ -86,48 +102,61 @@ class TestSequenceElbo:
         p = init_params(6, 4, seed=22)
         seq = _seq([0.0, 1.0, 3.0, 0.8, 2.2, 1.4], [2, 5, 1, 3, 4, 2])
         singles = np.array(
-            [sequence_elbo(p, seq, 1, np.random.default_rng(1000 + i)).value for i in range(64)]
+            [sequence_elbo(p, seq, 1, np.random.default_rng(1000 + i)) for i in range(64)]
         )
-        est64 = sequence_elbo(p, seq, 64, np.random.default_rng(7)).value
-        est1 = sequence_elbo(p, seq, 1, np.random.default_rng(8)).value
+        est64 = sequence_elbo(p, seq, 64, np.random.default_rng(7))
+        est1 = sequence_elbo(p, seq, 1, np.random.default_rng(8))
         spread = singles.std(ddof=1)
         assert abs(est1 - est64) < 4.0 * spread * math.sqrt(1.0 + 1.0 / 64.0)
         assert abs(est64 - singles.mean()) < 4.0 * spread / 8.0
 
     def test_fused_matches_reference_grads(self):
+        # value: the fused BPTT objective against the ELBO assembled from the
+        # filtering step; gradients: against central differences of it
         p = init_params(5, 3, seed=23, wt_mode="learned")
         p.head_wt[...] = 0.2
         seq = _seq([0.0, 1.5, 0.7, 2.0, 1.1], [3, 1, 4, 2, 6])
         eps = np.random.default_rng(3).standard_normal((2, 5))
-        v1, g1 = elbo_and_grads(p, seq, eps, 0, fused=True)
-        v2, g2 = elbo_and_grads(p, seq, eps, 0, fused=False)
-        assert v1 == pytest.approx(v2, rel=1e-12)
-        for name in g1:
-            np.testing.assert_allclose(g1[name], g2[name], rtol=1e-9, atol=1e-12)
+        value, grads = elbo_and_grads(p, seq, eps, 0)
+        assert value == pytest.approx(_reference_elbo(p, seq, eps), rel=1e-12)
+
+        values = {name: getattr(p, name) for name in p.trainable_names()}
+        report = grad_check(
+            lambda bumped: _reference_elbo(replace(p, **bumped), seq, eps), values, grads
+        )
+        assert report.passed, report.summary()
+        assert set(report.per_param) == set(grads)
 
     def test_fused_backward_is_repeatable(self):
-        # the fused step accumulates into parameter adjoint buffers; a second
-        # backward pass must start clean and reproduce the exact gradients
-        from churnkit.diffgraph import backward
-
+        # the reverse loop accumulates into fresh buffers on every call, so a
+        # second call reproduces the value and gradients bit for bit
         p = init_params(4, 3, seed=25)
         seq = _seq([0.0, 1.0, 2.5, 0.6], [2, 1, 3, 2])
-        node = sequence_elbo(p, seq, 1, np.random.default_rng(5))
-        g1 = backward(node)
-        g2 = backward(node)
+        eps = np.random.default_rng(5).standard_normal((1, 4))
+        v1, g1 = elbo_and_grads(p, seq, eps, 0)
+        v2, g2 = elbo_and_grads(p, seq, eps, 0)
+        assert v1 == v2
         for k in g1:
-            np.testing.assert_array_equal(np.asarray(g1[k]), np.asarray(g2[k]))
+            np.testing.assert_array_equal(g1[k], g2[k])
 
     def test_truncation_changes_gradients_not_value(self):
-        p = init_params(4, 3, seed=24)
         seq = _seq([0.0] + [1.0] * 11, [2] * 12)
         eps = np.random.default_rng(4).standard_normal((1, 12))
-        v_full, g_full = elbo_and_grads(p, seq, eps, 0)
-        v_k, g_k = elbo_and_grads(p, seq, eps, 4)
-        assert v_full == pytest.approx(v_k, rel=1e-12)
-        # gradients differ because the state gradient is cut at boundaries
-        diffs = [np.max(np.abs(np.asarray(g_full[n]) - np.asarray(g_k[n]))) for n in g_full]
-        assert max(diffs) > 0.0
+        # bptt_k = 4 and 12 both leave step n (KL only) alone in the last
+        # segment; bptt_k = 1 makes every step its own segment
+        for latent_mode in ("full", "fixed"):
+            p = init_params(4, 3, seed=24, latent_mode=latent_mode)
+            v_full, g_full = elbo_and_grads(p, seq, eps, 0)
+            for bptt_k in (4, 12, 1):
+                v_k, g_k = elbo_and_grads(p, seq, eps, bptt_k)
+                assert v_full == pytest.approx(v_k, rel=1e-12)
+                diffs = [np.max(np.abs(np.asarray(g_full[n]) - np.asarray(g_k[n]))) for n in g_full]
+                if latent_mode == "fixed" and bptt_k == len(seq):
+                    # step n has no term without a latent: the cut severs nothing
+                    assert max(diffs) == 0.0
+                else:
+                    # gradients differ because the state gradient is cut at boundaries
+                    assert max(diffs) > 0.0, (latent_mode, bptt_k)
 
 
 class TestGradcheckElbo:
