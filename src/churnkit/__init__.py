@@ -38,7 +38,7 @@ from .inference import (
     rolling_evaluate_many,
     user_history_stats,
 )
-from .model import HiddenState, ModelParams, StepOutput, heads, init_params, initial_step, step
+from .model import ModelParams, StepOutput, heads, init_params, initial_step, step
 from .simulate import GeneratorSpec, generate
 from .tppmath import (
     GaussianParams,
@@ -73,7 +73,6 @@ __all__ = [
     "DataError",
     "GaussianParams",
     "GeneratorSpec",
-    "HiddenState",
     "IntensitySpec",
     "MetricSummary",
     "ModelParams",

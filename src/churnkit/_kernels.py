@@ -1,15 +1,31 @@
-"""Hot numeric kernels: fused forward/backward pairs for the recurrent model.
+"""Hot numeric kernels, and the one definition of every formula of the cell.
+
+The recurrent cell is written here once, piece by piece, and every caller
+composes the same pieces: training (churnkit.train, through the fused step
+pair below), filtering, prediction and generation (churnkit.model and
+churnkit.inference), and the distribution helpers of churnkit.tppmath.
+
+- constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS`` and the z clamp ``Z_LO``/``Z_HI``;
+- the scalar ``sig`` and ``softplus``, and the array ``sigmoid``;
+- the latent MLP ``mlp2_fwd``/``mlp2_bwd`` giving (mu, sigma) of logit(z),
+  built on the dense-tanh and affine kernels, with the posterior's input
+  ``post_input``;
+- the reparameterized draw ``draw_z``/``draw_z_bwd`` with its clamp;
+- the Gaussian KL ``gaussian_kl`` and its gradient ``gaussian_kl_grad``;
+- the LSTM cell ``lstm_fwd``/``lstm_bwd`` and the two ``heads``;
+- the fused training step ``step_fwd``/``step_bwd``, composed of the above.
 
 Every kernel is written as plain vectorized numpy and compiled with numba's
 ``@njit`` at import time.  Setting the environment variable
 ``CHURNKIT_NO_NUMBA=1`` (or numba being unavailable) selects the pure-numpy
 path instead; both paths run the same source.  The undecorated functions are
 kept around with a ``_py`` suffix so tests can compare the two paths
-in-process.  churnkit.train drives the fused step pair in its BPTT loops.
+in-process.
 
 Conventions: float64 throughout; LSTM gate order is [input, forget, output,
 candidate], each block H wide inside the stacked (4H,) preactivation; the
-recurrent state is a (2, H) array with row 0 = h and row 1 = c.
+recurrent state is a (2, H) array with row 0 = h and row 1 = c, everywhere
+in the package.
 """
 
 from __future__ import annotations
@@ -45,6 +61,34 @@ def _jit(func):
     return _njit(cache=True)(func)
 
 
+SIGMA_FLOOR = 1e-4  # added to softplus, so every std of logit(z) is positive
+WT_ZERO_EPS = 1e-8  # |wt| below this is treated as exactly zero
+Z_LO = 1e-15  # z is clamped into [Z_LO, Z_HI], strictly inside (0, 1)
+Z_HI = 0.9999999999999999  # the largest float below 1
+
+
+def sig_py(v):
+    if v >= 0.0:
+        return 1.0 / (1.0 + math.exp(-v))
+    e = math.exp(v)
+    return e / (1.0 + e)
+
+
+def softplus_py(v):
+    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
+
+
+def sigmoid_py(v):
+    """Elementwise logistic of an array, stable for either sign."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+sig = _jit(sig_py)
+softplus = _jit(softplus_py)
+sigmoid = _jit(sigmoid_py)
+
+
 def dense_tanh_fwd_py(W, x, b):
     return np.tanh(W @ x + b)
 
@@ -66,6 +110,89 @@ def affine_bwd_py(W, x, dy):
     return dW, dx
 
 
+dense_tanh_fwd = _jit(dense_tanh_fwd_py)
+dense_tanh_bwd = _jit(dense_tanh_bwd_py)
+affine_fwd = _jit(affine_fwd_py)
+affine_bwd = _jit(affine_bwd_py)
+
+
+# ------------------------------------------------------------- the latent
+
+
+def post_input_py(gf, df, h):
+    """Input [gf, df, h] of the posterior MLP (the prior MLP reads h alone)."""
+    x = np.empty(2 + h.shape[0])
+    x[0] = gf
+    x[1] = df
+    x[2:] = h
+    return x
+
+
+def mlp2_fwd_py(W1, b1, W2, b2, x):
+    """The prior or posterior MLP: (mu, sigma) of logit(z) at input x, with
+    sigma = softplus(raw) + SIGMA_FLOOR; also returns the hidden layer and
+    raw for mlp2_bwd."""
+    hid = dense_tanh_fwd(W1, x, b1)
+    out = affine_fwd(W2, hid, b2)
+    raw = float(out[1])
+    return float(out[0]), softplus(raw) + SIGMA_FLOOR, hid, raw
+
+
+def mlp2_bwd_py(W1, W2, x, hid, raw, dmu, dsigma, gW1, gb1, gW2, gb2):
+    """Adjoint of mlp2_fwd: accumulates into the g* buffers, returns d(x)."""
+    dout = np.empty(2)
+    dout[0] = dmu
+    dout[1] = dsigma * sig(raw)
+    dW2, dhid = affine_bwd(W2, hid, dout)
+    gW2 += dW2
+    gb2 += dout
+    dW1, dx, dpre = dense_tanh_bwd(W1, x, hid, dhid)
+    gW1 += dW1
+    gb1 += dpre
+    return dx
+
+
+def draw_z_py(mu, sigma, eps):
+    """Reparameterized z = sigmoid(mu + sigma * eps), clamped into [Z_LO, Z_HI]."""
+    z = sig(mu + sigma * eps)
+    if z < Z_LO:
+        return Z_LO
+    if z > Z_HI:
+        return Z_HI
+    return z
+
+
+def draw_z_bwd_py(z, eps, dz):
+    """(d mu, d sigma) of draw_z given d(z)."""
+    dg = dz * z * (1.0 - z)
+    return dg, dg * eps
+
+
+def gaussian_kl_py(muq, sq, mup, sp):
+    """KL(N(muq, sq^2) || N(mup, sp^2)); >= 0, and 0 iff both are equal."""
+    d = muq - mup
+    return math.log(sp / sq) + (sq * sq + d * d) / (2.0 * sp * sp) - 0.5
+
+
+def gaussian_kl_grad_py(muq, sq, mup, sp):
+    """Partial derivatives of gaussian_kl by (muq, sq, mup, sp)."""
+    d = muq - mup
+    ratio = d / (sp * sp)
+    return ratio, sq / (sp * sp) - 1.0 / sq, -ratio, 1.0 / sp - (sq * sq + d * d) / (sp * sp * sp)
+
+
+post_input = _jit(post_input_py)
+mlp2_fwd = _jit(mlp2_fwd_py)
+mlp2_bwd = _jit(mlp2_bwd_py)
+draw_z = _jit(draw_z_py)
+draw_z_bwd = _jit(draw_z_bwd_py)
+gaussian_kl = _jit(gaussian_kl_py)
+gaussian_kl_grad = _jit(gaussian_kl_grad_py)
+
+
+# ------------------------------------------------------ the LSTM and heads
+
+
 def lstm_fwd_py(state, z, g_feat, d_feat, W, b):
     """One LSTM step on input [g_feat, d_feat, z] and state (2, H).
 
@@ -80,8 +207,7 @@ def lstm_fwd_py(state, z, g_feat, d_feat, W, b):
     xh[3:] = state[0]
     pre = W @ xh + b
     gates = np.empty(4 * H)
-    e = np.exp(-np.abs(pre[: 3 * H]))
-    gates[: 3 * H] = np.where(pre[: 3 * H] >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    gates[: 3 * H] = sigmoid(pre[: 3 * H])
     gates[3 * H :] = np.tanh(pre[3 * H :])
     c_new = gates[H : 2 * H] * state[1] + gates[:H] * gates[3 * H :]
     out = np.empty((2, H))
@@ -113,36 +239,17 @@ def lstm_bwd_py(state, W, gates, xh, out, dout):
     return dstate, dxh[2], dW, dpre
 
 
-dense_tanh_fwd = _jit(dense_tanh_fwd_py)
-dense_tanh_bwd = _jit(dense_tanh_bwd_py)
-affine_fwd = _jit(affine_fwd_py)
-affine_bwd = _jit(affine_bwd_py)
+def heads_py(wz, wh, bt, dwz, dwh, dbias, z, h):
+    """Intensity base a and log duration rate at (z, h)."""
+    return wz * z + wh @ h + bt, dwz * z + dwh @ h + dbias
+
+
 lstm_fwd = _jit(lstm_fwd_py)
 lstm_bwd = _jit(lstm_bwd_py)
+heads = _jit(heads_py)
 
 
 # ------------------------------------------------------------ fused step
-
-
-SIGMA_FLOOR = 1e-4
-WT_ZERO_EPS = 1e-8
-_Z_LO = 1e-15
-_Z_HI = 0.9999999999999999
-
-
-def _sig_py(v):
-    if v >= 0.0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
-
-
-def _softplus_py(v):
-    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
-
-
-_sig = _jit(_sig_py)
-_softplus = _jit(_softplus_py)
 
 
 def step_fwd_py(
@@ -160,46 +267,19 @@ def step_fwd_py(
     packs the step's scalars: [muq, sq, mup, sp, rq, rp, z, a, lgam,
     da_coef, dwt_coef, kl].
     """
-    H = state.shape[1]
-    h_prev = state[0]
-    sc = np.zeros(12)
     if full_latent:
-        xq = np.empty(2 + H)
-        xq[0] = gf
-        xq[1] = df
-        xq[2:] = h_prev
-        y1 = np.tanh(qW1 @ xq + qb1)
-        qo = qW2 @ y1 + qb2
-        muq = qo[0]
-        rq = qo[1]
-        sq = _softplus(rq) + SIGMA_FLOOR
-        p1 = np.tanh(pW1 @ h_prev + pb1)
-        po = pW2 @ p1 + pb2
-        mup = po[0]
-        rp = po[1]
-        sp = _softplus(rp) + SIGMA_FLOOR
-        dmu = muq - mup
-        kl = math.log(sp / sq) + (sq * sq + dmu * dmu) / (2.0 * sp * sp) - 0.5
-        z = _sig(muq + sq * eps)
-        if z < _Z_LO:
-            z = _Z_LO
-        elif z > _Z_HI:
-            z = _Z_HI
-        sc[0] = muq
-        sc[1] = sq
-        sc[2] = mup
-        sc[3] = sp
-        sc[4] = rq
-        sc[5] = rp
+        h_prev = state[0]
+        muq, sq, y1, rq = mlp2_fwd(qW1, qb1, qW2, qb2, post_input(gf, df, h_prev))
+        mup, sp, p1, rp = mlp2_fwd(pW1, pb1, pW2, pb2, h_prev)
+        kl = gaussian_kl(muq, sq, mup, sp)
+        z = draw_z(muq, sq, eps)
     else:
+        muq = sq = mup = sp = rq = rp = kl = 0.0
         y1 = np.empty(0)
         p1 = np.empty(0)
-        kl = 0.0
         z = 0.5
     out, gates, xh = lstm_fwd(state, z, gf, df, W, b)
-    h2 = out[0]
-    a = wz * z + wh @ h2 + bt
-    lgam = dwz * z + dwh @ h2 + dbias
+    a, lgam = heads(wz, wh, bt, dwz, dwh, dbias, z, out[0])
     if a > 700.0 or a < -700.0 or lgam > 700.0 or lgam < -700.0:
         raise ValueError("head overflow: |exp argument| > 700")
     ea = math.exp(a)
@@ -220,12 +300,7 @@ def step_fwd_py(
         ll_gap = a + x - lam_int
     ll_dur = d_next * lgam - math.exp(lgam) - math.lgamma(d_next + 1.0)
     term = ll_gap + ll_dur - kl
-    sc[6] = z
-    sc[7] = a
-    sc[8] = lgam
-    sc[9] = 1.0 - lam_int
-    sc[10] = dwt_coef
-    sc[11] = kl
+    sc = np.array([muq, sq, mup, sp, rq, rp, z, a, lgam, 1.0 - lam_int, dwt_coef, kl])
     return term, out, gates, xh, y1, p1, sc
 
 
@@ -239,26 +314,13 @@ def step_bwd_py(
 ):
     """Adjoints of step_fwd.  Array-parameter gradients accumulate in place
     into the g* buffers; returns (dstate, dwz, dwt, dbt, ddwz, ddb)."""
-    muq = sc[0]
-    sq = sc[1]
-    mup = sc[2]
-    sp = sc[3]
-    rq = sc[4]
-    rp = sc[5]
     z = sc[6]
-    lgam = sc[8]
     da = dterm * sc[9]
-    dlg = dterm * (d_next - math.exp(lgam))
-    dwt_s = dterm * sc[10]
+    dlg = dterm * (d_next - math.exp(sc[8]))
 
     h2 = out[0]
-    dwz_s = da * z
     gwh += da * h2
-    dbt_s = da
-    ddwz_s = dlg * z
     gdwh += dlg * h2
-    ddb_s = dlg
-
     dout = dout_in.copy()
     dout[0] += da * wh + dlg * dwh
     dz = da * wz + dlg * dwz
@@ -269,47 +331,19 @@ def step_bwd_py(
     dz += dz_l
 
     if full_latent:
-        dg = dz * z * (1.0 - z)
-        dmuq = dg
-        dsq = dg * eps
+        muq, sq, mup, sp, rq, rp = sc[0], sc[1], sc[2], sc[3], sc[4], sc[5]
+        dmuq, dsq = draw_z_bwd(z, eps, dz)
+        kmuq, ksq, kmup, ksp = gaussian_kl_grad(muq, sq, mup, sp)
         dkl = -dterm
-        ratio = (muq - mup) / (sp * sp)
-        dmuq += dkl * ratio
-        dmup = -dkl * ratio
-        dsq += dkl * (sq / (sp * sp) - 1.0 / sq)
-        dsp = dkl * (1.0 / sp - (sq * sq + (muq - mup) ** 2) / (sp * sp * sp))
-        drq = dsq * _sig(rq)
-        drp = dsp * _sig(rp)
-
-        dqo = np.empty(2)
-        dqo[0] = dmuq
-        dqo[1] = drq
-        gqW2 += np.outer(dqo, y1)
-        gqb2 += dqo
-        dy1 = qW2.T @ dqo
-        dpre1 = dy1 * (1.0 - y1 * y1)
-        H = state.shape[1]
-        xq = np.empty(2 + H)
-        xq[0] = gf
-        xq[1] = df
-        xq[2:] = state[0]
-        gqW1 += np.outer(dpre1, xq)
-        gqb1 += dpre1
-        dxq = qW1.T @ dpre1
+        h_prev = state[0]
+        dxq = mlp2_bwd(
+            qW1, qW2, post_input(gf, df, h_prev), y1, rq,
+            dmuq + dkl * kmuq, dsq + dkl * ksq, gqW1, gqb1, gqW2, gqb2,
+        )
         dstate[0] += dxq[2:]
+        dstate[0] += mlp2_bwd(pW1, pW2, h_prev, p1, rp, dkl * kmup, dkl * ksp, gpW1, gpb1, gpW2, gpb2)
 
-        dpo = np.empty(2)
-        dpo[0] = dmup
-        dpo[1] = drp
-        gpW2 += np.outer(dpo, p1)
-        gpb2 += dpo
-        dp1 = pW2.T @ dpo
-        dpre1p = dp1 * (1.0 - p1 * p1)
-        gpW1 += np.outer(dpre1p, state[0])
-        gpb1 += dpre1p
-        dstate[0] += pW1.T @ dpre1p
-
-    return dstate, dwz_s, dwt_s, dbt_s, ddwz_s, ddb_s
+    return dstate, da * z, dterm * sc[10], da, dlg * z, dlg
 
 
 step_fwd = _jit(step_fwd_py)

@@ -242,8 +242,13 @@ def write_sessions(sequences, path):
 
 
 def read_sessions(path):
-    """Read sequences from the JSONL produced by write_sessions / simulate."""
+    """Read sequences from the JSONL produced by write_sessions / simulate.
+
+    Each user appears on one line only, and the first session carries the
+    sentinel gap 0; anything else is a DataError.
+    """
     sequences = []
+    seen = set()
     try:
         fh = open(path, "r", encoding="utf-8")
     except OSError as exc:
@@ -262,8 +267,14 @@ def read_sessions(path):
                 sequences.append(SessionSequence(user_id=str(obj["user_id"]), sessions=sessions))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"line {lineno}: bad session record ({exc})") from None
+            if sessions[0].g != 0.0:
+                raise DataError(f"line {lineno}: the first session's gap must be the sentinel 0")
             if any(s.g <= 0.0 for s in sessions[1:]):
                 raise DataError(f"line {lineno}: a gap after the first session must be positive")
+            uid = sequences[-1].user_id
+            if uid in seen:
+                raise DataError(f"line {lineno}: duplicate user_id {uid!r}")
+            seen.add(uid)
     if not sequences:
         raise DataError("sessions file contains no sequences")
     return sequences

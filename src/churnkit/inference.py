@@ -11,13 +11,13 @@ as one (records, samples) array.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _kernels as K
 from .errors import DataError, NumericalError
 from .eventlog import derive_seed
 from .model import initial_step, prior_params, step
@@ -85,9 +85,7 @@ def _predict_at(params, hs, rngs, n_samples):
         mu = np.array([p.mu for p in priors])[:, None]
         sigma = np.array([p.sigma for p in priors])[:, None]
         eps = np.array([rng.standard_normal(n_samples) for rng in rngs])
-        u = mu + sigma * eps
-        e = np.exp(-np.abs(u))
-        z = np.where(u >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+        z = K.sigmoid(mu + sigma * eps)
 
     a = wz * z + base_a[:, None]
     lg = dur_wz * z + base_lg[:, None]
@@ -112,7 +110,7 @@ def predict_next(params, prefix, n_samples=32, seed=0):
     outs = filter_sequence(params, prefix)
     frontier = outs[len(prefix)]
     rng = _record_rng(seed, prefix.user_id, len(prefix))
-    pred_gap, pred_dur = _predict_at(params, [frontier.state.h], [rng], n_samples)
+    pred_gap, pred_dur = _predict_at(params, [frontier.state[0]], [rng], n_samples)
     return PredictionRecord(
         user_id=prefix.user_id,
         step=len(prefix),
@@ -131,11 +129,13 @@ def rolling_evaluate(params, seq, n_samples=32, seed=0):
     n = len(seq)
     if n < 2:
         raise DataError(f"rolling_evaluate: need >= 2 sessions, got {n} for {seq.user_id!r}")
+    if n_samples < 1:
+        raise ValueError(f"rolling_evaluate: n_samples must be >= 1, got {n_samples}")
     outs = filter_sequence(params, seq)
     steps = range(1, n)
     pred_gap, pred_dur = _predict_at(
         params,
-        [outs[i].state.h for i in steps],
+        [outs[i].state[0] for i in steps],
         [_record_rng(seed, seq.user_id, i) for i in steps],
         n_samples,
     )

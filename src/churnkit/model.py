@@ -8,10 +8,12 @@ log rate of the Poisson duration model for the next session.  Prior and
 approximate-posterior parameters of logit(z) come from two one-hidden-layer
 MLPs shared across time-steps.
 
-The functions here are plain numpy and are used for filtering, prediction and
-generation.  Training (see churnkit.train) runs the same computation through
-the fused step kernels of churnkit._kernels, which share the LSTM and dense
-layer kernels used here.
+The functions here run one step at a time for filtering, prediction and
+generation; training (churnkit.train) runs the fused step kernel.  Both are
+composed of the same pieces of churnkit._kernels, where every formula of the
+cell is defined once: the latent MLP (mlp2_fwd), the clamped reparameterized
+draw (draw_z), the LSTM (lstm_fwd), the heads, softplus and the constants.
+The recurrent state is the (2, H) array of the kernels (row 0 = h, row 1 = c).
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ import numpy as np
 from . import _kernels as K
 from .errors import NumericalError
 from .eventlog import derive_seed
-from .tppmath import GaussianParams, sample_logit_normal
+from .tppmath import GaussianParams
 
-SIGMA_FLOOR = 1e-4
 WT_MODES = ("frozen_zero", "learned")
 LATENT_MODES = ("full", "fixed")
 MODES = ("infer", "generate", "filter")
@@ -92,17 +93,12 @@ class ModelParams:
 
 
 @dataclass
-class HiddenState:
-    h: np.ndarray
-    c: np.ndarray
-
-    def stacked(self):
-        return np.stack((self.h, self.c))
-
-
-@dataclass
 class StepOutput:
-    state: HiddenState
+    """One step's results.  A law the step did not compute is None: the prior
+    in filter mode, the posterior in generate mode, both in fixed latent
+    mode."""
+
+    state: np.ndarray  # (2, H): row 0 = h, row 1 = c
     prior: GaussianParams
     posterior: GaussianParams
     z: float
@@ -155,7 +151,7 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
 
     lstm_b = np.zeros(4 * H)
     lstm_b[H : 2 * H] = 1.0
-    raw_sigma0 = softplus_inv(0.5 - SIGMA_FLOOR)
+    raw_sigma0 = softplus_inv(0.5 - K.SIGMA_FLOOR)
     prior_b2 = np.array([0.0, raw_sigma0])
     post_b2 = np.array([0.0, raw_sigma0])
     return ModelParams(
@@ -183,19 +179,19 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
     )
 
 
-def zero_state(hidden):
-    return HiddenState(h=np.zeros(hidden), c=np.zeros(hidden))
-
-
-def _softplus(x):
-    return max(x, 0.0) + math.log1p(math.exp(-abs(x)))
+def _law(W1, b1, W2, b2, x):
+    mu, sigma, _, _ = K.mlp2_fwd(W1, b1, W2, b2, x)
+    return GaussianParams(mu=mu, sigma=sigma)
 
 
 def prior_params(params, h):
     """Prior (mu0, sigma0) of logit(z) given the previous hidden state."""
-    hid = K.dense_tanh_fwd(params.prior_W1, h, params.prior_b1)
-    out = K.affine_fwd(params.prior_W2, hid, params.prior_b2)
-    return GaussianParams(mu=float(out[0]), sigma=_softplus(float(out[1])) + SIGMA_FLOOR)
+    return _law(params.prior_W1, params.prior_b1, params.prior_W2, params.prior_b2, h)
+
+
+def _posterior(params, gf, df, h):
+    x = K.post_input(gf, df, h)
+    return _law(params.post_W1, params.post_b1, params.post_W2, params.post_b2, x)
 
 
 def input_features(g, d):
@@ -208,80 +204,57 @@ def input_features(g, d):
 
 def posterior_params(params, g, d, h):
     """Approximate posterior (mu_q, sigma_q) given (g_i, d_i, h_{i-1})."""
-    gf, df = input_features(g, d)
-    x = np.empty(2 + h.shape[0])
-    x[0] = gf
-    x[1] = df
-    x[2:] = h
-    hid = K.dense_tanh_fwd(params.post_W1, x, params.post_b1)
-    out = K.affine_fwd(params.post_W2, hid, params.post_b2)
-    return GaussianParams(mu=float(out[0]), sigma=_softplus(float(out[1])) + SIGMA_FLOOR)
+    return _posterior(params, *input_features(g, d), h)
 
 
 def heads(params, z, h):
     """Intensity base a and duration rate gamma evaluated at (z, h)."""
-    a = float(params.head_wz) * z + float(params.head_wh @ h) + float(params.head_bt)
-    lg = float(params.dur_wz) * z + float(params.dur_wh @ h) + float(params.dur_b)
+    a, lg = K.heads(
+        float(params.head_wz), params.head_wh, float(params.head_bt),
+        float(params.dur_wz), params.dur_wh, float(params.dur_b), z, h,
+    )
     if not (abs(a) <= 700.0 and abs(lg) <= 700.0):  # NaN fails too
         raise NumericalError(f"heads: diverged (a={a:.3g}, log gamma={lg:.3g})")
-    return a, math.exp(lg)
-
-
-def _draw_z(params, prior, posterior, mode, eps):
-    if params.latent_mode == "fixed":
-        return 0.5
-    if mode == "infer":
-        return sample_logit_normal(posterior, eps)
-    if mode == "generate":
-        return sample_logit_normal(prior, eps)
-    if mode == "filter":
-        return sample_logit_normal(posterior, 0.0)
-    raise ValueError(f"unknown mode {mode!r}")
+    return float(a), math.exp(lg)
 
 
 def initial_step(params, mode, eps=0.0):
     """Step-0 convention: state is zero, z comes from the prior at that state,
     the heads at (z0, 0) govern the first observed session's duration."""
-    h0 = np.zeros(params.hidden)
-    if params.latent_mode == "fixed":
-        prior = posterior = GaussianParams(0.0, 1.0)
-        z = 0.5
-    else:
-        prior = prior_params(params, h0)
-        posterior = prior
-        z = sample_logit_normal(prior, 0.0 if mode == "filter" else eps)
-    a, gamma = heads(params, z, h0)
-    return StepOutput(
-        state=zero_state(params.hidden),
-        prior=prior,
-        posterior=posterior,
-        z=z,
-        a=a,
-        gamma=gamma,
-    )
+    state = np.zeros((2, params.hidden))
+    prior = None
+    z = 0.5
+    if params.latent_mode == "full":
+        prior = prior_params(params, state[0])
+        z = K.draw_z(prior.mu, prior.sigma, 0.0 if mode == "filter" else eps)
+    a, gamma = heads(params, z, state[0])
+    return StepOutput(state=state, prior=prior, posterior=prior, z=z, a=a, gamma=gamma)
 
 
 def step(params, prev, g, d, mode, eps=0.0):
-    """One recurrence step on observed (g, d).
+    """One recurrence step on observed (g, d) from the (2, H) state prev.
 
     infer: z from the reparameterized posterior draw; generate: z from the
     prior draw; filter: z = sigmoid(posterior mean), fully deterministic.
-    The returned (a, gamma) govern the NEXT session's gap and duration.
+    Only the laws a mode reads are computed: filter has no prior and
+    generate no posterior.  The returned (a, gamma) govern the NEXT
+    session's gap and duration.
     """
     if mode not in MODES:
         raise ValueError(f"step: unknown mode {mode!r}")
     gf, df = input_features(g, d)
-    if params.latent_mode == "fixed":
-        prior = posterior = GaussianParams(0.0, 1.0)
-        z = 0.5
-    else:
-        prior = prior_params(params, prev.h)
-        posterior = posterior_params(params, g, d, prev.h)
-        z = _draw_z(params, prior, posterior, mode, eps)
-    state = prev.stacked()
-    out, _, _ = K.lstm_fwd(state, z, gf, df, params.lstm_W, params.lstm_b)
-    if not np.all(np.isfinite(out)):
+    h = prev[0]
+    prior = posterior = None
+    z = 0.5
+    if params.latent_mode == "full":
+        if mode != "filter":
+            prior = prior_params(params, h)
+        if mode != "generate":
+            posterior = _posterior(params, gf, df, h)
+        law = prior if mode == "generate" else posterior
+        z = K.draw_z(law.mu, law.sigma, 0.0 if mode == "filter" else eps)
+    state, _, _ = K.lstm_fwd(prev, z, gf, df, params.lstm_W, params.lstm_b)
+    if not np.all(np.isfinite(state)):
         raise NumericalError("step: non-finite hidden state")
-    new = HiddenState(h=out[0], c=out[1])
-    a, gamma = heads(params, z, new.h)
-    return StepOutput(state=new, prior=prior, posterior=posterior, z=z, a=a, gamma=gamma)
+    a, gamma = heads(params, z, state[0])
+    return StepOutput(state=state, prior=prior, posterior=posterior, z=z, a=a, gamma=gamma)

@@ -4,6 +4,8 @@ The gap model is an exponential-affine intensity lam(g) = exp(a + wt * g)
 over the elapsed absence gap g >= 0.  For wt < 0 the gap distribution is
 defective: total mass 1 - exp(-exp(a)/|wt|), the remainder being "never
 returns".  Samplers use exact inverse-CDF inversion; there is no thinning.
+The Gaussian KL and the logit-normal draw wrap the cell's own formulas in
+churnkit._kernels with argument checks.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate, special
 
+from . import _kernels as K
+from ._kernels import WT_ZERO_EPS
 from .errors import NumericalError
-
-WT_ZERO_EPS = 1e-8  # |wt| below this is treated as exactly zero
 
 
 class IntensitySpec(NamedTuple):
@@ -284,18 +286,11 @@ def gaussian_kl(q, p):
     """
     if q.sigma <= 0.0 or p.sigma <= 0.0:
         raise ValueError(f"gaussian_kl: non-positive std ({q.sigma}, {p.sigma})")
-    d = q.mu - p.mu
-    return math.log(p.sigma / q.sigma) + (q.sigma**2 + d * d) / (2.0 * p.sigma**2) - 0.5
+    return K.gaussian_kl(q.mu, q.sigma, p.mu, p.sigma)
 
 
 def sample_logit_normal(params, eps):
     """Reparameterized draw z = sigmoid(mu + sigma * eps), strictly in (0, 1)."""
     if params.sigma <= 0.0:
         raise ValueError(f"sample_logit_normal: non-positive std {params.sigma}")
-    v = params.mu + params.sigma * eps
-    if v >= 0.0:
-        z = 1.0 / (1.0 + math.exp(-v))
-    else:
-        e = math.exp(v)
-        z = e / (1.0 + e)
-    return min(max(z, 1e-15), float(np.nextafter(1.0, 0.0)))
+    return K.draw_z(params.mu, params.sigma, eps)

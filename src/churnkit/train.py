@@ -127,25 +127,9 @@ def _values(params):
     return {name: float(a) if a.ndim == 0 else a for name, a in params.to_dict().items()}
 
 
-def _mlp2_fwd(v, prefix, x):
-    """(mu, sigma, cache) of the prior or posterior MLP at input x."""
-    hid = K.dense_tanh_fwd(v[prefix + "_W1"], x, v[prefix + "_b1"])
-    out = K.affine_fwd(v[prefix + "_W2"], hid, v[prefix + "_b2"])
-    raw = float(out[1])
-    return float(out[0]), K._softplus(raw) + K.SIGMA_FLOOR, (x, hid, raw)
-
-
-def _mlp2_bwd(v, prefix, cache, dmu, dsigma, grads):
-    """Accumulate the MLP's parameter gradients; returns d(input)."""
-    x, hid, raw = cache
-    dout = np.array([dmu, dsigma * K._sig(raw)])
-    dW2, dhid = K.affine_bwd(v[prefix + "_W2"], hid, dout)
-    grads[prefix + "_W2"] += dW2
-    grads[prefix + "_b2"] += dout
-    dW1, dx, db1 = K.dense_tanh_bwd(v[prefix + "_W1"], x, hid, dhid)
-    grads[prefix + "_W1"] += dW1
-    grads[prefix + "_b1"] += db1
-    return dx
+def _mlp(named, prefix):
+    """The (W1, b1, W2, b2) entries of the prior or posterior MLP."""
+    return [named[prefix + suffix] for suffix in ("_W1", "_b1", "_W2", "_b2")]
 
 
 def _first_fwd(v, d0, eps0, full_latent):
@@ -154,9 +138,10 @@ def _first_fwd(v, d0, eps0, full_latent):
     mlp = None
     z = 0.5
     if full_latent:
-        mu, sigma, mlp = _mlp2_fwd(v, "prior", h)
-        z = min(max(K._sig(mu + sigma * eps0), K._Z_LO), K._Z_HI)
-    lg = v["dur_wz"] * z + float(v["dur_wh"] @ h) + v["dur_b"]
+        mu, sigma, hid, raw = K.mlp2_fwd(*_mlp(v, "prior"), h)
+        z = K.draw_z(mu, sigma, eps0)
+        mlp = (hid, raw)
+    _, lg = K.heads(v["head_wz"], v["head_wh"], v["head_bt"], v["dur_wz"], v["dur_wh"], v["dur_b"], z, h)
     if not math.isfinite(lg):
         raise NumericalError("zh_affine: non-finite head value")
     if abs(lg) > 700.0:
@@ -172,34 +157,32 @@ def _first_bwd(v, cache, grads):
     grads["dur_wh"] += dlg * h
     grads["dur_b"] += dlg
     if mlp is not None:
-        dg = dlg * v["dur_wz"] * z * (1.0 - z)
-        _mlp2_bwd(v, "prior", mlp, dg, dg * eps0, grads)
+        dmu, dsigma = K.draw_z_bwd(z, eps0, dlg * v["dur_wz"])
+        K.mlp2_bwd(v["prior_W1"], v["prior_W2"], h, *mlp, dmu, dsigma, *_mlp(grads, "prior"))
 
 
 def _last_fwd(v, state, gf, df):
     """Step n: only the KL between posterior and prior after the last session."""
     h = state[0]
-    muq, sq, post = _mlp2_fwd(v, "post", np.concatenate((np.array([gf, df]), h)))
-    mup, sp, prior = _mlp2_fwd(v, "prior", h)
+    xq = K.post_input(gf, df, h)
+    muq, sq, hq, rq = K.mlp2_fwd(*_mlp(v, "post"), xq)
+    mup, sp, hp, rp = K.mlp2_fwd(*_mlp(v, "prior"), h)
     if sq <= 0.0 or sp <= 0.0:
         raise NumericalError(f"gaussian_kl: non-positive std ({sq:.3g}, {sp:.3g})")
-    d = muq - mup
-    kl = math.log(sp / sq) + (sq * sq + d * d) / (2.0 * sp * sp) - 0.5
+    kl = K.gaussian_kl(muq, sq, mup, sp)
     if not math.isfinite(kl):
         raise NumericalError("gaussian_kl: non-finite value")
     if kl < -1e-12:
         raise NumericalError(f"negative KL {kl:.3e}")
-    return kl, (muq, sq, mup, sp, post, prior)
+    return kl, (h, xq, muq, sq, hq, rq, mup, sp, hp, rp)
 
 
 def _last_bwd(v, cache, grads):
     """Gradient of -KL; returns d(state) for the step before."""
-    muq, sq, mup, sp, post, prior = cache
-    d = muq - mup
-    dm = d / (sp * sp)
-    dsp = (sq * sq + d**2) / sp**3 - 1.0 / sp
-    dh = _mlp2_bwd(v, "prior", prior, dm, dsp, grads)
-    dxq = _mlp2_bwd(v, "post", post, -dm, 1.0 / sq - sq / (sp * sp), grads)
+    h, xq, muq, sq, hq, rq, mup, sp, hp, rp = cache
+    dmuq, dsq, dmup, dsp = K.gaussian_kl_grad(muq, sq, mup, sp)
+    dh = K.mlp2_bwd(v["prior_W1"], v["prior_W2"], h, hp, rp, -dmup, -dsp, *_mlp(grads, "prior"))
+    dxq = K.mlp2_bwd(v["post_W1"], v["post_W2"], xq, hq, rq, -dmuq, -dsq, *_mlp(grads, "post"))
     dstate = np.zeros((2, dh.shape[0]))
     dstate[0] = dh + dxq[2:]
     return dstate

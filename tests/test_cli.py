@@ -193,14 +193,14 @@ def test_non_finite_head_is_numerical_error(tmp_path):
     assert _predict_exit_code(tmp_path, params) == 3
 
 
-def _sessions_exit_code(tmp_path, subcommand, sessions_records):
+def _sessions_exit_code(tmp_path, subcommand, sessions_records, pred_samples=2):
     """Exit code of `predict` or `evaluate` on a hand-written sessions file."""
     sessions = tmp_path / "sessions.jsonl"
     sessions.write_text("".join(json.dumps(r) + "\n" for r in sessions_records))
     model = tmp_path / "model.json"
     save_checkpoint(init_params(4, 3, seed=1), model)
     return main([subcommand, "--sessions", str(sessions), "--model", str(model),
-                 "--out", str(tmp_path / "out.csv"), "--split", "all", "--pred-samples", "2",
+                 "--out", str(tmp_path / "out.csv"), "--split", "all", "--pred-samples", str(pred_samples),
                  *(["--methods", "model,global_mean"] if subcommand == "evaluate" else [])])
 
 
@@ -218,6 +218,35 @@ def test_zero_gap_after_first_session_is_data_error(tmp_path):
         {"user_id": "u2", "sessions": [{"t": 0.0, "g": 0.0, "d": 3}, {"t": 2.5, "g": 2.5, "d": 1}]},
     ]
     assert _sessions_exit_code(tmp_path, "evaluate", records) == 2
+
+
+_TWO_USERS = [
+    {"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": 1.0, "g": 1.0, "d": 2}]},
+    {"user_id": "u2", "sessions": [{"t": 0.0, "g": 0.0, "d": 3}, {"t": 2.5, "g": 2.5, "d": 1}]},
+]
+
+
+@pytest.mark.parametrize("subcommand", ["predict", "evaluate"])
+@pytest.mark.parametrize("pred_samples", [0, -1])
+def test_non_positive_pred_samples_is_usage_error(tmp_path, capsys, subcommand, pred_samples):
+    # 0 used to write nan predictions with exit 0, -1 to fail inside numpy
+    assert _sessions_exit_code(tmp_path, subcommand, _TWO_USERS, pred_samples) == 1
+    assert "n_samples must be >= 1" in capsys.readouterr().err
+
+
+def test_duplicate_user_id_is_data_error(tmp_path):
+    # predict --alarm-mode expected keys history stats by user, so a second
+    # line for u1 would borrow the other line's stats
+    records = _TWO_USERS + [
+        {"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 2}, {"t": 4.0, "g": 4.0, "d": 2}]}
+    ]
+    assert _sessions_exit_code(tmp_path, "predict", records) == 2
+
+
+def test_non_zero_first_gap_is_data_error(tmp_path):
+    # the first gap is the sentinel 0; any other value would be fed to the LSTM
+    records = [dict(_TWO_USERS[0], sessions=[{"t": 0.0, "g": 3.0, "d": 1}, {"t": 1.0, "g": 1.0, "d": 2}])]
+    assert _sessions_exit_code(tmp_path, "predict", records) == 2
 
 
 def test_diverging_training_is_numerical_error(tmp_path, capsys):

@@ -26,8 +26,6 @@ from churnkit.train import (
     _forward,
     _last_bwd,
     _last_fwd,
-    _mlp2_bwd,
-    _mlp2_fwd,
     _values,
     elbo_and_grads,
     grad_check,
@@ -218,7 +216,7 @@ def test_log_domain_and_exp_overflow_errors(monkeypatch):
     with pytest.raises(NumericalError, match=r"step 0 of 'u7': pois_loglik: rate exponent"):
         elbo_and_grads(replace(p, dur_b=np.array(-800.0)), seq, eps)
     # a negative floor drives the std below zero; only the KL-only step n
-    # runs, so the fused kernel never sees the patched floor
+    # runs, so the check before its KL is the one that fires
     monkeypatch.setattr(K, "SIGMA_FLOOR", -10.0)
     with pytest.raises(NumericalError, match=r"step 3 of 'u7': gaussian_kl: non-positive std"):
         _forward(_values(p), seq, eps[0], 3, 4, np.zeros((2, H)), True)
@@ -269,11 +267,14 @@ def _zero_grads(v):
 
 def _first_case(full):
     """The pre-data step: z from the prior at the zero state (fixed at 0.5
-    without the latent), scoring the first duration d0 = 3."""
+    without the latent), scoring the first duration d0 = 3.  The gap head
+    is evaluated too but scores nothing, so its gradient is zero."""
 
     def sample(rng):
         v = _train_values(rng)
-        return {k: v[k] for k in v if k.startswith(("prior", "dur")) and (full or k.startswith("dur"))}
+        v = {k: v[k] for k in v if k.startswith(("prior", "dur")) and (full or k.startswith("dur"))}
+        v.update(head_wz=float(rng.uniform(-1, 1)), head_wh=rng.uniform(-0.5, 0.5, H), head_bt=0.3)
+        return v
 
     def make(values, rng):
         def loss(v):
@@ -306,20 +307,25 @@ def _kl_case():
 
 
 def _softplus_floor_case():
-    """The std head of the posterior MLP, softplus(raw) + SIGMA_FLOOR."""
+    """The std output of the latent MLP, softplus(raw) + SIGMA_FLOOR."""
 
     def sample(rng):
         v = {k: a for k, a in _train_values(rng).items() if k.startswith("post")}
         v["x"] = rng.uniform(-1, 1, H + 2)
         return v
 
+    names = ("post_W1", "post_b1", "post_W2", "post_b2")
+
     def make(values, rng):
         def loss(v):
-            return _mlp2_fwd(v, "post", v["x"])[1]
+            return K.mlp2_fwd(*(v[k] for k in names), v["x"])[1]
 
         grads = _zero_grads(values)
-        cache = _mlp2_fwd(values, "post", values["x"])[2]
-        grads["x"] = _mlp2_bwd(values, "post", cache, 0.0, 1.0, grads)
+        _, _, hid, raw = K.mlp2_fwd(*(values[k] for k in names), values["x"])
+        grads["x"] = K.mlp2_bwd(
+            values["post_W1"], values["post_W2"], values["x"], hid, raw, 0.0, 1.0,
+            *(grads[k] for k in names),
+        )
         return loss, grads
 
     return sample, make
@@ -370,7 +376,7 @@ def _op_cases():
         return {"state": dstate, "z": dz, "W": dW, "b": db}
 
     def sig_grad(v, w):
-        s = K._sig(float(v["a"]))
+        s = K.sig(float(v["a"]))
         return {"a": w * s * (1.0 - s)}
 
     dense_domains = {"x": arr(-1, 1, 3), "W": arr(-1, 1, (4, 3)), "b": arr(-1, 1, 4)}
@@ -391,10 +397,10 @@ def _op_cases():
             },
         ),
         # the backward passes differentiate sigmoid as s(1 - s) ...
-        "sigmoid": _kernel_case(lambda v: K._sig(float(v["a"])), sig_grad, {"a": sca(-3, 3)}),
+        "sigmoid": _kernel_case(lambda v: K.sig(float(v["a"])), sig_grad, {"a": sca(-3, 3)}),
         # ... and softplus as sigmoid
         "softplus": _kernel_case(
-            lambda v: K._softplus(float(v["a"])), lambda v, w: {"a": w * K._sig(float(v["a"]))}, {"a": sca(-3, 3)}
+            lambda v: K.softplus(float(v["a"])), lambda v, w: {"a": w * K.sig(float(v["a"]))}, {"a": sca(-3, 3)}
         ),
         "softplus_floor": _softplus_floor_case(),
         "reparam_sigmoid": _first_case(full=True),

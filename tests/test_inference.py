@@ -73,7 +73,7 @@ class TestPredictNext:
         from churnkit.inference import filter_sequence
 
         outs = filter_sequence(p, SEQ)
-        h = outs[len(SEQ)].state.h
+        h = outs[len(SEQ)].state[0]
         prior = prior_params(p, h)
         rng = np.random.default_rng(derive_seed(7, "pred", SEQ.user_id, len(SEQ)))
         eps = rng.standard_normal(64)

@@ -17,8 +17,8 @@ def test_numba_flag_is_exposed():
 
 def test_sigmoid_matches_and_is_stable(rng):
     v = np.concatenate([rng.normal(0, 3, 50), [-800.0, 800.0, 0.0]])
-    out = np.array([K._sig(x) for x in v])
-    np.testing.assert_allclose(out, [K._sig_py(x) for x in v], rtol=1e-14, atol=0)
+    out = np.array([K.sig(x) for x in v])
+    np.testing.assert_allclose(out, [K.sig_py(x) for x in v], rtol=1e-14, atol=0)
     np.testing.assert_allclose(out[:-3], 1.0 / (1.0 + np.exp(-v[:-3])), rtol=1e-14, atol=0)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     assert out[-1] == 0.5

@@ -6,22 +6,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from churnkit import _kernels as K
 from churnkit.errors import NumericalError
 from churnkit.model import (
+    LATENT_MODES,
     PARAM_FIELDS,
-    HiddenState,
     expected_shapes,
     heads,
     init_params,
     initial_step,
+    input_features,
     posterior_params,
     prior_params,
     step,
-    zero_state,
 )
 from churnkit.tppmath import IntensitySpec, expected_gap
-from churnkit.train import _mlp2_bwd, _mlp2_fwd, grad_check
+from churnkit.train import grad_check
 
 SOFTPLUS_HALF = math.log(2.0) + 1e-4  # softplus(0) plus the sigma floor
 
@@ -88,7 +91,7 @@ class TestPriorPosterior:
         assert posterior_params(p, 1.0, 2, h) == posterior_params(p, 1.0, 2, h)
 
     def test_prior_gradients_match_finite_differences(self):
-        """Training's hand-written prior-MLP backward against central
+        """The latent MLP's hand-written backward against central
         differences of the model's own prior_params (both heads)."""
         p = init_params(3, 3, seed=6)
         h = np.random.default_rng(1).normal(size=3) * 0.5
@@ -100,7 +103,8 @@ class TestPriorPosterior:
             return prior.mu - 0.5 * prior.sigma
 
         grads = {name: np.zeros_like(a) for name, a in values.items()}
-        _mlp2_bwd(values, "prior", _mlp2_fwd(values, "prior", h)[2], 1.0, -0.5, grads)
+        _, _, hid, raw = K.mlp2_fwd(*values.values(), h)
+        K.mlp2_bwd(p.prior_W1, p.prior_W2, h, hid, raw, 1.0, -0.5, *grads.values())
         report = grad_check(loss, values, grads, h=1e-5, tol=1e-5)
         assert report.passed, report.summary()
 
@@ -143,22 +147,21 @@ class TestHeads:
 class TestStep:
     def test_zero_weight_step_keeps_zero_state(self):
         p = _zeroed()
-        out = step(p, zero_state(4), 2.0, 3, "filter")
-        np.testing.assert_allclose(out.state.h, np.zeros(4))
-        np.testing.assert_allclose(out.state.c, np.zeros(4))
+        out = step(p, np.zeros((2, 4)), 2.0, 3, "filter")
+        np.testing.assert_allclose(out.state, np.zeros((2, 4)))
         assert out.a == 0.0 and out.gamma == 1.0
         assert out.z == pytest.approx(0.5)
 
     def test_filter_mode_is_deterministic_and_consumes_no_rng(self):
         p = init_params(6, 4, seed=8)
-        s1 = step(p, zero_state(6), 1.5, 4, "filter")
-        s2 = step(p, zero_state(6), 1.5, 4, "filter")
-        np.testing.assert_array_equal(s1.state.h, s2.state.h)
+        s1 = step(p, np.zeros((2, 6)), 1.5, 4, "filter")
+        s2 = step(p, np.zeros((2, 6)), 1.5, 4, "filter")
+        np.testing.assert_array_equal(s1.state, s2.state)
         assert s1.z == s2.z and s1.a == s2.a and s1.gamma == s2.gamma
 
     def test_modes_draw_from_the_right_distribution(self):
         p = init_params(6, 4, seed=9)
-        prev = zero_state(6)
+        prev = np.zeros((2, 6))
         eps = 0.83
         inf = step(p, prev, 1.5, 4, "infer", eps=eps)
         gen = step(p, prev, 1.5, 4, "generate", eps=eps)
@@ -170,7 +173,7 @@ class TestStep:
     def test_positivity_invariants(self):
         rng = np.random.default_rng(10)
         p = init_params(5, 4, seed=11)
-        state = zero_state(5)
+        state = np.zeros((2, 5))
         for _ in range(60):
             out = step(
                 p,
@@ -202,12 +205,12 @@ class TestStep:
         perturbed[7] = 99.0
         part = run(perturbed, durs)
         for i in range(8):  # outputs up to and including step 7 consume inputs 1..7
-            np.testing.assert_array_equal(full[i].state.h, part[i].state.h)
+            np.testing.assert_array_equal(full[i].state, part[i].state)
             assert full[i].a == part[i].a
 
     def test_generative_consistency_with_expected_gap(self):
         p = init_params(4, 4, seed=14)
-        out = step(p, zero_state(4), 1.0, 2, "filter")
+        out = step(p, np.zeros((2, 4)), 1.0, 2, "filter")
         assert expected_gap(IntensitySpec(out.a, 0.0)) == pytest.approx(
             math.exp(-out.a), rel=1e-12
         )
@@ -215,16 +218,51 @@ class TestStep:
     def test_initial_step_conventions(self):
         p = init_params(4, 4, seed=15)
         first = initial_step(p, "filter")
-        np.testing.assert_array_equal(first.state.h, np.zeros(4))
-        np.testing.assert_array_equal(first.state.c, np.zeros(4))
+        np.testing.assert_array_equal(first.state, np.zeros((2, 4)))
         assert first.prior == first.posterior
 
     def test_fixed_latent_mode_clamps_z(self):
         p = init_params(4, 4, seed=16, latent_mode="fixed")
-        out = step(p, zero_state(4), 1.0, 2, "infer", eps=1.7)
+        out = step(p, np.zeros((2, 4)), 1.0, 2, "infer", eps=1.7)
         assert out.z == 0.5
 
 
-def test_hidden_state_stacking():
-    s = HiddenState(h=np.array([1.0, 2.0]), c=np.array([3.0, 4.0]))
-    np.testing.assert_array_equal(s.stacked(), [[1.0, 2.0], [3.0, 4.0]])
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    hidden=st.integers(1, 6),
+    mlp_hidden=st.integers(1, 4),
+    latent_mode=st.sampled_from(LATENT_MODES),
+    g=st.floats(0.0, 50.0),
+    d=st.integers(1, 40),
+    eps=st.floats(-5.0, 5.0),
+    wt=st.floats(-0.5, 0.5),
+)
+def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidden, latent_mode, g, d, eps, wt):
+    """model.step and the fused training kernel compute the same cell bit for
+    bit: state, z, a, log gamma and the laws of logit(z); and filter mode is
+    infer mode at eps = 0."""
+    rng = np.random.default_rng(seed)
+    p = init_params(hidden, mlp_hidden, seed=0, wt_mode="learned", latent_mode=latent_mode)
+    for name in PARAM_FIELDS:
+        getattr(p, name)[...] = rng.normal(0.0, 0.5, getattr(p, name).shape)
+    p.head_wt[...] = wt
+    state = rng.normal(0.0, 0.5, (2, hidden))
+    full = latent_mode == "full"
+    for mode, e in (("infer", eps), ("filter", 0.0)):
+        ref = step(p, state, g, d, mode, e)
+        _, out, _, _, _, _, sc = K.step_fwd(
+            state, p.lstm_W, p.lstm_b, p.post_W1, p.post_b1, p.post_W2, p.post_b2,
+            p.prior_W1, p.prior_b1, p.prior_W2, p.prior_b2,
+            float(p.head_wz), p.head_wh, wt, float(p.head_bt), float(p.dur_wz), p.dur_wh, float(p.dur_b),
+            *input_features(g, d), e, 2.0, 3.0, full,
+        )
+        assert out.tobytes() == ref.state.tobytes()
+        assert (sc[6], sc[7], math.exp(sc[8])) == (ref.z, ref.a, ref.gamma)
+        if full:
+            assert (sc[0], sc[1]) == tuple(ref.posterior)
+        if full and mode == "infer":
+            assert (sc[2], sc[3]) == tuple(ref.prior)
+    at_zero = step(p, state, g, d, "infer", 0.0)
+    assert ref.state.tobytes() == at_zero.state.tobytes()
+    assert (ref.z, ref.a, ref.gamma) == (at_zero.z, at_zero.a, at_zero.gamma)
