@@ -163,7 +163,8 @@ def draw_z_py(mu, sigma, eps):
 
 
 def draw_z_bwd_py(z, eps, dz):
-    """(d mu, d sigma) of draw_z given d(z)."""
+    """(d mu, d sigma) of draw_z given d(z); the clamp is not differentiated,
+    z (1 - z) is at most about 1e-15 wherever it acts."""
     dg = dz * z * (1.0 - z)
     return dg, dg * eps
 

@@ -349,15 +349,17 @@ class Adam:
 
 
 def clip_gradients(grads, max_norm):
-    """Global-norm clipping in place; returns the pre-clip norm."""
+    """Global-norm clipping of the grads dict in place (scalar entries are
+    replaced, they cannot be scaled where they are); returns the pre-clip
+    norm."""
     total = 0.0
     for g in grads.values():
         total += float(np.sum(np.square(g)))
     norm = math.sqrt(total)
     if max_norm > 0.0 and norm > max_norm:
         scale = max_norm / norm
-        for g in grads.values():
-            g *= scale
+        for name, g in grads.items():
+            grads[name] = g * scale
     return norm
 
 

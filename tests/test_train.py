@@ -19,6 +19,7 @@ from churnkit.simulate import GeneratorSpec, generate
 from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
 from churnkit.train import (
     TrainConfig,
+    clip_gradients,
     elbo_and_grads,
     grad_check,
     gradcheck_elbo,
@@ -168,6 +169,18 @@ class TestGradcheckElbo:
         report = gradcheck_elbo(hidden=3, mlp_hidden=3, steps=4, seed=2, wt_mode="frozen_zero")
         assert report.passed
         assert "head_wt" not in report.per_param
+
+
+def test_clip_gradients_scales_arrays_and_scalars():
+    # the scalar heads' gradients are numpy float64 scalars, not arrays
+    grads = {"a": np.full(2, 10.0), "s": np.float64(10.0)}
+    assert clip_gradients(grads, 1.0) == pytest.approx(math.sqrt(300.0), rel=1e-15)
+    scaled = 10.0 / math.sqrt(300.0)
+    np.testing.assert_allclose(grads["a"], [scaled, scaled], rtol=1e-15)
+    assert grads["s"] == pytest.approx(scaled, rel=1e-15)
+    unclipped = {"a": np.full(2, 0.1), "s": np.float64(0.1)}
+    clip_gradients(unclipped, 1.0)
+    assert unclipped["s"] == 0.1 and np.all(unclipped["a"] == 0.1)
 
 
 def _tiny_data(users=12, seed=5):
