@@ -4,11 +4,10 @@ User activity logs are segmented into sessions; a recurrent network with a
 logit-normal latent loyalty variable defines the conditional intensity of a
 temporal point process over absence gaps and a Poisson model over session
 durations.  Training maximizes a per-step variational lower bound by
-truncated backpropagation through time, written out by hand over fused
-per-step kernels.
+truncated backpropagation through time, written out by hand and run on all
+users of an optimizer batch at once.
 """
 
-from ._kernels import NUMBA_ENABLED
 from .errors import (
     CheckpointShapeError,
     CheckpointVersionError,
@@ -76,7 +75,6 @@ __all__ = [
     "IntensitySpec",
     "MetricSummary",
     "ModelParams",
-    "NUMBA_ENABLED",
     "NumericalError",
     "PredictionRecord",
     "Session",

@@ -1,65 +1,34 @@
 """Hot numeric kernels, and the one definition of every formula of the cell.
 
-The recurrent cell is written here once, piece by piece, and every caller
-composes the same pieces: training (churnkit.train, through the fused step
-pair below), filtering, prediction and generation (churnkit.model and
-churnkit.inference), and the distribution helpers of churnkit.tppmath.
+Every kernel works on rows: the leading axis of an array indexes rows (the
+users of an optimizer batch times their latent trajectories), and one row is
+a batch of one.  Training (churnkit.train) unrolls the cell over a whole
+batch at once; filtering, prediction and generation (churnkit.model and
+churnkit.inference) run the same kernels on one row; the distribution
+helpers of churnkit.tppmath wrap the KL and the draw.
 
 - constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS`` and the z clamp ``Z_LO``/``Z_HI``;
-- the scalar ``sig`` and ``softplus``, and the array ``sigmoid``;
-- the latent MLP ``mlp2_fwd``/``mlp2_bwd`` giving (mu, sigma) of logit(z),
-  built on the dense-tanh and affine kernels, with the posterior's input
-  ``post_input``;
-- the reparameterized draw ``draw_z``/``draw_z_bwd`` with its clamp;
-- the Gaussian KL ``gaussian_kl`` and its gradient ``gaussian_kl_grad``;
-- the LSTM cell ``lstm_fwd``/``lstm_bwd`` and the two ``heads``;
-- the fused training step ``step_fwd``/``step_bwd``, composed of the above.
-
-Every kernel is written as plain vectorized numpy and compiled with numba's
-``@njit`` at import time.  Setting the environment variable
-``CHURNKIT_NO_NUMBA=1`` (or numba being unavailable) selects the pure-numpy
-path instead; both paths run the same source.  The undecorated functions are
-kept around with a ``_py`` suffix so tests can compare the two paths
-in-process.
+- ``sigmoid`` and ``softplus``;
+- the latent MLP ``mlp2`` giving (mu, sigma) of logit(z), the clamped
+  reparameterized draw ``draw_z``, the Gaussian KL ``gaussian_kl`` and its
+  gradient ``gaussian_kl_grad``;
+- the LSTM cell ``lstm`` and the two ``heads``;
+- the gap and duration log-likelihoods with their derivatives;
+- the training step over rows, ``cell_fwd``, and its adjoint ``cell_bwd``.
+  They read and write one step of an ``Unroll``, the (steps, rows, .) caches
+  of one truncation segment, which also reduces the parameter gradients of
+  the whole segment as matrix products over its steps and rows.
 
 Conventions: float64 throughout; LSTM gate order is [input, forget, output,
-candidate], each block H wide inside the stacked (4H,) preactivation; the
-recurrent state is a (2, H) array with row 0 = h and row 1 = c, everywhere
-in the package.
+candidate], each block H wide inside the stacked 4H preactivation; the
+recurrent state of one row is a (2, H) array with row 0 = h and row 1 = c,
+and a batch keeps h and c as separate (rows, H) arrays.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-_flag = os.environ.get("CHURNKIT_NO_NUMBA", "").strip().lower()
-_DISABLED = _flag in {"1", "true", "yes", "on"}
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via CHURNKIT_NO_NUMBA")
-    from numba import njit as _njit
-
-    NUMBA_ENABLED = True
-except ImportError:
-    NUMBA_ENABLED = False
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _jit(func):
-    return _njit(cache=True)(func)
-
+from scipy import special
 
 SIGMA_FLOOR = 1e-4  # added to softplus, so every std of logit(z) is positive
 WT_ZERO_EPS = 1e-8  # |wt| below this is treated as exactly zero
@@ -67,327 +36,269 @@ Z_LO = 1e-15  # z is clamped into [Z_LO, Z_HI], strictly inside (0, 1)
 Z_HI = 0.9999999999999999  # the largest float below 1
 
 
-def sig_py(v):
-    if v >= 0.0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
+def sigmoid(v, out=None):
+    """Elementwise logistic, stable for either sign."""
+    return special.expit(v, out=out)
 
 
-def softplus_py(v):
-    return max(v, 0.0) + math.log1p(math.exp(-abs(v)))
-
-
-def sigmoid_py(v):
-    """Elementwise logistic of an array, stable for either sign."""
-    e = np.exp(-np.abs(v))
-    return np.where(v >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-sig = _jit(sig_py)
-softplus = _jit(softplus_py)
-sigmoid = _jit(sigmoid_py)
-
-
-def dense_tanh_fwd_py(W, x, b):
-    return np.tanh(W @ x + b)
-
-
-def dense_tanh_bwd_py(W, x, y, dy):
-    dpre = dy * (1.0 - y * y)
-    dW = np.outer(dpre, x)
-    dx = W.T @ dpre
-    return dW, dx, dpre
-
-
-def affine_fwd_py(W, x, b):
-    return W @ x + b
-
-
-def affine_bwd_py(W, x, dy):
-    dW = np.outer(dy, x)
-    dx = W.T @ dy
-    return dW, dx
-
-
-dense_tanh_fwd = _jit(dense_tanh_fwd_py)
-dense_tanh_bwd = _jit(dense_tanh_bwd_py)
-affine_fwd = _jit(affine_fwd_py)
-affine_bwd = _jit(affine_bwd_py)
+def softplus(v):
+    """log(1 + exp(v)), stable for either sign."""
+    return np.logaddexp(0.0, v)
 
 
 # ------------------------------------------------------------- the latent
 
 
-def post_input_py(gf, df, h):
-    """Input [gf, df, h] of the posterior MLP (the prior MLP reads h alone)."""
-    x = np.empty(2 + h.shape[0])
-    x[0] = gf
-    x[1] = df
-    x[2:] = h
-    return x
+def mlp2(W1, b1, W2, b2, x):
+    """The prior MLP on rows of the state h, or the posterior MLP on rows of
+    [gf, df, h]: (mu, sigma) of logit(z) with sigma = softplus(raw) +
+    SIGMA_FLOOR, and the hidden layer and raw for the adjoint."""
+    hid = np.tanh(x @ W1.T + b1)
+    out = hid @ W2.T + b2
+    raw = out[..., 1]
+    return out[..., 0], softplus(raw) + SIGMA_FLOOR, hid, raw
 
 
-def mlp2_fwd_py(W1, b1, W2, b2, x):
-    """The prior or posterior MLP: (mu, sigma) of logit(z) at input x, with
-    sigma = softplus(raw) + SIGMA_FLOOR; also returns the hidden layer and
-    raw for mlp2_bwd."""
-    hid = dense_tanh_fwd(W1, x, b1)
-    out = affine_fwd(W2, hid, b2)
-    raw = float(out[1])
-    return float(out[0]), softplus(raw) + SIGMA_FLOOR, hid, raw
-
-
-def mlp2_bwd_py(W1, W2, x, hid, raw, dmu, dsigma, gW1, gb1, gW2, gb2):
-    """Adjoint of mlp2_fwd: accumulates into the g* buffers, returns d(x)."""
-    dout = np.empty(2)
-    dout[0] = dmu
-    dout[1] = dsigma * sig(raw)
-    dW2, dhid = affine_bwd(W2, hid, dout)
-    gW2 += dW2
-    gb2 += dout
-    dW1, dx, dpre = dense_tanh_bwd(W1, x, hid, dhid)
-    gW1 += dW1
-    gb1 += dpre
-    return dx
-
-
-def draw_z_py(mu, sigma, eps):
+def draw_z(mu, sigma, eps):
     """Reparameterized z = sigmoid(mu + sigma * eps), clamped into [Z_LO, Z_HI]."""
-    z = sig(mu + sigma * eps)
-    if z < Z_LO:
-        return Z_LO
-    if z > Z_HI:
-        return Z_HI
-    return z
+    return np.minimum(np.maximum(sigmoid(mu + sigma * eps), Z_LO), Z_HI)
 
 
-def draw_z_bwd_py(z, eps, dz):
-    """(d mu, d sigma) of draw_z given d(z); the clamp is not differentiated,
-    z (1 - z) is at most about 1e-15 wherever it acts."""
-    dg = dz * z * (1.0 - z)
-    return dg, dg * eps
-
-
-def gaussian_kl_py(muq, sq, mup, sp):
+def gaussian_kl(muq, sq, mup, sp):
     """KL(N(muq, sq^2) || N(mup, sp^2)); >= 0, and 0 iff both are equal."""
     d = muq - mup
-    return math.log(sp / sq) + (sq * sq + d * d) / (2.0 * sp * sp) - 0.5
+    return np.log(sp / sq) + (sq * sq + d * d) / (2.0 * sp * sp) - 0.5
 
 
-def gaussian_kl_grad_py(muq, sq, mup, sp):
+def gaussian_kl_grad(muq, sq, mup, sp):
     """Partial derivatives of gaussian_kl by (muq, sq, mup, sp)."""
     d = muq - mup
     ratio = d / (sp * sp)
     return ratio, sq / (sp * sp) - 1.0 / sq, -ratio, 1.0 / sp - (sq * sq + d * d) / (sp * sp * sp)
 
 
-post_input = _jit(post_input_py)
-mlp2_fwd = _jit(mlp2_fwd_py)
-mlp2_bwd = _jit(mlp2_bwd_py)
-draw_z = _jit(draw_z_py)
-draw_z_bwd = _jit(draw_z_bwd_py)
-gaussian_kl = _jit(gaussian_kl_py)
-gaussian_kl_grad = _jit(gaussian_kl_grad_py)
-
-
 # ------------------------------------------------------ the LSTM and heads
 
 
-def lstm_fwd_py(state, z, g_feat, d_feat, W, b):
-    """One LSTM step on input [g_feat, d_feat, z] and state (2, H).
-
-    Returns (new_state, gates, xh); gates and xh are cached for the backward
-    pass.
-    """
-    H = state.shape[1]
-    xh = np.empty(3 + H)
-    xh[0] = g_feat
-    xh[1] = d_feat
-    xh[2] = z
-    xh[3:] = state[0]
-    pre = W @ xh + b
-    gates = np.empty(4 * H)
-    gates[: 3 * H] = sigmoid(pre[: 3 * H])
-    gates[3 * H :] = np.tanh(pre[3 * H :])
-    c_new = gates[H : 2 * H] * state[1] + gates[:H] * gates[3 * H :]
-    out = np.empty((2, H))
-    out[1] = c_new
-    out[0] = gates[2 * H : 3 * H] * np.tanh(c_new)
-    return out, gates, xh
+def lstm(W, b, xh, c):
+    """One LSTM step on rows of xh = [gf, df, z, h], the session features,
+    the latent and the hidden state, with cell state c.  Returns (h_new,
+    c_new, gates)."""
+    H = c.shape[-1]
+    gates = xh @ W.T + b
+    sigmoid(gates[..., : 3 * H], out=gates[..., : 3 * H])
+    np.tanh(gates[..., 3 * H :], out=gates[..., 3 * H :])
+    c_new = gates[..., H : 2 * H] * c + gates[..., :H] * gates[..., 3 * H :]
+    return gates[..., 2 * H : 3 * H] * np.tanh(c_new), c_new, gates
 
 
-def lstm_bwd_py(state, W, gates, xh, out, dout):
-    """Adjoints of lstm_fwd given d(out); returns (dstate, dz, dW, db)."""
-    H = state.shape[1]
-    gi = gates[:H]
-    gf = gates[H : 2 * H]
-    go = gates[2 * H : 3 * H]
-    gc = gates[3 * H :]
-    tc = np.tanh(out[1])
-    dh = dout[0]
-    dc = dout[1] + dh * go * (1.0 - tc * tc)
-    dpre = np.empty(4 * H)
-    dpre[:H] = dc * gc * gi * (1.0 - gi)
-    dpre[H : 2 * H] = dc * state[1] * gf * (1.0 - gf)
-    dpre[2 * H : 3 * H] = dh * tc * go * (1.0 - go)
-    dpre[3 * H :] = dc * gi * (1.0 - gc * gc)
-    dW = np.outer(dpre, xh)
-    dxh = W.T @ dpre
-    dstate = np.empty((2, H))
-    dstate[0] = dxh[3:]
-    dstate[1] = dc * gf
-    return dstate, dxh[2], dW, dpre
-
-
-def heads_py(wz, wh, bt, dwz, dwh, dbias, z, h):
+def heads(p, z, h):
     """Intensity base a and log duration rate at (z, h)."""
-    return wz * z + wh @ h + bt, dwz * z + dwh @ h + dbias
+    a = h @ p.head_wh + (float(p.head_wz) * z + float(p.head_bt))
+    return a, h @ p.dur_wh + (float(p.dur_wz) * z + float(p.dur_b))
 
 
-lstm_fwd = _jit(lstm_fwd_py)
-lstm_bwd = _jit(lstm_bwd_py)
-heads = _jit(heads_py)
-
-
-# ------------------------------------------------------------ fused step
-
-
-def step_fwd_py(
-    state, W, b, qW1, qb1, qW2, qb2, pW1, pb1, pW2, pb2,
-    wz, wh, wt, bt, dwz, dwh, dbias,
-    gf, df, eps, g_next, d_next, full_latent,
-):
-    """One full training step fused into a single call.
-
-    Consumes the session features (gf, df), draws z from the reparameterized
-    posterior (or fixes it at 0.5 when full_latent is false), advances the
-    LSTM, evaluates both heads and scores the NEXT observation (g_next,
-    d_next).  Returns the step's ELBO term (gap + duration log-lik minus KL),
-    the new state and the caches the backward pass needs.  The ``sc`` vector
-    packs the step's scalars: [muq, sq, mup, sp, rq, rp, z, a, lgam,
-    da_coef, dwt_coef, kl].
-    """
-    if full_latent:
-        h_prev = state[0]
-        muq, sq, y1, rq = mlp2_fwd(qW1, qb1, qW2, qb2, post_input(gf, df, h_prev))
-        mup, sp, p1, rp = mlp2_fwd(pW1, pb1, pW2, pb2, h_prev)
-        kl = gaussian_kl(muq, sq, mup, sp)
-        z = draw_z(muq, sq, eps)
-    else:
-        muq = sq = mup = sp = rq = rp = kl = 0.0
-        y1 = np.empty(0)
-        p1 = np.empty(0)
-        z = 0.5
-    out, gates, xh = lstm_fwd(state, z, gf, df, W, b)
-    a, lgam = heads(wz, wh, bt, dwz, dwh, dbias, z, out[0])
-    if a > 700.0 or a < -700.0 or lgam > 700.0 or lgam < -700.0:
-        raise ValueError("head overflow: |exp argument| > 700")
-    ea = math.exp(a)
+def gap_loglik(a, wt, g):
+    """Log density of gap g under the intensity exp(a + wt * g), and its
+    derivatives by a and by wt."""
+    ea = np.exp(a)
     if abs(wt) < WT_ZERO_EPS:
-        lam_int = ea * g_next
-        dwt_coef = g_next - ea * g_next * g_next / 2.0
-        ll_gap = a - lam_int
-    else:
-        x = wt * g_next
-        if x > 700.0:
-            raise ValueError("cumulative intensity overflow")
-        lam_int = ea * math.expm1(x) / wt
-        if abs(x) < 1e-3:
-            dd = g_next * g_next * (0.5 + x / 3.0 + x * x / 8.0 + x * x * x / 30.0)
+        lam_int = ea * g
+        return a - lam_int, 1.0 - lam_int, g - ea * g * g / 2.0
+    x = wt * g
+    lam_int = ea * np.expm1(x) / wt
+    # d(lam_int)/d(wt) / ea, by its series where the closed form cancels
+    dd = np.where(
+        np.abs(x) < 1e-3,
+        g * g * (0.5 + x / 3.0 + x * x / 8.0 + x * x * x / 30.0),
+        (np.exp(x) * (x - 1.0) + 1.0) / (wt * wt),
+    )
+    return a + x - lam_int, 1.0 - lam_int, g - ea * dd
+
+
+def dur_loglik(lg, d, lgd):
+    """Poisson log pmf of duration d at log rate lg, with lgd = lgamma(d + 1),
+    and its derivative by lg."""
+    rate = np.exp(lg)
+    return d * lg - rate - lgd, d - rate
+
+
+# ------------------------------------------------- the unrolled training step
+
+
+class Unroll:
+    """Caches of one truncation segment: ``steps`` steps of every row.
+
+    xh[t] is the LSTM input of step t, [gf, df, z, h]: the features of the
+    session it consumes, its latent draw and the hidden state it starts
+    from; xq[t] is the posterior MLP's input [gf, df, h].  Step t reads
+    (h, c[t]) and writes its z to xh[t, :, 2] and the new state to h of step
+    t + 1 and c[t + 1].  The entries of a row that a step does not run stay
+    zero, so they add nothing to the reductions over the segment.
+    """
+
+    def __init__(self, feat, h0, c0, eps, mlp_hidden):
+        S, R = eps.shape
+        H, P = h0.shape[1], mlp_hidden
+        self.xh = np.zeros((S + 1, R, 3 + H))
+        self.xh[:S, :, :2] = feat
+        self.xh[0, :, 3:] = h0
+        self.xq = np.zeros((S + 1, R, 2 + H))
+        self.xq[:S, :, :2] = feat
+        self.xq[0, :, 2:] = h0
+        self.c = np.zeros((S + 1, R, H))
+        self.c[0] = c0
+        self.eps = eps
+        self.hid = np.zeros((S, R, 2 * P))  # posterior | prior hidden layer
+        self.law = np.zeros((S, R, 4))  # muq, sq, mup, sp
+        self.raw = np.zeros((S, R, 2))  # raw sigma of the posterior, the prior
+        # preactivation adjoints of the MLPs' first layers and of the LSTM;
+        # the LSTM's part holds its gates until the reverse pass needs it
+        self.dp = np.zeros((S, R, 2 * P + 4 * H))
+        self.gates = self.dp[..., 2 * P :]
+        self.ah = np.zeros((S, R, 2))  # a, log gamma
+
+    def adjoint_terms(self, p, da, dlg, dlaw, drawn):
+        """The step-local factors of the reverse pass, for every step at once.
+
+        da, dlg: (S, R) adjoints of a and log gamma; dlaw: (S, R, 4) adjoint
+        of (muq, sq, mup, sp) from the KL; drawn: (S, R, 2) whether z was
+        drawn from the posterior, the prior.
+        """
+        H = self.c.shape[2]
+        z = self.xh[:-1, :, 2]
+        gi, gf, go, gc = (self.gates[..., k * H : (k + 1) * H] for k in range(4))
+        # the gates become, in place, d(gate preactivation) per unit adjoint
+        # of (c, c, h, c); cell_bwd multiplies those adjoints in, in place
+        self.gf = gf.copy()  # the forget gate carries the cell state's adjoint
+        tc = np.tanh(self.c[1:])
+        self.dch = go * (1.0 - tc * tc)
+        go *= tc * (1.0 - go)
+        del tc
+        gf *= self.c[:-1] * (1.0 - gf)
+        fi = gc * gi * (1.0 - gi)
+        gc[...] = gi * (1.0 - gc * gc)
+        gi[...] = fi
+        self.gates = None
+        self.dhh = da[..., None] * p.head_wh + dlg[..., None] * p.dur_wh
+        self.dzh = da * p.head_wz + dlg * p.dur_wz
+        self.zz = z * (1.0 - z)
+        sr = sigmoid(self.raw)  # d sigma / d raw, through softplus
+        self.ko2 = dlaw.copy()
+        self.ko2[..., 1::2] *= sr
+        # (mu, raw) adjoint of each law per unit adjoint of the drawn z's logit
+        self.eq = np.zeros(self.law.shape)
+        self.eq[..., 0::2] = drawn
+        self.eq[..., 1::2] = drawn * self.eps[..., None] * sr
+        self.hh = 1.0 - self.hid * self.hid
+        self.do2 = np.zeros(self.law.shape)  # (mu, raw) adjoints of both laws
+
+    def grads(self, da, dlg):
+        """Parameter gradients of the segment (except head_wt), reduced as
+        matrix products over all its steps and rows."""
+        S, R, H = self.c[1:].shape
+        P = self.hid.shape[2] // 2
+        dp = self.dp.reshape(S * R, -1)
+        dq, dpp, dpre = dp[:, :P], dp[:, P : 2 * P], dp[:, 2 * P :]
+        xh = self.xh[:-1].reshape(S * R, 3 + H)
+        xq = self.xq[:-1].reshape(S * R, 2 + H)
+        hprev = xh[:, 3:]
+        hnext = self.xh[1:, :, 3:].reshape(S * R, H)
+        z = xh[:, 2]
+        do2 = self.do2.reshape(S * R, 4)
+        hid = self.hid.reshape(S * R, 2 * P)
+        da = da.reshape(-1)
+        dlg = dlg.reshape(-1)
+        return {
+            "lstm_W": dpre.T @ xh,
+            "lstm_b": dpre.sum(axis=0),
+            "post_W1": dq.T @ xq,
+            "post_b1": dq.sum(axis=0),
+            "post_W2": do2[:, :2].T @ hid[:, :P],
+            "post_b2": do2[:, :2].sum(axis=0),
+            "prior_W1": dpp.T @ hprev,
+            "prior_b1": dpp.sum(axis=0),
+            "prior_W2": do2[:, 2:].T @ hid[:, P:],
+            "prior_b2": do2[:, 2:].sum(axis=0),
+            "head_wz": da @ z,
+            "head_wh": hnext.T @ da,
+            "head_bt": da.sum(),
+            "dur_wz": dlg @ z,
+            "dur_wh": hnext.T @ dlg,
+            "dur_b": dlg.sum(),
+        }
+
+
+def cell_fwd(p, u, t, A, G, first, full):
+    """Step t of the unroll u for rows [:A]; rows [:G] of them score their
+    next session, the others are at their last step n and carry only the KL.
+
+    With the latent, both laws of logit(z) are evaluated at the state and z
+    is drawn from the posterior -- at the pre-data step (first) from the
+    prior, without advancing the LSTM, so the heads read the zero state.
+    Without the latent, z is fixed at 0.5.
+    """
+    h = u.xh[t, :A, 3:]
+    if full:
+        P = p.prior_b1.shape[0]
+        mup, sp, hp, rp = mlp2(p.prior_W1, p.prior_b1, p.prior_W2, p.prior_b2, h)
+        u.law[t, :A, 2] = mup
+        u.law[t, :A, 3] = sp
+        u.hid[t, :A, P:] = hp
+        u.raw[t, :A, 1] = rp
+        if first:
+            mu, sigma = mup, sp
         else:
-            dd = (math.exp(x) * (x - 1.0) + 1.0) / (wt * wt)
-        dwt_coef = g_next - ea * dd
-        ll_gap = a + x - lam_int
-    ll_dur = d_next * lgam - math.exp(lgam) - math.lgamma(d_next + 1.0)
-    term = ll_gap + ll_dur - kl
-    sc = np.array([muq, sq, mup, sp, rq, rp, z, a, lgam, 1.0 - lam_int, dwt_coef, kl])
-    return term, out, gates, xh, y1, p1, sc
+            mu, sigma, hq, rq = mlp2(p.post_W1, p.post_b1, p.post_W2, p.post_b2, u.xq[t, :A])
+            u.law[t, :A, 0] = mu
+            u.law[t, :A, 1] = sigma
+            u.hid[t, :A, :P] = hq
+            u.raw[t, :A, 0] = rq
+        z = draw_z(mu[:G], sigma[:G], u.eps[t, :G])
+    else:
+        z = np.full(G, 0.5)
+    u.xh[t, :G, 2] = z
+    h = h[:G]
+    if not first:
+        h, c, gates = lstm(p.lstm_W, p.lstm_b, u.xh[t, :G], u.c[t, :G])
+        u.xh[t + 1, :G, 3:] = h
+        u.xq[t + 1, :G, 2:] = h
+        u.c[t + 1, :G] = c
+        u.gates[t, :G] = gates
+    a, lg = heads(p, z, h)
+    u.ah[t, :G, 0] = a
+    u.ah[t, :G, 1] = lg
 
 
-def step_bwd_py(
-    state, W, qW1, qW2, pW1, pW2,
-    wz, wh, dwz, dwh,
-    gf, df, eps, d_next, full_latent,
-    out, gates, xh, y1, p1, sc,
-    dterm, dout_in,
-    gW, gb, gqW1, gqb1, gqW2, gqb2, gpW1, gpb1, gpW2, gpb2, gwh, gdwh,
-):
-    """Adjoints of step_fwd.  Array-parameter gradients accumulate in place
-    into the g* buffers; returns (dstate, dwz, dwt, dbt, ddwz, ddb)."""
-    z = sc[6]
-    da = dterm * sc[9]
-    dlg = dterm * (d_next - math.exp(sc[8]))
-
-    h2 = out[0]
-    gwh += da * h2
-    gdwh += dlg * h2
-    dout = dout_in.copy()
-    dout[0] += da * wh + dlg * dwh
-    dz = da * wz + dlg * dwz
-
-    dstate, dz_l, dW_l, dpre = lstm_bwd(state, W, gates, xh, out, dout)
-    gW += dW_l
-    gb += dpre
-    dz += dz_l
-
-    if full_latent:
-        muq, sq, mup, sp, rq, rp = sc[0], sc[1], sc[2], sc[3], sc[4], sc[5]
-        dmuq, dsq = draw_z_bwd(z, eps, dz)
-        kmuq, ksq, kmup, ksp = gaussian_kl_grad(muq, sq, mup, sp)
-        dkl = -dterm
-        h_prev = state[0]
-        dxq = mlp2_bwd(
-            qW1, qW2, post_input(gf, df, h_prev), y1, rq,
-            dmuq + dkl * kmuq, dsq + dkl * ksq, gqW1, gqb1, gqW2, gqb2,
-        )
-        dstate[0] += dxq[2:]
-        dstate[0] += mlp2_bwd(pW1, pW2, h_prev, p1, rp, dkl * kmup, dkl * ksp, gpW1, gpb1, gpW2, gpb2)
-
-    return dstate, da * z, dterm * sc[10], da, dlg * z, dlg
+def pack_bwd(p):
+    """The weights cell_bwd reads, packed once per segment: the LSTM's z
+    column, both second MLP layers as one block matrix, and every weight
+    that reads the state stacked as one (2P + 4H, H) matrix."""
+    P = p.prior_b1.shape[0]
+    W2 = np.zeros((4, 2 * P))
+    W2[:2, :P] = p.post_W2
+    W2[2:, P:] = p.prior_W2
+    Wh = np.concatenate([p.post_W1[:, 2:], p.prior_W1, p.lstm_W[:, 3:]], axis=0)
+    return p.lstm_W[:, 2], W2, Wh
 
 
-step_fwd = _jit(step_fwd_py)
-step_bwd = _jit(step_bwd_py)
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    H, P = 2, 2
-    W = np.zeros((4 * H, 3 + H))
-    b = np.zeros(4 * H)
-    state = np.zeros((2, H))
-    out, gates, xh = lstm_fwd(state, 0.5, 0.1, 0.2, W, b)
-    lstm_bwd(state, W, gates, xh, out, np.ones((2, H)))
-    Wd = np.zeros((3, 4))
-    xd = np.zeros(4)
-    bd = np.zeros(3)
-    y = dense_tanh_fwd(Wd, xd, bd)
-    dense_tanh_bwd(Wd, xd, y, np.ones(3))
-    y2 = affine_fwd(Wd, xd, bd)
-    affine_bwd(Wd, xd, np.ones_like(y2))
-
-    qW1 = np.zeros((P, H + 2))
-    qb1 = np.zeros(P)
-    qW2 = np.zeros((2, P))
-    qb2 = np.zeros(2)
-    pW1 = np.zeros((P, H))
-    pb1 = np.zeros(P)
-    wh = np.zeros(H)
-    dwh = np.zeros(H)
-    for full in (True, False):
-        term, out, gates, xh, y1, p1, sc = step_fwd(
-            state, W, b, qW1, qb1, qW2, qb2, pW1, pb1, qW2, qb2,
-            0.0, wh, 0.0, 0.0, 0.0, dwh, 0.0,
-            0.1, 0.2, 0.3, 1.0, 2.0, full,
-        )
-        step_bwd(
-            state, W, qW1, qW2, pW1, qW2, 0.0, wh, 0.0, dwh,
-            0.1, 0.2, 0.3, 2.0, full,
-            out, gates, xh, y1, p1, sc,
-            1.0, np.zeros((2, H)),
-            np.zeros_like(W), np.zeros_like(b),
-            np.zeros_like(qW1), np.zeros_like(qb1), np.zeros_like(qW2), np.zeros_like(qb2),
-            np.zeros_like(pW1), np.zeros_like(pb1), np.zeros_like(qW2), np.zeros_like(qb2),
-            np.zeros_like(wh), np.zeros_like(dwh),
-        )
+def cell_bwd(w, u, t, A, dh, dc):
+    """Adjoint of step t for rows [:A].  dh, dc (rows, H) hold the adjoint of
+    the state after the step and receive that of the state before it; the
+    preactivation adjoints go to u.dp and u.do2 for Unroll.grads."""
+    wz, W2, Wh = w
+    P2 = u.hid.shape[2]
+    H = dh.shape[1]
+    dht = dh[:A] + u.dhh[t, :A]
+    dct = dc[:A] + dht * u.dch[t, :A]
+    dp = u.dp[t, :A]
+    dp[:, P2 : P2 + 2 * H] *= np.tile(dct, 2)
+    dp[:, P2 + 2 * H : P2 + 3 * H] *= dht
+    dp[:, P2 + 3 * H :] *= dct
+    dc[:A] = dct * u.gf[t, :A]
+    dg = (u.dzh[t, :A] + dp[:, P2:] @ wz) * u.zz[t, :A]
+    do2 = u.do2[t, :A]
+    np.multiply(u.eq[t, :A], dg[:, None], out=do2)
+    do2 += u.ko2[t, :A]
+    np.multiply(do2 @ W2, u.hh[t, :A], out=dp[:, :P2])
+    dh[:A] = dp @ Wh

@@ -133,7 +133,6 @@ def _cmd_train(args):
         wt_mode=args.wt_mode,
         latent_mode=args.latent_mode,
         clip_norm=args.clip_norm,
-        workers=args.workers,
         gap_mode=args.gap_mode,
         session_threshold_hours=args.session_threshold_hours,
     )
@@ -240,7 +239,6 @@ def _cmd_evaluate(args):
                         hidden=params.hidden,
                         mlp_hidden=params.mlp_hidden,
                         seed=seed,
-                        workers=args.workers,
                     )
                     methods[name] = fit_baseline(name, fit_seqs, cfg)
                 else:
@@ -403,7 +401,6 @@ def build_parser():
     p.add_argument("--latent-mode", choices=("full", "fixed"), default="full")
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--gap-mode", choices=GAP_MODES, default="start-to-start")
     p.add_argument("--session-threshold-hours", type=float, default=1.0)
     p.set_defaults(func=_cmd_train)

@@ -8,12 +8,13 @@ log rate of the Poisson duration model for the next session.  Prior and
 approximate-posterior parameters of logit(z) come from two one-hidden-layer
 MLPs shared across time-steps.
 
-The functions here run one step at a time for filtering, prediction and
-generation; training (churnkit.train) runs the fused step kernel.  Both are
-composed of the same pieces of churnkit._kernels, where every formula of the
-cell is defined once: the latent MLP (mlp2_fwd), the clamped reparameterized
-draw (draw_z), the LSTM (lstm_fwd), the heads, softplus and the constants.
-The recurrent state is the (2, H) array of the kernels (row 0 = h, row 1 = c).
+The functions here run one step at a time, as a batch of one row, for
+filtering, prediction and generation; training (churnkit.train) runs the
+same step on every row of an optimizer batch at once.  Both are composed of
+the row kernels of churnkit._kernels, where every formula of the cell is
+defined once: the latent MLP (mlp2), the clamped reparameterized draw
+(draw_z), the LSTM (lstm), the heads, softplus and the constants.  The
+recurrent state is a (2, H) array (row 0 = h, row 1 = c).
 """
 
 from __future__ import annotations
@@ -179,19 +180,19 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
     )
 
 
-def _law(W1, b1, W2, b2, x):
-    mu, sigma, _, _ = K.mlp2_fwd(W1, b1, W2, b2, x)
-    return GaussianParams(mu=mu, sigma=sigma)
-
-
 def prior_params(params, h):
     """Prior (mu0, sigma0) of logit(z) given the previous hidden state."""
-    return _law(params.prior_W1, params.prior_b1, params.prior_W2, params.prior_b2, h)
+    mu, sigma, _, _ = K.mlp2(params.prior_W1, params.prior_b1, params.prior_W2, params.prior_b2, h)
+    return GaussianParams(mu=mu.item(), sigma=sigma.item())
 
 
 def _posterior(params, gf, df, h):
-    x = K.post_input(gf, df, h)
-    return _law(params.post_W1, params.post_b1, params.post_W2, params.post_b2, x)
+    x = np.empty(2 + params.hidden)
+    x[0] = gf
+    x[1] = df
+    x[2:] = h
+    mu, sigma, _, _ = K.mlp2(params.post_W1, params.post_b1, params.post_W2, params.post_b2, x)
+    return GaussianParams(mu=mu.item(), sigma=sigma.item())
 
 
 def input_features(g, d):
@@ -209,13 +210,10 @@ def posterior_params(params, g, d, h):
 
 def heads(params, z, h):
     """Intensity base a and duration rate gamma evaluated at (z, h)."""
-    a, lg = K.heads(
-        float(params.head_wz), params.head_wh, float(params.head_bt),
-        float(params.dur_wz), params.dur_wh, float(params.dur_b), z, h,
-    )
+    a, lg = (v.item() for v in K.heads(params, z, h))
     if not (abs(a) <= 700.0 and abs(lg) <= 700.0):  # NaN fails too
         raise NumericalError(f"heads: diverged (a={a:.3g}, log gamma={lg:.3g})")
-    return float(a), math.exp(lg)
+    return a, math.exp(lg)
 
 
 def initial_step(params, mode, eps=0.0):
@@ -227,8 +225,8 @@ def initial_step(params, mode, eps=0.0):
     if params.latent_mode == "full":
         prior = prior_params(params, state[0])
         z = K.draw_z(prior.mu, prior.sigma, 0.0 if mode == "filter" else eps)
-    a, gamma = heads(params, z, state[0])
-    return StepOutput(state=state, prior=prior, posterior=prior, z=z, a=a, gamma=gamma)
+    a, gamma = heads(params, z, state[:1])
+    return StepOutput(state=state, prior=prior, posterior=prior, z=float(z), a=a, gamma=gamma)
 
 
 def step(params, prev, g, d, mode, eps=0.0):
@@ -238,23 +236,28 @@ def step(params, prev, g, d, mode, eps=0.0):
     prior draw; filter: z = sigmoid(posterior mean), fully deterministic.
     Only the laws a mode reads are computed: filter has no prior and
     generate no posterior.  The returned (a, gamma) govern the NEXT
-    session's gap and duration.
+    session's gap and duration.  The step runs the kernels of the batched
+    training step (``_kernels.cell_fwd``) on one row.
     """
     if mode not in MODES:
         raise ValueError(f"step: unknown mode {mode!r}")
     gf, df = input_features(g, d)
-    h = prev[0]
     prior = posterior = None
     z = 0.5
     if params.latent_mode == "full":
         if mode != "filter":
-            prior = prior_params(params, h)
+            prior = prior_params(params, prev[0])
         if mode != "generate":
-            posterior = _posterior(params, gf, df, h)
+            posterior = _posterior(params, gf, df, prev[0])
         law = prior if mode == "generate" else posterior
         z = K.draw_z(law.mu, law.sigma, 0.0 if mode == "filter" else eps)
-    state, _, _ = K.lstm_fwd(prev, z, gf, df, params.lstm_W, params.lstm_b)
-    if not np.all(np.isfinite(state)):
+    xh = np.empty(3 + params.hidden)
+    xh[:3] = gf, df, z
+    xh[3:] = prev[0]
+    state = np.empty((2, params.hidden))
+    state[0], state[1], _ = K.lstm(params.lstm_W, params.lstm_b, xh, prev[1])
+    if not np.isfinite(state).all():
         raise NumericalError("step: non-finite hidden state")
-    a, gamma = heads(params, z, state[0])
-    return StepOutput(state=state, prior=prior, posterior=posterior, z=z, a=a, gamma=gamma)
+    # the heads read h as a batch of one row, the layout of the training step
+    a, gamma = heads(params, z, state[:1])
+    return StepOutput(state=state, prior=prior, posterior=posterior, z=float(z), a=a, gamma=gamma)

@@ -286,11 +286,11 @@ def gaussian_kl(q, p):
     """
     if q.sigma <= 0.0 or p.sigma <= 0.0:
         raise ValueError(f"gaussian_kl: non-positive std ({q.sigma}, {p.sigma})")
-    return K.gaussian_kl(q.mu, q.sigma, p.mu, p.sigma)
+    return float(K.gaussian_kl(q.mu, q.sigma, p.mu, p.sigma))
 
 
 def sample_logit_normal(params, eps):
     """Reparameterized draw z = sigmoid(mu + sigma * eps), strictly in (0, 1)."""
     if params.sigma <= 0.0:
         raise ValueError(f"sample_logit_normal: non-positive std {params.sigma}")
-    return K.draw_z(params.mu, params.sigma, eps)
+    return float(K.draw_z(params.mu, params.sigma, eps))

@@ -10,13 +10,19 @@ estimated with L reparameterized samples; the epsilon draws are derived from
 reproducible bit for bit.
 
 Gradients come from truncated backpropagation through time written out by
-hand: a forward loop calls the fused step kernel for every regular step and
-keeps its caches, the pre-data step 0 and the KL-only step n have their own
-small forward/backward pairs, and a reverse loop calls the fused backward
-kernel.  Sequences longer than the truncation length are unrolled in
-segments: the recurrent state value is carried across the cut but its
-gradient is not.  ``gradcheck_elbo`` checks all of it against central
-differences of the ELBO value.
+hand, run on all rows of an optimizer batch at once: its users times their
+L latent trajectories, sorted by length, so the rows a step runs shrink as
+sequences end (the packed-sequence form).  A forward loop calls the batched
+step ``_kernels.cell_fwd`` and keeps its caches in one ``_kernels.Unroll``
+per truncation segment; the pre-data step 0 and the KL-only step n are the
+same step with parts masked off.  The likelihood terms, the KL and every
+step-local factor of the adjoint are then evaluated for the whole segment at
+once, a reverse loop calls ``_kernels.cell_bwd``, and the parameter
+gradients are reduced as matrix products over the segment's steps and rows.
+The cuts fall at the same step indices on every row: the recurrent state
+value is carried across a cut but its gradient is not.  ``elbo_and_grads``
+is the one-user call of the same engine, and ``gradcheck_elbo`` checks it
+against central differences of the ELBO value.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import json
 import logging
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -41,7 +46,9 @@ from .errors import (
 from .eventlog import derive_seed
 from .inference import rolling_evaluate
 from .model import (
+    LATENT_MODES,
     PARAM_FIELDS,
+    WT_MODES,
     ModelParams,
     expected_shapes,
     init_params,
@@ -69,7 +76,6 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
     clip_norm: float = 5.0
-    workers: int = 1
     gap_mode: str = "start-to-start"
     session_threshold_hours: float = 1.0
     report_mae_users: int = 32  # per-epoch MAE subsample cap
@@ -82,8 +88,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: lr must be >= 0, got {self.lr}")
         if self.mc_samples < 1:
             raise ValueError(f"TrainConfig: mc_samples must be >= 1, got {self.mc_samples}")
-        if self.batch_size < 1 or self.workers < 1:
-            raise ValueError("TrainConfig: batch_size and workers must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -113,174 +119,188 @@ class TrainReport:
 
 # ------------------------------------------------------------ ELBO and BPTT
 
-# parameters whose gradients the fused step accumulates in place, in the
-# order of its buffer arguments, and the scalars whose gradients it returns
-_STEP_ARRAYS = (
-    "lstm_W", "lstm_b", "post_W1", "post_b1", "post_W2", "post_b2",
-    "prior_W1", "prior_b1", "prior_W2", "prior_b2", "head_wh", "dur_wh",
-)
-_STEP_SCALARS = ("head_wz", "head_wt", "head_bt", "dur_wz", "dur_b")
 
+@dataclass
+class _Rows:
+    """The rows of one unroll, step-major and sorted by session count,
+    longest first, so the rows a step runs are always a prefix.
 
-def _values(params):
-    """Parameter values by name, the rank-0 ones as Python floats."""
-    return {name: float(a) if a.ndim == 0 else a for name, a in params.to_dict().items()}
-
-
-def _mlp(named, prefix):
-    """The (W1, b1, W2, b2) entries of the prior or posterior MLP."""
-    return [named[prefix + suffix] for suffix in ("_W1", "_b1", "_W2", "_b2")]
-
-
-def _first_fwd(v, d0, eps0, full_latent):
-    """Step 0: z from the prior at the zero state scores the first duration."""
-    h = np.zeros(v["dur_wh"].shape)
-    mlp = None
-    z = 0.5
-    if full_latent:
-        mu, sigma, hid, raw = K.mlp2_fwd(*_mlp(v, "prior"), h)
-        z = K.draw_z(mu, sigma, eps0)
-        mlp = (hid, raw)
-    _, lg = K.heads(v["head_wz"], v["head_wh"], v["head_bt"], v["dur_wz"], v["dur_wh"], v["dur_b"], z, h)
-    if not math.isfinite(lg):
-        raise NumericalError("zh_affine: non-finite head value")
-    if abs(lg) > 700.0:
-        raise NumericalError(f"pois_loglik: rate exponent {lg:.3g} out of range")
-    rate = math.exp(lg)
-    ll = d0 * lg - rate - math.lgamma(d0 + 1.0)
-    return ll, (h, z, d0 - rate, eps0, mlp)
-
-
-def _first_bwd(v, cache, grads):
-    h, z, dlg, eps0, mlp = cache
-    grads["dur_wz"] += dlg * z
-    grads["dur_wh"] += dlg * h
-    grads["dur_b"] += dlg
-    if mlp is not None:
-        dmu, dsigma = K.draw_z_bwd(z, eps0, dlg * v["dur_wz"])
-        K.mlp2_bwd(v["prior_W1"], v["prior_W2"], h, *mlp, dmu, dsigma, *_mlp(grads, "prior"))
-
-
-def _last_fwd(v, state, gf, df):
-    """Step n: only the KL between posterior and prior after the last session."""
-    h = state[0]
-    xq = K.post_input(gf, df, h)
-    muq, sq, hq, rq = K.mlp2_fwd(*_mlp(v, "post"), xq)
-    mup, sp, hp, rp = K.mlp2_fwd(*_mlp(v, "prior"), h)
-    if sq <= 0.0 or sp <= 0.0:
-        raise NumericalError(f"gaussian_kl: non-positive std ({sq:.3g}, {sp:.3g})")
-    kl = K.gaussian_kl(muq, sq, mup, sp)
-    if not math.isfinite(kl):
-        raise NumericalError("gaussian_kl: non-finite value")
-    if kl < -1e-12:
-        raise NumericalError(f"negative KL {kl:.3e}")
-    return kl, (h, xq, muq, sq, hq, rq, mup, sp, hp, rp)
-
-
-def _last_bwd(v, cache, grads):
-    """Gradient of -KL; returns d(state) for the step before."""
-    h, xq, muq, sq, hq, rq, mup, sp, hp, rp = cache
-    dmuq, dsq, dmup, dsp = K.gaussian_kl_grad(muq, sq, mup, sp)
-    dh = K.mlp2_bwd(v["prior_W1"], v["prior_W2"], h, hp, rp, -dmup, -dsp, *_mlp(grads, "prior"))
-    dxq = K.mlp2_bwd(v["post_W1"], v["post_W2"], xq, hq, rq, -dmuq, -dsq, *_mlp(grads, "post"))
-    dstate = np.zeros((2, dh.shape[0]))
-    dstate[0] = dh + dxq[2:]
-    return dstate
-
-
-def _forward(v, seq, eps_row, lo, hi, state, full_latent):
-    """Forward pass over steps lo..hi-1 of one latent trajectory.
-
-    Step 0 is the pre-data step (prior draw of z at the zero state, duration
-    term for the first session); step i < n consumes session i-1 and scores
-    session i in one fused kernel call; step n carries only its KL.  Returns
-    (ELBO value, per-step caches for the backward pass, state after the last
-    step) -- the state is what a following segment starts from.
+    Step i consumes feat[i] (the features of session i - 1) and scores g[i]
+    and d[i] (the gap and duration of session i) with the latent draw
+    eps[i].  A row of n sessions runs steps 0..n: step 0 scores only d[0],
+    step n carries only its KL.
     """
-    n = len(seq)
-    ses = seq.sessions
-    ll = 0.0
-    kl = 0.0
-    caches = []
-    for i in range(lo, hi):
-        try:
-            if i == 0:
-                term, cache = _first_fwd(v, ses[0].d, float(eps_row[0]), full_latent)
-                ll += term
-                caches.append(("first", cache))
-                continue
-            gf, df = input_features(ses[i - 1].g, ses[i - 1].d)
-            if i == n:
-                if full_latent:
-                    kl, cache = _last_fwd(v, state, gf, df)
-                    caches.append(("last", cache))
-                continue
-            eps = float(eps_row[i])
-            d_next = float(ses[i].d)
-            try:
-                term, out, gates, xh, y1, p1, sc = K.step_fwd(
-                    state,
-                    v["lstm_W"], v["lstm_b"],
-                    v["post_W1"], v["post_b1"], v["post_W2"], v["post_b2"],
-                    v["prior_W1"], v["prior_b1"], v["prior_W2"], v["prior_b2"],
-                    v["head_wz"], v["head_wh"], v["head_wt"], v["head_bt"],
-                    v["dur_wz"], v["dur_wh"], v["dur_b"],
-                    gf, df, eps, ses[i].g, d_next, full_latent,
-                )
-            except ValueError as exc:
-                raise NumericalError(f"elbo_step: {exc}") from None
-            if not math.isfinite(term):
-                raise NumericalError("elbo_step: non-finite ELBO term")
-            if sc[11] < -1e-12:
-                raise NumericalError(f"elbo_step: negative KL {sc[11]:.3e}")
-            ll += term
-            caches.append(("step", (state, gf, df, eps, d_next, out, gates, xh, y1, p1, sc)))
-            state = out
-        except NumericalError as exc:
-            raise NumericalError(f"step {i} of {seq.user_id!r}: {exc}") from None
-    return ll - kl, caches, state
+
+    n: np.ndarray  # (R,) session counts, non-increasing
+    order: np.ndarray  # (R,) the caller's index of each row
+    labels: list  # the user id of each row, in the caller's order
+    feat: np.ndarray  # (N + 1, R, 2)
+    g: np.ndarray  # (N + 1, R)
+    d: np.ndarray
+    lgd: np.ndarray  # lgamma(d + 1)
+    eps: np.ndarray
 
 
-def _backward(v, caches, full_latent):
-    """Reverse pass over one segment's caches; gradients of its ELBO value.
+def _sequence_arrays(seq):
+    """(input features, gaps, durations, lgamma(durations + 1)) of a sequence."""
+    feat = np.array([input_features(s.g, s.d) for s in seq.sessions])
+    g = np.array([float(s.g) for s in seq.sessions])
+    d = np.array([float(s.d) for s in seq.sessions])
+    return feat, g, d, np.array([math.lgamma(x + 1.0) for x in d])
 
-    The state gradient flows back from step to step inside the segment and
-    starts at zero after its last step, which is where truncation cuts it.
+
+def _pack(items, labels):
+    """_Rows from (sequence arrays, eps row) pairs, one per row."""
+    R = len(items)
+    lengths = np.array([len(arrays[1]) for arrays, _ in items])
+    order = np.argsort(-lengths, kind="stable")
+    n = lengths[order]
+    steps = int(n[0]) + 1
+    feat = np.zeros((steps, R, 2))
+    g, d, lgd, eps = (np.zeros((steps, R)) for _ in range(4))
+    for j, r in enumerate(order):
+        (f, gaps, durs, lg), e = items[r]
+        m = n[j]
+        feat[1 : m + 1, j] = f
+        g[:m, j] = gaps
+        d[:m, j] = durs
+        lgd[:m, j] = lg
+        eps[:m, j] = e[:m]
+    return _Rows(n, order, labels, feat, g, d, lgd, eps)
+
+
+@dataclass
+class _Segment:
+    values: np.ndarray  # (R,) the segment's ELBO terms of each row
+    grads: dict  # gradient of their sum; None without the reverse pass
+    h: np.ndarray  # state after the segment
+    c: np.ndarray
+    dh: np.ndarray  # adjoint of the state before it
+    dc: np.ndarray
+    failures: dict  # row -> (step, message) of its first failed check
+
+
+def _failures(lo, i, n, full, wt, g, a, lg, term, kl, law):
+    """First failed check of each row: its step and message, with the checks
+    of a step in the order the forward pass meets them."""
+    first = (i == 0) & (n > i)
+    scored = (i >= 1) & (n > i)
+    last = (i >= 1) & (n == i) & full
+    sq, sp = law[1], law[3]
+    checks = (
+        (first & ~np.isfinite(lg), lambda s, r: "zh_affine: non-finite head value"),
+        (first & (np.abs(lg) > 700.0), lambda s, r: f"pois_loglik: rate exponent {lg[s, r]:.3g} out of range"),
+        (scored & ((np.abs(a) > 700.0) | (np.abs(lg) > 700.0)),
+         lambda s, r: "elbo_step: head overflow: |exp argument| > 700"),
+        (scored & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > 700.0),
+         lambda s, r: "elbo_step: cumulative intensity overflow"),
+        (scored & ~np.isfinite(term), lambda s, r: "elbo_step: non-finite ELBO term"),
+        (scored & full & (kl < -1e-12), lambda s, r: f"elbo_step: negative KL {kl[s, r]:.3e}"),
+        (last & ((sq <= 0.0) | (sp <= 0.0)),
+         lambda s, r: f"gaussian_kl: non-positive std ({sq[s, r]:.3g}, {sp[s, r]:.3g})"),
+        (last & ~np.isfinite(kl), lambda s, r: "gaussian_kl: non-finite value"),
+        (last & (kl < -1e-12), lambda s, r: f"negative KL {kl[s, r]:.3e}"),
+    )
+    bad = np.stack([np.broadcast_to(mask, term.shape) for mask, _ in checks])
+    failed = bad.any(axis=0)
+    out = {}
+    for r in np.flatnonzero(failed.any(axis=0)):
+        s = int(np.argmax(failed[:, r]))
+        out[int(r)] = (lo + s, checks[int(np.argmax(bad[:, s, r]))][1](s, r))
+    return out
+
+
+@np.errstate(all="ignore")  # a failed row runs on as inf/nan until the checks
+def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
+    """Forward and reverse pass over steps lo..hi-1 of every row, from the
+    state (h0, c0).  (dh, dc) is the adjoint of the state after the last
+    step: zero (None) where truncation cuts the gradient."""
+    full = params.latent_mode == "full"
+    wt = float(params.head_wt)
+    i = np.arange(lo, hi)[:, None]
+    n = rows.n
+    A = np.count_nonzero(n >= i, axis=1).tolist()
+    G = np.count_nonzero(n > i, axis=1).tolist()
+    feat = rows.feat[lo:hi]
+    u = K.Unroll(feat, h0, c0, rows.eps[lo:hi], params.mlp_hidden)
+    for t in range(hi - lo):
+        K.cell_fwd(params, u, t, A[t], G[t], lo + t == 0, full)
+
+    scored = n > i
+    gap = scored & (i >= 1)
+    kl_on = (n >= i) & (i >= 1) & full
+    a, lg = u.ah[..., 0], u.ah[..., 1]
+    ll_gap, da, dwt = K.gap_loglik(a, wt, rows.g[lo:hi])
+    ll_dur, dlg = K.dur_loglik(lg, rows.d[lo:hi], rows.lgd[lo:hi])
+    law = np.moveaxis(u.law, 2, 0)
+    kl = K.gaussian_kl(*law)
+    term = np.where(gap, ll_gap, 0.0) + np.where(scored, ll_dur, 0.0) - np.where(kl_on, kl, 0.0)
+    failures = _failures(lo, i, n, full, wt, rows.g[lo:hi], a, lg, term, kl, law)
+    values = term.sum(axis=0)
+    if not backward or failures:
+        return _Segment(values, None, u.xh[-1, :, 3:], u.c[-1], None, None, failures)
+
+    da = np.where(gap, da, 0.0)
+    dlg = np.where(scored, dlg, 0.0)
+    dlaw = np.where(kl_on[..., None], -np.stack(K.gaussian_kl_grad(*law), axis=2), 0.0)
+    drawn = np.stack(np.broadcast_arrays(gap & full, scored & (i == 0) & full), axis=2)
+    u.adjoint_terms(params, da, dlg, dlaw, drawn)
+    w = K.pack_bwd(params)
+    dh = np.zeros(h0.shape) if dh is None else np.array(dh, dtype=float)
+    dc = np.zeros(c0.shape) if dc is None else np.array(dc, dtype=float)
+    for t in reversed(range(hi - lo)):
+        K.cell_bwd(w, u, t, A[t], dh, dc)
+    grads = u.grads(da, dlg)
+    grads["head_wt"] = np.where(gap, dwt, 0.0).sum()
+    return _Segment(values, grads, u.xh[-1, :, 3:], u.c[-1], dh, dc, failures)
+
+
+def _unroll(params, rows, bptt_k, backward=True):
+    """(ELBO value of every row in the caller's order, gradient of their sum
+    by name) by truncated BPTT over all rows at once.
+
+    The cuts fall at the step indices k * bptt_k (bptt_k <= 0 unrolls in
+    full), the same for every row: the state is carried across a cut, its
+    gradient is not.  A failed numerical check raises NumericalError for
+    the row that comes first in the caller's order, at its first failing
+    step -- what running the rows one after the other would report.
     """
-    grads = {name: np.zeros(v[name].shape) for name in _STEP_ARRAYS}
-    grads.update(dict.fromkeys(_STEP_SCALARS, 0.0))
-    bufs = [grads[name] for name in _STEP_ARRAYS]
-    dout = None
-    for kind, cache in reversed(caches):
-        if kind == "first":
-            _first_bwd(v, cache, grads)
-        elif kind == "last":
-            dout = _last_bwd(v, cache, grads)
-        else:
-            state, gf, df, eps, d_next, out, gates, xh, y1, p1, sc = cache
-            if dout is None:
-                dout = np.zeros(out.shape)
-            dout, *dscalars = K.step_bwd(
-                state, v["lstm_W"], v["post_W1"], v["post_W2"], v["prior_W1"], v["prior_W2"],
-                v["head_wz"], v["head_wh"], v["dur_wz"], v["dur_wh"],
-                gf, df, eps, d_next, full_latent,
-                out, gates, xh, y1, p1, sc,
-                1.0, dout, *bufs,
-            )
-            for name, d in zip(_STEP_SCALARS, dscalars):
-                grads[name] += d
-    return grads
+    R = len(rows.n)
+    h = np.zeros((R, params.hidden))
+    c = np.zeros((R, params.hidden))
+    values = np.zeros(R)
+    grads = None
+    failures = {}
+    steps = len(rows.g)
+    lo = 0
+    while lo < steps:
+        hi = steps if bptt_k <= 0 else min(lo + bptt_k, steps)
+        seg = _segment(params, rows, lo, hi, h, c, backward and not failures)
+        for j, failure in seg.failures.items():
+            failures.setdefault(j, failure)
+        values += seg.values
+        if seg.grads is not None:
+            grads = seg.grads if grads is None else {k: g + seg.grads[k] for k, g in grads.items()}
+        h, c = seg.h, seg.c
+        lo = hi
+    if failures:
+        j = min(failures, key=lambda j: rows.order[j])
+        step, message = failures[j]
+        raise NumericalError(f"step {step} of {rows.labels[rows.order[j]]!r}: {message}")
+    out = np.empty(R)
+    out[rows.order] = values
+    return out, grads
+
+
+def _sequence_rows(seq, eps):
+    arrays = _sequence_arrays(seq)
+    return _pack([(arrays, row) for row in eps], [seq.user_id] * len(eps))
 
 
 def _elbo_value(params, seq, eps):
     """Full-unroll ELBO averaged over the rows of eps (no gradients)."""
-    v = _values(params)
-    total = 0.0
-    for row in eps:
-        state = np.zeros((2, params.hidden))
-        value, _, _ = _forward(v, seq, row, 0, len(seq) + 1, state, params.latent_mode == "full")
-        total += value
-    return total / eps.shape[0]
+    values, _ = _unroll(params, _sequence_rows(seq, eps), 0, backward=False)
+    return float(values.sum()) / eps.shape[0]
 
 
 def sequence_elbo(params, seq, mc_samples=1, rng=None):
@@ -295,33 +315,14 @@ def sequence_elbo(params, seq, mc_samples=1, rng=None):
 def elbo_and_grads(params, seq, eps, bptt_k=0):
     """(elbo value, gradient by trainable name) with optional truncated BPTT.
 
-    Each row of eps is one latent trajectory.  With bptt_k > 0 a trajectory
-    is unrolled in segments of bptt_k steps; each segment gets its own
-    forward and reverse loop, and its gradients are summed into the result.
+    Each row of eps is one latent trajectory; the value and gradients are
+    averaged over them.  With bptt_k > 0 a trajectory is unrolled in
+    segments of bptt_k steps.  This is the one-user call of the engine that
+    ``train`` runs on whole batches.
     """
-    v = _values(params)
-    full_latent = params.latent_mode == "full"
-    n = len(seq)
-    total = 0.0
-    acc = None
-    for row in eps:
-        state = np.zeros((2, params.hidden))
-        lo = 0
-        while lo <= n:
-            hi = n + 1 if bptt_k <= 0 else min(lo + bptt_k, n + 1)
-            value, caches, state = _forward(v, seq, row, lo, hi, state, full_latent)
-            lo = hi
-            if not caches:
-                continue
-            total += value
-            grads = _backward(v, caches, full_latent)
-            if acc is None:
-                acc = grads
-            else:
-                for name in acc:
-                    acc[name] += grads[name]
+    values, grads = _unroll(params, _sequence_rows(seq, eps), bptt_k)
     L = eps.shape[0]
-    return total / L, {name: np.asarray(acc[name]) / L for name in params.trainable_names()}
+    return float(values.sum()) / L, {name: grads[name] / L for name in params.trainable_names()}
 
 
 # -------------------------------------------------------------------- optim
@@ -371,13 +372,6 @@ def _user_eps(seed, user_id, mc_samples, length):
     return rng.standard_normal((mc_samples, length))
 
 
-def _grad_job(args):
-    params, seq, cfg_seed, mc_samples, bptt_k = args
-    eps = _user_eps(cfg_seed, seq.user_id, mc_samples, len(seq))
-    value, grads = elbo_and_grads(params, seq, eps, bptt_k)
-    return seq.user_id, value, grads, len(seq)
-
-
 def _epoch_mae(params, subsample, n_samples, seed):
     abs_gap = []
     abs_dur = []
@@ -392,9 +386,9 @@ def train(sequences, config):
     """Fit the model; returns (params, report).
 
     Deterministic given (data, config): user order is shuffled by a seeded
-    RNG, epsilon draws are fixed per user, and gradients are accumulated in
-    user-sorted order within each batch (so worker parallelism cannot change
-    the result).
+    RNG and the epsilon draws are fixed per (seed, user).  Each optimizer
+    batch is one unroll of its users' latent trajectories stacked as rows
+    (users in sorted order), and the parameters update once per batch.
     """
     usable = [s for s in sequences if len(s) >= 2]
     skipped = len(sequences) - len(usable)
@@ -407,81 +401,65 @@ def train(sequences, config):
     params = init_params(
         config.hidden, config.mlp_hidden, config.seed, config.wt_mode, config.latent_mode
     )
-    opt = Adam(params.trainable_names(), params)
+    names = params.trainable_names()
+    opt = Adam(names, params)
     report = TrainReport()
+    L = config.mc_samples
+    arrays = [_sequence_arrays(s) for s in usable]
+    eps = [_user_eps(config.seed, s.user_id, L, len(s)) for s in usable]
 
     mae_rng = np.random.default_rng(derive_seed(config.seed, "maeusers"))
     n_sub = min(config.report_mae_users, len(usable))
     mae_sub = [usable[i] for i in sorted(mae_rng.choice(len(usable), size=n_sub, replace=False))]
     mae_seed = derive_seed(config.seed, "mae")
 
-    pool = None
-    if config.workers > 1:
-        pool = ProcessPoolExecutor(max_workers=config.workers)
-    try:
-        for epoch in range(1, config.epochs + 1):
-            t0 = time.perf_counter()
-            order = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch)).permutation(
-                len(usable)
+    for epoch in range(1, config.epochs + 1):
+        t0 = time.perf_counter()
+        order = np.random.default_rng(derive_seed(config.seed, "shuffle", epoch)).permutation(
+            len(usable)
+        )
+        epoch_elbo = 0.0
+        epoch_events = 0
+        for b0 in range(0, len(order), config.batch_size):
+            # usable is sorted by user id, so sorted indices are sorted users
+            batch = sorted(order[b0 : b0 + config.batch_size])
+            rows = _pack(
+                [(arrays[k], row) for k in batch for row in eps[k]],
+                [usable[k].user_id for k in batch for _ in range(L)],
             )
-            epoch_elbo = 0.0
-            epoch_events = 0
-            for b0 in range(0, len(order), config.batch_size):
-                batch = sorted(
-                    (usable[i] for i in order[b0 : b0 + config.batch_size]),
-                    key=lambda s: s.user_id,
+            try:
+                values, grads = _unroll(params, rows, config.bptt_k)
+            except NumericalError as exc:
+                raise NumericalError(
+                    f"diverged at epoch {epoch}, batch {b0 // config.batch_size}: {exc}"
+                ) from None
+            for value in values.reshape(len(batch), L).sum(axis=1):
+                epoch_elbo += float(value) / L
+            batch_events = sum(len(usable[k]) for k in batch)
+            epoch_events += batch_events
+            # minimize the negative per-event ELBO
+            batch_grads = {name: grads[name] * (-1.0 / (L * batch_events)) for name in names}
+            if not all(np.all(np.isfinite(g)) for g in batch_grads.values()):
+                raise NumericalError(
+                    f"non-finite gradient at epoch {epoch}, batch {b0 // config.batch_size}"
                 )
-                jobs = [
-                    (params, seq, config.seed, config.mc_samples, config.bptt_k) for seq in batch
-                ]
-                try:
-                    if pool is None:
-                        results = [_grad_job(j) for j in jobs]
-                    else:
-                        results = list(pool.map(_grad_job, jobs))
-                except NumericalError as exc:
-                    raise NumericalError(
-                        f"diverged at epoch {epoch}, batch {b0 // config.batch_size}: {exc}"
-                    ) from None
-                results.sort(key=lambda r: r[0])
+            clip_gradients(batch_grads, config.clip_norm)
+            opt.step(params, batch_grads, config.lr, config.beta1, config.beta2, config.adam_eps)
 
-                batch_events = sum(r[3] for r in results)
-                batch_grads = None
-                for _, value, grads, events in results:
-                    epoch_elbo += value
-                    epoch_events += events
-                    if batch_grads is None:
-                        batch_grads = grads
-                    else:
-                        for name in batch_grads:
-                            batch_grads[name] += grads[name]
-                # minimize the negative per-event ELBO
-                for name in batch_grads:
-                    batch_grads[name] *= -1.0 / batch_events
-                if not all(np.all(np.isfinite(g)) for g in batch_grads.values()):
-                    raise NumericalError(
-                        f"non-finite gradient at epoch {epoch}, batch {b0 // config.batch_size}"
-                    )
-                clip_gradients(batch_grads, config.clip_norm)
-                opt.step(params, batch_grads, config.lr, config.beta1, config.beta2, config.adam_eps)
-
-            neg_per_event = -epoch_elbo / epoch_events
-            if not math.isfinite(neg_per_event):
-                raise NumericalError(f"non-finite loss at epoch {epoch}")
-            mae_gap, mae_dur = _epoch_mae(params, mae_sub, config.report_mae_samples, mae_seed)
-            seconds = time.perf_counter() - t0
-            report.epochs.append(EpochStats(epoch, neg_per_event, mae_gap, mae_dur, seconds))
-            log.info(
-                "epoch %d: neg elbo/event %.5f, mae gap %.4f, mae dur %.4f (%.1fs)",
-                epoch,
-                neg_per_event,
-                mae_gap,
-                mae_dur,
-                seconds,
-            )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        neg_per_event = -epoch_elbo / epoch_events
+        if not math.isfinite(neg_per_event):
+            raise NumericalError(f"non-finite loss at epoch {epoch}")
+        mae_gap, mae_dur = _epoch_mae(params, mae_sub, config.report_mae_samples, mae_seed)
+        seconds = time.perf_counter() - t0
+        report.epochs.append(EpochStats(epoch, neg_per_event, mae_gap, mae_dur, seconds))
+        log.info(
+            "epoch %d: neg elbo/event %.5f, mae gap %.4f, mae dur %.4f (%.1fs)",
+            epoch,
+            neg_per_event,
+            mae_gap,
+            mae_dur,
+            seconds,
+        )
     return params, report
 
 
@@ -622,6 +600,10 @@ def load_checkpoint(path, expect_hidden=None, expect_mlp_hidden=None):
         raw = payload["params"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint config malformed: {exc}") from None
+    if wt_mode not in WT_MODES:
+        raise CorruptCheckpointError(f"checkpoint has unknown w_t_mode {wt_mode!r}")
+    if latent_mode not in LATENT_MODES:
+        raise CorruptCheckpointError(f"checkpoint has unknown latent_mode {latent_mode!r}")
     if expect_hidden is not None and hidden != expect_hidden:
         raise CheckpointShapeError(f"checkpoint has H={hidden}, expected H={expect_hidden}")
     if expect_mlp_hidden is not None and mlp_hidden != expect_mlp_hidden:

@@ -1,15 +1,4 @@
-import pytest
-
-from churnkit import _kernels
-
 import _acceptance_report
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile every jitted kernel up front so timed tests measure the
-    # steady state, not JIT latency
-    _kernels.warmup()
 
 
 def pytest_terminal_summary(terminalreporter):

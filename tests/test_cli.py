@@ -182,6 +182,16 @@ def test_non_finite_checkpoint_is_data_error(tmp_path, value):
     assert _predict_exit_code(tmp_path, init_params(4, 3, seed=1), edit) == 2
 
 
+@pytest.mark.parametrize("key,value", [("latent_mode", "bogus"), ("w_t_mode", "weird")])
+def test_unknown_checkpoint_mode_is_data_error(tmp_path, capsys, key, value):
+    # an unknown latent_mode used to run as the fixed-latent ablation
+    def edit(payload):
+        payload["config"][key] = value
+
+    assert _predict_exit_code(tmp_path, init_params(4, 3, seed=1), edit) == 2
+    assert f"unknown {key} {value!r}" in capsys.readouterr().err
+
+
 def test_non_finite_head_is_numerical_error(tmp_path):
     # finite but extreme prior weights: mu = -inf and sigma = inf, so the
     # latent draw mu + sigma * eps, and with it the head value, is NaN

@@ -23,8 +23,9 @@ from churnkit.model import (
     prior_params,
     step,
 )
-from churnkit.tppmath import IntensitySpec, expected_gap
-from churnkit.train import grad_check
+from churnkit.eventlog import Session, SessionSequence
+from churnkit.tppmath import IntensitySpec, expected_gap, gaussian_kl
+from churnkit.train import _pack, _segment, _sequence_arrays, grad_check
 
 SOFTPLUS_HALF = math.log(2.0) + 1e-4  # softplus(0) plus the sigma floor
 
@@ -91,21 +92,24 @@ class TestPriorPosterior:
         assert posterior_params(p, 1.0, 2, h) == posterior_params(p, 1.0, 2, h)
 
     def test_prior_gradients_match_finite_differences(self):
-        """The latent MLP's hand-written backward against central
-        differences of the model's own prior_params (both heads)."""
+        """The latent MLP's hand-written adjoint, in the batched training
+        step, against central differences of the KL assembled from the
+        model's own prior_params and posterior_params (both heads of each)."""
         p = init_params(3, 3, seed=6)
-        h = np.random.default_rng(1).normal(size=3) * 0.5
+        rng = np.random.default_rng(1)
+        state = rng.normal(size=(2, 3)) * 0.5
+        seq = SessionSequence("u", [Session(t=0.0, g=0.0, d=2), Session(t=1.7, g=1.7, d=3)])
         names = ("prior_W1", "prior_b1", "prior_W2", "prior_b2")
         values = {name: getattr(p, name) for name in names}
 
         def loss(v):
-            prior = prior_params(replace(p, **v), h)
-            return prior.mu - 0.5 * prior.sigma
+            q = replace(p, **v)
+            return -gaussian_kl(posterior_params(q, 1.7, 3, state[0]), prior_params(q, state[0]))
 
-        grads = {name: np.zeros_like(a) for name, a in values.items()}
-        _, _, hid, raw = K.mlp2_fwd(*values.values(), h)
-        K.mlp2_bwd(p.prior_W1, p.prior_W2, h, hid, raw, 1.0, -0.5, *grads.values())
-        report = grad_check(loss, values, grads, h=1e-5, tol=1e-5)
+        # step n = 2 of the sequence carries only the KL after session 1
+        rows = _pack([(_sequence_arrays(seq), np.zeros(2))], ["u"])
+        seg = _segment(p, rows, 2, 3, state[:1], state[1:])
+        report = grad_check(loss, values, {name: seg.grads[name] for name in names}, h=1e-5, tol=1e-5)
         assert report.passed, report.summary()
 
     def test_posterior_input_validation(self):
@@ -239,9 +243,9 @@ class TestStep:
     wt=st.floats(-0.5, 0.5),
 )
 def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidden, latent_mode, g, d, eps, wt):
-    """model.step and the fused training kernel compute the same cell bit for
-    bit: state, z, a, log gamma and the laws of logit(z); and filter mode is
-    infer mode at eps = 0."""
+    """model.step and one row of the batched training step compute the same
+    cell bit for bit: state, z, a, log gamma and the laws of logit(z); and
+    filter mode is infer mode at eps = 0."""
     rng = np.random.default_rng(seed)
     p = init_params(hidden, mlp_hidden, seed=0, wt_mode="learned", latent_mode=latent_mode)
     for name in PARAM_FIELDS:
@@ -249,20 +253,18 @@ def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidde
     p.head_wt[...] = wt
     state = rng.normal(0.0, 0.5, (2, hidden))
     full = latent_mode == "full"
+    gf, df = input_features(g, d)
     for mode, e in (("infer", eps), ("filter", 0.0)):
         ref = step(p, state, g, d, mode, e)
-        _, out, _, _, _, _, sc = K.step_fwd(
-            state, p.lstm_W, p.lstm_b, p.post_W1, p.post_b1, p.post_W2, p.post_b2,
-            p.prior_W1, p.prior_b1, p.prior_W2, p.prior_b2,
-            float(p.head_wz), p.head_wh, wt, float(p.head_bt), float(p.dur_wz), p.dur_wh, float(p.dur_b),
-            *input_features(g, d), e, 2.0, 3.0, full,
-        )
-        assert out.tobytes() == ref.state.tobytes()
-        assert (sc[6], sc[7], math.exp(sc[8])) == (ref.z, ref.a, ref.gamma)
+        feat = np.array([[[gf, df]]])
+        u = K.Unroll(feat, state[:1], state[1:], np.full((1, 1), e), mlp_hidden)
+        K.cell_fwd(p, u, 0, 1, 1, False, full)
+        assert np.concatenate([u.xh[1, :, 3:], u.c[1]]).tobytes() == ref.state.tobytes()
+        assert (u.xh[0, 0, 2], u.ah[0, 0, 0], math.exp(u.ah[0, 0, 1])) == (ref.z, ref.a, ref.gamma)
         if full:
-            assert (sc[0], sc[1]) == tuple(ref.posterior)
+            assert (u.law[0, 0, 0], u.law[0, 0, 1]) == tuple(ref.posterior)
         if full and mode == "infer":
-            assert (sc[2], sc[3]) == tuple(ref.prior)
+            assert (u.law[0, 0, 2], u.law[0, 0, 3]) == tuple(ref.prior)
     at_zero = step(p, state, g, d, "infer", 0.0)
     assert ref.state.tobytes() == at_zero.state.tobytes()
     assert (ref.z, ref.a, ref.gamma) == (at_zero.z, at_zero.a, at_zero.gamma)

@@ -2,23 +2,30 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from churnkit.errors import (
     CheckpointShapeError,
     CheckpointVersionError,
     CorruptCheckpointError,
     DataError,
+    NumericalError,
 )
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.model import PARAM_FIELDS, init_params, initial_step, step
+from churnkit.model import LATENT_MODES, PARAM_FIELDS, init_params, initial_step, step
 from churnkit.simulate import GeneratorSpec, generate
 from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
 from churnkit.train import (
     TrainConfig,
+    _pack,
+    _sequence_arrays,
+    _unroll,
     clip_gradients,
     elbo_and_grads,
     grad_check,
@@ -160,6 +167,64 @@ class TestSequenceElbo:
                     assert max(diffs) > 0.0, (latent_mode, bptt_k)
 
 
+def _random_seq(n, rng, user):
+    gaps = [0.0] + [float(g) for g in rng.exponential(2.0, n - 1)]
+    return _seq(gaps, [1 + int(d) for d in rng.poisson(3.0, n)], user=user)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lengths=st.lists(st.integers(2, 40), min_size=1, max_size=5),
+    mc_samples=st.sampled_from([1, 2]),
+    latent_mode=st.sampled_from(LATENT_MODES),
+    wt=st.one_of(st.floats(-0.3, -0.01), st.just(0.0), st.floats(0.01, 0.3)),
+)
+def test_batched_unroll_equals_sum_of_single_rows(seed, lengths, mc_samples, latent_mode, wt):
+    """Rows of ragged lengths unrolled as one batch give every row's value,
+    and the gradient of their sum, of the same engine run on each row alone,
+    for every cut: full unroll, 1, 3, n and n + 1 steps (n the longest)."""
+    rng = np.random.default_rng(seed)
+    p = init_params(4, 3, seed=seed % 1000, wt_mode="learned", latent_mode=latent_mode)
+    p.head_wt[...] = wt
+    seqs = [_random_seq(n, rng, f"u{k}") for k, n in enumerate(lengths)]
+    items = [(_sequence_arrays(s), row) for s in seqs for row in rng.standard_normal((mc_samples, len(s)))]
+    labels = [s.user_id for s in seqs for _ in range(mc_samples)]
+    n = max(lengths)
+    for bptt_k in (0, 1, 3, n, n + 1):
+        values, grads = _unroll(p, _pack(items, labels), bptt_k)
+        singles = [_unroll(p, _pack([item], [label]), bptt_k) for item, label in zip(items, labels)]
+        np.testing.assert_allclose(values, [v[0] for v, _ in singles], rtol=1e-12, atol=0)
+        for name, g in grads.items():
+            # 1e-12 relative, with a floor at 1e-12 of the array's largest
+            # entry: sums that cancel to ~1e-17 differ in their last bits
+            total = sum(single[name] for _, single in singles)
+            np.testing.assert_allclose(g, total, rtol=1e-12, atol=1e-12 * np.max(np.abs(total)), err_msg=name)
+
+
+def test_divergence_names_the_first_failing_user_not_the_first_row(monkeypatch):
+    # with a rising intensity (wt = 0.1) a gap of 1e4 h overflows the
+    # cumulative intensity at the step that scores it.  u1 fails at step 3
+    # and u2 earlier, at step 1, but u1 comes first in user order; u0, the
+    # longest sequence and so the first row of the unroll, is healthy.
+    def rising(*args, **kwargs):
+        params = init_params(*args, **kwargs)
+        params.head_wt[...] = 0.1
+        return params
+
+    monkeypatch.setattr(sys.modules["churnkit.train"], "init_params", rising)
+    seqs = [
+        _seq([0.0] + [1.0] * 9, [2] * 10, user="u0"),
+        _seq([0.0, 1.0, 2.0, 1e4, 1.0], [1, 2, 3, 4, 5], user="u1"),
+        _seq([0.0, 1e4, 1.0], [3, 1, 2], user="u2"),
+    ]
+    cfg = TrainConfig(epochs=1, hidden=4, mlp_hidden=3, batch_size=3, mc_samples=2, wt_mode="learned",
+                      report_mae_users=1)
+    with pytest.raises(NumericalError) as info:
+        train(seqs, cfg)
+    assert str(info.value) == "diverged at epoch 1, batch 0: step 3 of 'u1': elbo_step: cumulative intensity overflow"
+
+
 class TestGradcheckElbo:
     def test_full_elbo_gradient(self):
         report = gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned")
@@ -217,14 +282,6 @@ class TestTrain:
         _, report = train(seqs, cfg)
         losses = [e.neg_elbo_per_event for e in report.epochs]
         assert losses[-1] < losses[0]
-
-    def test_workers_match_serial(self):
-        seqs = _tiny_data(users=8, seed=7)
-        base = TrainConfig(epochs=2, lr=0.01, hidden=4, mlp_hidden=3, seed=4, batch_size=4, report_mae_users=2, report_mae_samples=4)
-        p1, _ = train(seqs, base)
-        p2, _ = train(seqs, replace(base, workers=2))
-        for name in PARAM_FIELDS:
-            np.testing.assert_array_equal(getattr(p1, name), getattr(p2, name))
 
     def test_learned_wt_mode_updates_the_slope(self):
         seqs = _tiny_data(users=8, seed=10)
