@@ -180,22 +180,21 @@ class _Segment:
     failures: dict  # row -> (step, message) of its first failed check
 
 
-def _failures(lo, i, n, full, wt, g, a, lg, term, kl, law):
+def _failures(lo, first, gap, last, full, wt, g, a, lg, term, kl, law):
     """First failed check of each row: its step and message, with the checks
-    of a step in the order the forward pass meets them."""
-    first = (i == 0) & (n > i)
-    scored = (i >= 1) & (n > i)
-    last = (i >= 1) & (n == i) & full
+    of a step in the order the forward pass meets them.  first, gap and last
+    mask the pre-data step, the steps that score a gap and the KL-only
+    steps n."""
     sq, sp = law[1], law[3]
     checks = (
         (first & ~np.isfinite(lg), lambda s, r: "zh_affine: non-finite head value"),
         (first & (np.abs(lg) > 700.0), lambda s, r: f"pois_loglik: rate exponent {lg[s, r]:.3g} out of range"),
-        (scored & ((np.abs(a) > 700.0) | (np.abs(lg) > 700.0)),
+        (gap & ((np.abs(a) > 700.0) | (np.abs(lg) > 700.0)),
          lambda s, r: "elbo_step: head overflow: |exp argument| > 700"),
-        (scored & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > 700.0),
+        (gap & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > 700.0),
          lambda s, r: "elbo_step: cumulative intensity overflow"),
-        (scored & ~np.isfinite(term), lambda s, r: "elbo_step: non-finite ELBO term"),
-        (scored & full & (kl < -1e-12), lambda s, r: f"elbo_step: negative KL {kl[s, r]:.3e}"),
+        (gap & ~np.isfinite(term), lambda s, r: "elbo_step: non-finite ELBO term"),
+        (gap & full & (kl < -1e-12), lambda s, r: f"elbo_step: negative KL {kl[s, r]:.3e}"),
         (last & ((sq <= 0.0) | (sp <= 0.0)),
          lambda s, r: f"gaussian_kl: non-positive std ({sq[s, r]:.3g}, {sp[s, r]:.3g})"),
         (last & ~np.isfinite(kl), lambda s, r: "gaussian_kl: non-finite value"),
@@ -226,16 +225,18 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
     for t in range(hi - lo):
         K.cell_fwd(params, u, t, A[t], G[t], lo + t == 0, full)
 
-    scored = n > i
+    scored = n > i  # the step scores a duration, and from step 1 on a gap
+    first = scored & (i == 0)
     gap = scored & (i >= 1)
-    kl_on = (n >= i) & (i >= 1) & full
+    last = (n == i) & (i >= 1) & full  # step n carries only its KL
+    kl_on = gap & full | last
     a, lg = u.ah[..., 0], u.ah[..., 1]
     ll_gap, da, dwt = K.gap_loglik(a, wt, rows.g[lo:hi])
     ll_dur, dlg = K.dur_loglik(lg, rows.d[lo:hi], rows.lgd[lo:hi])
     law = np.moveaxis(u.law, 2, 0)
     kl = K.gaussian_kl(*law)
     term = np.where(gap, ll_gap, 0.0) + np.where(scored, ll_dur, 0.0) - np.where(kl_on, kl, 0.0)
-    failures = _failures(lo, i, n, full, wt, rows.g[lo:hi], a, lg, term, kl, law)
+    failures = _failures(lo, first, gap, last, full, wt, rows.g[lo:hi], a, lg, term, kl, law)
     values = term.sum(axis=0)
     if not backward or failures:
         return _Segment(values, None, u.xh[-1, :, 3:], u.c[-1], None, None, failures)
@@ -243,7 +244,7 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
     da = np.where(gap, da, 0.0)
     dlg = np.where(scored, dlg, 0.0)
     dlaw = np.where(kl_on[..., None], -np.stack(K.gaussian_kl_grad(*law), axis=2), 0.0)
-    drawn = np.stack(np.broadcast_arrays(gap & full, scored & (i == 0) & full), axis=2)
+    drawn = np.stack([gap & full, first & full], axis=2)
     u.adjoint_terms(params, da, dlg, dlaw, drawn)
     w = K.pack_bwd(params)
     dh = np.zeros(h0.shape) if dh is None else np.array(dh, dtype=float)
