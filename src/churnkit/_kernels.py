@@ -194,8 +194,9 @@ class Unroll:
         self.do2 = np.zeros(self.law.shape)  # (mu, raw) adjoints of both laws
 
     def grads(self, da, dlg):
-        """Parameter gradients of the segment (except head_wt), reduced as
-        matrix products over all its steps and rows."""
+        """Parameter gradients of the segment by name (all but head_wt),
+        reduced as matrix products over all its steps and rows; the caller
+        packs them into the parameter vector's layout."""
         S, R, H = self.c[1:].shape
         P = self.hid.shape[2] // 2
         dp = self.dp.reshape(S * R, -1)

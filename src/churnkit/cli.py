@@ -168,18 +168,18 @@ def _select_split(sequences, which, train_frac, seed):
 
 
 def _cmd_predict(args):
-    sequences = read_sessions(args.sessions)
-    params, _ = load_checkpoint(args.model)
-    selected = _select_split(sequences, args.split, args.train_frac, args.seed)
-    if not selected:
-        raise DataError("predict: selected split is empty")
-    records = rolling_evaluate_many(params, selected, args.pred_samples, args.seed, args.workers)
     policy = AlarmPolicy(
         mode=args.alarm_mode,
         theta_g=args.theta_g,
         theta_d=args.theta_d,
         expected_dur_cmp=args.expected_dur_cmp,
     )
+    sequences = read_sessions(args.sessions)
+    params, _ = load_checkpoint(args.model)
+    selected = _select_split(sequences, args.split, args.train_frac, args.seed)
+    if not selected:
+        raise DataError("predict: selected split is empty")
+    records = rolling_evaluate_many(params, selected, args.pred_samples, args.seed)
     stats = {s.user_id: user_history_stats(s) for s in selected}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("user_id,step,pred_gap,obs_gap,pred_dur,obs_dur,alarm\n")
@@ -197,7 +197,6 @@ def _cmd_predict(args):
         "theta_g": args.theta_g,
         "theta_d": args.theta_d,
         "expected_dur_cmp": args.expected_dur_cmp,
-        "workers": args.workers,
     }
     write_manifest(
         args.out,
@@ -245,7 +244,7 @@ def _cmd_evaluate(args):
                     methods[name] = fit_baseline(name, fit_seqs)
             else:
                 raise ValueError(f"evaluate: unknown method {name!r}")
-        per_seed[seed] = compare(methods, eval_seqs, args.pred_samples, seed, args.workers)
+        per_seed[seed] = compare(methods, eval_seqs, args.pred_samples, seed)
 
     metric_fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -270,7 +269,6 @@ def _cmd_evaluate(args):
         "pred_samples": args.pred_samples,
         "ablation_epochs": args.ablation_epochs,
         "ablation_lr": args.ablation_lr,
-        "workers": args.workers,
     }
     write_manifest(
         args.out,
@@ -417,7 +415,6 @@ def build_parser():
     p.add_argument("--theta-g", type=float, default=168.0, help="absence threshold, hours")
     p.add_argument("--theta-d", type=float, default=2.0, help="duration threshold, events")
     p.add_argument("--expected-dur-cmp", choices=("less", "greater"), default="less")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="compare the model against baselines")
@@ -436,7 +433,6 @@ def build_parser():
     p.add_argument("--pred-samples", type=int, default=32)
     p.add_argument("--ablation-epochs", type=int, default=20)
     p.add_argument("--ablation-lr", type=float, default=0.01)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="generate synthetic session data")

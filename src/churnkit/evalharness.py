@@ -149,7 +149,7 @@ def _baseline_records(predictor, sequences):
     return records
 
 
-def compare(methods, test_sequences, n_samples=32, seed=0, workers=1):
+def compare(methods, test_sequences, n_samples=32, seed=0):
     """Score every method on identical rolling records.
 
     ``methods`` maps name -> ModelParams or fitted BaselinePredictor.
@@ -164,10 +164,10 @@ def compare(methods, test_sequences, n_samples=32, seed=0, workers=1):
     index = None
     for name, method in methods.items():
         if isinstance(method, ModelParams):
-            records = rolling_evaluate_many(method, usable, n_samples, seed, workers)
+            records = rolling_evaluate_many(method, usable, n_samples, seed)
         elif isinstance(method, BaselinePredictor):
             if method.kind == "ablation_rnn":
-                records = rolling_evaluate_many(method.params, usable, n_samples, seed, workers)
+                records = rolling_evaluate_many(method.params, usable, n_samples, seed)
             else:
                 records = _baseline_records(method, usable)
         else:

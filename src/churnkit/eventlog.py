@@ -167,8 +167,8 @@ def sessionize(user_id, timestamps, threshold, gap_mode="start-to-start"):
     (strict).  Session duration is the event count; gaps are start-to-start
     or end-to-start depending on gap_mode, with the first gap fixed at 0.
     """
-    if threshold <= 0.0:
-        raise ValueError(f"sessionize: threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < math.inf:  # NaN fails too
+        raise ValueError(f"sessionize: threshold must be finite and positive, got {threshold}")
     if gap_mode not in GAP_MODES:
         raise ValueError(f"sessionize: unknown gap_mode {gap_mode!r}")
     if len(timestamps) == 0:
@@ -241,6 +241,13 @@ def write_sessions(sequences, path):
             fh.write(json.dumps(obj) + "\n")
 
 
+def _count(value):
+    """An event count: a whole number, not a bool (json's true is not 1)."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ValueError(f"duration {value!r} is not a whole number")
+    return int(value)
+
+
 def read_sessions(path):
     """Read sequences from the JSONL produced by write_sessions / simulate.
 
@@ -263,7 +270,7 @@ def read_sessions(path):
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: bad JSON ({exc.msg})") from None
             try:
-                sessions = [Session(t=float(s["t"]), g=float(s["g"]), d=int(s["d"])) for s in obj["sessions"]]
+                sessions = [Session(t=float(s["t"]), g=float(s["g"]), d=_count(s["d"])) for s in obj["sessions"]]
                 sequences.append(SessionSequence(user_id=str(obj["user_id"]), sessions=sessions))
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"line {lineno}: bad session record ({exc})") from None

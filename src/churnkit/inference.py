@@ -11,7 +11,7 @@ as one (records, samples) array.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,8 +50,9 @@ class AlarmPolicy:
     def __post_init__(self):
         if self.mode not in ("fixed", "expected"):
             raise ValueError(f"AlarmPolicy: unknown mode {self.mode!r}")
-        if self.mode == "fixed" and (self.theta_g <= 0.0 or self.theta_d <= 0.0):
-            raise ValueError("AlarmPolicy: fixed mode needs positive theta_g and theta_d")
+        # written so that NaN fails it too
+        if self.mode == "fixed" and not (0.0 < self.theta_g < math.inf and 0.0 < self.theta_d < math.inf):
+            raise ValueError("AlarmPolicy: fixed mode needs finite positive theta_g and theta_d")
         if self.expected_dur_cmp not in ("less", "greater"):
             raise ValueError(f"AlarmPolicy: unknown comparator {self.expected_dur_cmp!r}")
 
@@ -154,24 +155,13 @@ def rolling_evaluate(params, seq, n_samples=32, seed=0):
     ]
 
 
-def _rolling_job(args):
-    params, seq, n_samples, seed = args
-    return rolling_evaluate(params, seq, n_samples, seed)
-
-
-def rolling_evaluate_many(params, sequences, n_samples=32, seed=0, workers=1):
+def rolling_evaluate_many(params, sequences, n_samples=32, seed=0):
     """rolling_evaluate across users (skipping length-1 sequences), flattened
-    in user-sorted order; workers > 1 fans out per user with identical
-    results to the serial path."""
+    in user-sorted order."""
     ordered = sorted((s for s in sequences if len(s) >= 2), key=lambda s: s.user_id)
     if not ordered:
         raise DataError("rolling_evaluate_many: no sequence has >= 2 sessions")
-    if workers <= 1:
-        per_user = [rolling_evaluate(params, s, n_samples, seed) for s in ordered]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_user = list(pool.map(_rolling_job, [(params, s, n_samples, seed) for s in ordered]))
-    return [rec for recs in per_user for rec in recs]
+    return [rec for s in ordered for rec in rolling_evaluate(params, s, n_samples, seed)]
 
 
 def user_history_stats(seq):

@@ -14,13 +14,17 @@ same step on every row of an optimizer batch at once.  Both are composed of
 the row kernels of churnkit._kernels, where every formula of the cell is
 defined once: the latent MLP (mlp2), the clamped reparameterized draw
 (draw_z), the LSTM (lstm), the heads, softplus and the constants.  The
-recurrent state is a (2, H) array (row 0 = h, row 1 = c).
+recurrent state is a (2, H) array (row 0 = h, row 1 = c).  The parameters
+are declared once, by name and shape, in ``expected_shapes``, and live in
+one vector with a named view per parameter (``ModelParams``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Optional
 
 import numpy as np
 
@@ -33,81 +37,9 @@ WT_MODES = ("frozen_zero", "learned")
 LATENT_MODES = ("full", "fixed")
 MODES = ("infer", "generate", "filter")
 
-# names sorted lexicographically define the checkpoint ordering
-PARAM_FIELDS = (
-    "dur_b",
-    "dur_wh",
-    "dur_wz",
-    "head_bt",
-    "head_wh",
-    "head_wt",
-    "head_wz",
-    "lstm_W",
-    "lstm_b",
-    "post_W1",
-    "post_W2",
-    "post_b1",
-    "post_b2",
-    "prior_W1",
-    "prior_W2",
-    "prior_b1",
-    "prior_b2",
-)
-
-
-@dataclass
-class ModelParams:
-    hidden: int
-    mlp_hidden: int
-    wt_mode: str
-    latent_mode: str
-    lstm_W: np.ndarray
-    lstm_b: np.ndarray
-    head_wz: np.ndarray
-    head_wh: np.ndarray
-    head_wt: np.ndarray
-    head_bt: np.ndarray
-    dur_wz: np.ndarray
-    dur_wh: np.ndarray
-    dur_b: np.ndarray
-    prior_W1: np.ndarray
-    prior_b1: np.ndarray
-    prior_W2: np.ndarray
-    prior_b2: np.ndarray
-    post_W1: np.ndarray
-    post_b1: np.ndarray
-    post_W2: np.ndarray
-    post_b2: np.ndarray
-
-    def to_dict(self):
-        """Parameter arrays keyed by name (no copies)."""
-        return {name: getattr(self, name) for name in PARAM_FIELDS}
-
-    def trainable_names(self):
-        names = list(PARAM_FIELDS)
-        if self.wt_mode == "frozen_zero":
-            names.remove("head_wt")
-        return names
-
-    def copy(self):
-        return replace(self, **{n: getattr(self, n).copy() for n in PARAM_FIELDS})
-
-
-@dataclass
-class StepOutput:
-    """One step's results.  A law the step did not compute is None: the prior
-    in filter mode, the posterior in generate mode, both in fixed latent
-    mode."""
-
-    state: np.ndarray  # (2, H): row 0 = h, row 1 = c
-    prior: GaussianParams
-    posterior: GaussianParams
-    z: float
-    a: float
-    gamma: float
-
 
 def expected_shapes(hidden, mlp_hidden):
+    """The parameter table: every name and its shape at sizes (H, P)."""
     H, P = hidden, mlp_hidden
     return {
         "lstm_W": (4 * H, 3 + H),
@@ -130,6 +62,77 @@ def expected_shapes(hidden, mlp_hidden):
     }
 
 
+# the checkpoint order, and the layout of ModelParams.flat
+PARAM_FIELDS = tuple(sorted(expected_shapes(1, 1)))
+
+
+@dataclass
+class ModelParams:
+    """The sizes and modes of a model, and every parameter in one contiguous
+    float64 vector ``flat`` (zeros when None).
+
+    Each name of PARAM_FIELDS is a read-only attribute that is a view of its
+    slice of flat in the shape ``expected_shapes`` gives it (rank 0 for the
+    scalar heads), laid out in PARAM_FIELDS order: ``p.lstm_W`` reads as an
+    array, ``float(p.head_wt)`` as a number, and a write through a view shows
+    in flat.  Gradients use the same layout, so the optimizer, clipping and
+    accumulation work on flat as one array.
+    """
+
+    hidden: int
+    mlp_hidden: int
+    wt_mode: str
+    latent_mode: str
+    flat: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        shapes = expected_shapes(self.hidden, self.mlp_hidden)
+        sizes = [math.prod(shapes[name]) for name in PARAM_FIELDS]
+        if self.flat is None:
+            self.flat = np.zeros(sum(sizes))
+        if self.flat.shape != (sum(sizes),):
+            raise ValueError(f"ModelParams: flat has shape {self.flat.shape}, expected ({sum(sizes)},)")
+        self._views = {
+            name: self.flat[end - size : end].reshape(shapes[name])
+            for name, size, end in zip(PARAM_FIELDS, sizes, accumulate(sizes))
+        }
+
+    def __getstate__(self):  # the views are rebuilt, so they stay views
+        return {k: v for k, v in vars(self).items() if k != "_views"}
+
+    def __setstate__(self, state):
+        vars(self).update(state)
+        self.__post_init__()
+
+    def replace(self, **arrays):
+        """A copy with the named arrays replaced."""
+        out = ModelParams(self.hidden, self.mlp_hidden, self.wt_mode, self.latent_mode, self.flat.copy())
+        for name, value in arrays.items():
+            out._views[name][...] = value
+        return out
+
+    def trainable_names(self):
+        return [name for name in PARAM_FIELDS if name != "head_wt" or self.wt_mode == "learned"]
+
+
+for _name in PARAM_FIELDS:
+    setattr(ModelParams, _name, property(lambda self, name=_name: self._views[name]))
+
+
+@dataclass
+class StepOutput:
+    """One step's results.  A law the step did not compute is None: the prior
+    in filter mode, the posterior in generate mode, both in fixed latent
+    mode."""
+
+    state: np.ndarray  # (2, H): row 0 = h, row 1 = c
+    prior: GaussianParams
+    posterior: GaussianParams
+    z: float
+    a: float
+    gamma: float
+
+
 def softplus_inv(y):
     return math.log(math.expm1(y))
 
@@ -145,38 +148,27 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
         raise ValueError(f"init_params: unknown latent_mode {latent_mode!r}")
     rng = np.random.default_rng(derive_seed(seed, "init"))
     H, P = hidden, mlp_hidden
+    shapes = expected_shapes(H, P)
 
-    def u(shape, fan_in):
+    def u(name, fan_in):
         s = 1.0 / math.sqrt(fan_in)
-        return rng.uniform(-s, s, size=shape)
+        return rng.uniform(-s, s, size=shapes[name])
 
-    lstm_b = np.zeros(4 * H)
-    lstm_b[H : 2 * H] = 1.0
     raw_sigma0 = softplus_inv(0.5 - K.SIGMA_FLOOR)
-    prior_b2 = np.array([0.0, raw_sigma0])
-    post_b2 = np.array([0.0, raw_sigma0])
-    return ModelParams(
-        hidden=H,
-        mlp_hidden=P,
-        wt_mode=wt_mode,
-        latent_mode=latent_mode,
-        lstm_W=u((4 * H, 3 + H), 3 + H),
-        lstm_b=lstm_b,
-        head_wz=np.asarray(u((), H + 1)),
-        head_wh=u(H, H + 1),
-        head_wt=np.asarray(0.0),
-        head_bt=np.asarray(0.0),
-        dur_wz=np.asarray(u((), H + 1)),
-        dur_wh=u(H, H + 1),
-        dur_b=np.asarray(0.0),
-        prior_W1=u((P, H), H),
-        prior_b1=np.zeros(P),
-        prior_W2=u((2, P), P),
-        prior_b2=prior_b2,
-        post_W1=u((P, H + 2), H + 2),
-        post_b1=np.zeros(P),
-        post_W2=u((2, P), P),
-        post_b2=post_b2,
+    # the draws run in this order; every parameter not named here is zero
+    return ModelParams(H, P, wt_mode, latent_mode).replace(
+        lstm_W=u("lstm_W", 3 + H),
+        lstm_b=np.repeat([0.0, 1.0, 0.0, 0.0], H),  # the forget gate's bias is 1
+        head_wz=u("head_wz", H + 1),
+        head_wh=u("head_wh", H + 1),
+        dur_wz=u("dur_wz", H + 1),
+        dur_wh=u("dur_wh", H + 1),
+        prior_W1=u("prior_W1", H),
+        prior_W2=u("prior_W2", P),
+        prior_b2=[0.0, raw_sigma0],
+        post_W1=u("post_W1", H + 2),
+        post_W2=u("post_W2", P),
+        post_b2=[0.0, raw_sigma0],
     )
 
 

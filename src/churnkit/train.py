@@ -18,7 +18,10 @@ per truncation segment; the pre-data step 0 and the KL-only step n are the
 same step with parts masked off.  The likelihood terms, the KL and every
 step-local factor of the adjoint are then evaluated for the whole segment at
 once, a reverse loop calls ``_kernels.cell_bwd``, and the parameter
-gradients are reduced as matrix products over the segment's steps and rows.
+gradients are reduced as matrix products over the segment's steps and rows
+into the layout of the parameter vector (a ``ModelParams``).  Summing the
+segments, scaling by the batch, the finiteness check, clipping and Adam are
+each one operation on that one vector.
 The cuts fall at the same step indices on every row: the recurrent state
 value is carried across a cut but its gradient is not.  ``elbo_and_grads``
 is the one-user call of the same engine, and ``gradcheck_elbo`` checks it
@@ -31,7 +34,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,10 +75,7 @@ class TrainConfig:
     seed: int = 0
     wt_mode: str = "frozen_zero"
     latent_mode: str = "full"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    clip_norm: float = 5.0
+    clip_norm: float = 5.0  # global gradient norm, 0 = no clipping
     gap_mode: str = "start-to-start"
     session_threshold_hours: float = 1.0
     report_mae_users: int = 32  # per-epoch MAE subsample cap
@@ -84,8 +84,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"TrainConfig: epochs must be >= 1, got {self.epochs}")
-        if self.lr < 0.0:
-            raise ValueError(f"TrainConfig: lr must be >= 0, got {self.lr}")
+        # written so that NaN fails them too
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"TrainConfig: lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 <= self.clip_norm < math.inf:
+            raise ValueError(f"TrainConfig: clip_norm must be finite and >= 0, got {self.clip_norm}")
+        if not 0.0 < self.session_threshold_hours < math.inf:
+            raise ValueError(f"TrainConfig: bad session_threshold_hours {self.session_threshold_hours}")
+        if self.bptt_k < 0:
+            raise ValueError(f"TrainConfig: bptt_k must be >= 0 (0 = full unroll), got {self.bptt_k}")
         if self.mc_samples < 1:
             raise ValueError(f"TrainConfig: mc_samples must be >= 1, got {self.mc_samples}")
         if self.batch_size < 1:
@@ -172,7 +179,7 @@ def _pack(items, labels):
 @dataclass
 class _Segment:
     values: np.ndarray  # (R,) the segment's ELBO terms of each row
-    grads: dict  # gradient of their sum; None without the reverse pass
+    grads: ModelParams  # gradient of their sum; None without the reverse pass
     h: np.ndarray  # state after the segment
     c: np.ndarray
     dh: np.ndarray  # adjoint of the state before it
@@ -251,14 +258,16 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
     dc = np.zeros(c0.shape) if dc is None else np.array(dc, dtype=float)
     for t in reversed(range(hi - lo)):
         K.cell_bwd(w, u, t, A[t], dh, dc)
-    grads = u.grads(da, dlg)
-    grads["head_wt"] = np.where(gap, dwt, 0.0).sum()
+    # a frozen slope gets the gradient 0 (written, not masked: a NaN there
+    # cannot trip the checks, and Adam keeps the slope at exactly 0)
+    dwt = np.where(gap, dwt, 0.0).sum() if params.wt_mode == "learned" else 0.0
+    grads = params.replace(head_wt=dwt, **u.grads(da, dlg))
     return _Segment(values, grads, u.xh[-1, :, 3:], u.c[-1], dh, dc, failures)
 
 
 def _unroll(params, rows, bptt_k, backward=True):
     """(ELBO value of every row in the caller's order, gradient of their sum
-    by name) by truncated BPTT over all rows at once.
+    as a ModelParams) by truncated BPTT over all rows at once.
 
     The cuts fall at the step indices k * bptt_k (bptt_k <= 0 unrolls in
     full), the same for every row: the state is carried across a cut, its
@@ -280,8 +289,10 @@ def _unroll(params, rows, bptt_k, backward=True):
         for j, failure in seg.failures.items():
             failures.setdefault(j, failure)
         values += seg.values
-        if seg.grads is not None:
-            grads = seg.grads if grads is None else {k: g + seg.grads[k] for k, g in grads.items()}
+        if grads is None:
+            grads = seg.grads
+        elif seg.grads is not None:
+            grads.flat += seg.grads.flat
         h, c = seg.h, seg.c
         lo = hi
     if failures:
@@ -323,45 +334,44 @@ def elbo_and_grads(params, seq, eps, bptt_k=0):
     """
     values, grads = _unroll(params, _sequence_rows(seq, eps), bptt_k)
     L = eps.shape[0]
-    return float(values.sum()) / L, {name: grads[name] / L for name in params.trainable_names()}
+    return float(values.sum()) / L, {name: getattr(grads, name) / L for name in params.trainable_names()}
 
 
 # -------------------------------------------------------------------- optim
 
 
 class Adam:
-    def __init__(self, names, params):
+    """Adam (Kingma & Ba, 2015) on one parameter vector, with the paper's
+    constants.  It is elementwise, so an entry whose gradient stays 0 (the
+    frozen intensity slope) never moves."""
+
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, size):
         self.t = 0
-        self.m = {n: np.zeros_like(getattr(params, n)) for n in names}
-        self.v = {n: np.zeros_like(getattr(params, n)) for n in names}
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
 
-    def step(self, params, grads, lr, beta1, beta2, eps):
+    def step(self, x, g, lr):
+        """One update of the vector x in place by the gradient g."""
         self.t += 1
-        bc1 = 1.0 - beta1**self.t
-        bc2 = 1.0 - beta2**self.t
-        for name, g in grads.items():
-            m = self.m[name]
-            v = self.v[name]
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            target = getattr(params, name)
-            target -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        bc1 = 1.0 - self.BETA1**self.t
+        bc2 = 1.0 - self.BETA2**self.t
+        self.m *= self.BETA1
+        self.m += (1.0 - self.BETA1) * g
+        self.v *= self.BETA2
+        self.v += (1.0 - self.BETA2) * g * g
+        x -= lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.EPS)
 
 
-def clip_gradients(grads, max_norm):
-    """Global-norm clipping of the grads dict in place (scalar entries are
-    replaced, they cannot be scaled where they are); returns the pre-clip
-    norm."""
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.square(g)))
-    norm = math.sqrt(total)
+def clip_gradients(g, max_norm):
+    """Global-norm clipping of the gradient vector g in place (max_norm 0
+    turns it off); returns the pre-clip norm."""
+    norm = math.sqrt(float(g @ g))
     if max_norm > 0.0 and norm > max_norm:
-        scale = max_norm / norm
-        for name, g in grads.items():
-            grads[name] = g * scale
+        g *= max_norm / norm
     return norm
 
 
@@ -402,8 +412,7 @@ def train(sequences, config):
     params = init_params(
         config.hidden, config.mlp_hidden, config.seed, config.wt_mode, config.latent_mode
     )
-    names = params.trainable_names()
-    opt = Adam(names, params)
+    opt = Adam(params.flat.size)
     report = TrainReport()
     L = config.mc_samples
     arrays = [_sequence_arrays(s) for s in usable]
@@ -439,13 +448,13 @@ def train(sequences, config):
             batch_events = sum(len(usable[k]) for k in batch)
             epoch_events += batch_events
             # minimize the negative per-event ELBO
-            batch_grads = {name: grads[name] * (-1.0 / (L * batch_events)) for name in names}
-            if not all(np.all(np.isfinite(g)) for g in batch_grads.values()):
+            g = grads.flat * (-1.0 / (L * batch_events))
+            if not np.isfinite(g).all():
                 raise NumericalError(
                     f"non-finite gradient at epoch {epoch}, batch {b0 // config.batch_size}"
                 )
-            clip_gradients(batch_grads, config.clip_norm)
-            opt.step(params, batch_grads, config.lr, config.beta1, config.beta2, config.adam_eps)
+            clip_gradients(g, config.clip_norm)
+            opt.step(params.flat, g, config.lr)
 
         neg_per_event = -epoch_elbo / epoch_events
         if not math.isfinite(neg_per_event):
@@ -546,7 +555,7 @@ def gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned", h
     _, grads = elbo_and_grads(params, seq, eps)
     values = {name: getattr(params, name) for name in params.trainable_names()}
     return grad_check(
-        lambda bumped: _elbo_value(replace(params, **bumped), seq, eps), values, grads, h=h, tol=tol
+        lambda bumped: _elbo_value(params.replace(**bumped), seq, eps), values, grads, h=h, tol=tol
     )
 
 
@@ -624,8 +633,7 @@ def load_checkpoint(path, expect_hidden=None, expect_mlp_hidden=None):
             raise CheckpointShapeError(
                 f"parameter {name!r} has shape {shape}, expected {shapes[name]}"
             )
-        expected_size = int(np.prod(shape)) if shape else 1
-        if not isinstance(data, list) or len(data) != expected_size:
+        if not isinstance(data, list) or len(data) != math.prod(shape):
             raise CheckpointShapeError(
                 f"parameter {name!r} carries {len(data) if isinstance(data, list) else '??'} "
                 f"values for shape {shape}"
@@ -636,7 +644,4 @@ def load_checkpoint(path, expect_hidden=None, expect_mlp_hidden=None):
             raise CorruptCheckpointError(f"parameter {name!r} is not numeric: {exc}") from None
         if not np.all(np.isfinite(arrays[name])):
             raise CorruptCheckpointError(f"parameter {name!r} holds non-finite values")
-    params = ModelParams(
-        hidden=hidden, mlp_hidden=mlp_hidden, wt_mode=wt_mode, latent_mode=latent_mode, **arrays
-    )
-    return params, config
+    return ModelParams(hidden, mlp_hidden, wt_mode, latent_mode).replace(**arrays), config

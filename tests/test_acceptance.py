@@ -221,7 +221,9 @@ def test_criterion_7_latent_variable_benefit():
         7,
         ok,
         f"gap MAE over 5 seeds: full {mean_full:.4f} <= ablation {mean_abl:.4f} "
-        f"(margin {mean_abl - mean_full:+.4f})",
+        f"(margin {mean_abl - mean_full:+.4f}; per seed "
+        + " ".join(f"{a - f:+.4f}" for f, a in zip(full_mae, abl_mae))
+        + ")",
     )
     assert mean_full <= mean_abl
 

@@ -36,14 +36,37 @@ def test_malformed_csv_is_data_error(tmp_path):
     assert main(["sessionize", "--in", str(bad), "--out", str(tmp_path / "s.jsonl")]) == 2
 
 
-def test_bad_flag_value_is_usage_error(tmp_path):
+@pytest.mark.parametrize(
+    "subcommand, flags",
+    [
+        ("sessionize", ["--session-threshold-hours", "-2"]),
+        # NaN used to put every user in one session with exit 0
+        ("sessionize", ["--session-threshold-hours", "nan"]),
+        # NaN used to turn clipping off and write NaN into the manifest
+        ("train", ["--clip-norm", "nan"]),
+        ("train", ["--lr", "nan"]),  # used to exit 3 mid-training
+        ("train", ["--bptt-k", "-3"]),  # used to run a full unroll
+        ("train", ["--session-threshold-hours", "nan"]),  # used to write NaN into the checkpoint
+        ("predict", ["--theta-g", "nan", "--theta-d", "nan"]),  # used to never alarm
+    ],
+    ids=["sessionize-threshold-negative", "sessionize-threshold-nan", "train-clip-norm-nan", "train-lr-nan",
+         "train-bptt-k-negative", "train-threshold-nan", "predict-thetas-nan"],
+)
+def test_bad_flag_value_is_usage_error(tmp_path, subcommand, flags):
     ev = tmp_path / "events.csv"
     ev.write_text("user_id,timestamp\nu1,1.0\n")
-    code = main(
-        ["sessionize", "--in", str(ev), "--out", str(tmp_path / "s.jsonl"),
-         "--session-threshold-hours", "-2"]
-    )
-    assert code == 1
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("".join(json.dumps(r) + "\n" for r in _TWO_USERS))
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1), model)
+    out = str(tmp_path / "out")
+    argv = {
+        "sessionize": ["--in", str(ev), "--out", out],
+        "train": ["--sessions", str(sessions), "--out", out, "--epochs", "1", "--hidden", "4",
+                  "--mlp-hidden", "3", "--train-frac", "1"],
+        "predict": ["--sessions", str(sessions), "--model", str(model), "--out", out, "--split", "all"],
+    }[subcommand]
+    assert main([subcommand, *argv, *flags]) == 1
 
 
 def test_gradcheck_pass_and_fail_exit_codes(tmp_path):
@@ -216,6 +239,13 @@ def _sessions_exit_code(tmp_path, subcommand, sessions_records, pred_samples=2):
 
 def test_non_numeric_session_field_is_data_error(tmp_path):
     records = [{"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": "x", "g": 1.0, "d": 2}]}]
+    assert _sessions_exit_code(tmp_path, "predict", records) == 2
+
+
+@pytest.mark.parametrize("d", [2.7, True], ids=["fraction", "bool"])
+def test_non_integer_duration_is_data_error(tmp_path, d):
+    # read as 2 and as 1 before
+    records = [{"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": 1.0, "g": 1.0, "d": d}]}]
     assert _sessions_exit_code(tmp_path, "predict", records) == 2
 
 

@@ -12,7 +12,6 @@ have no counterpart left and no check.
 
 import math
 import zlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -72,9 +71,8 @@ def _rows(i, n, obs=_STEP_OBS):
 def _run_step(v, i=1, n=2, full=True, dstate=None):
     """Step i alone of a one-row unroll from the state (v["h"], v["c"]);
     dstate = (dh, dc) is the adjoint of the state after it."""
-    params = ModelParams(
-        hidden=H, mlp_hidden=P, wt_mode="learned", latent_mode="full" if full else "fixed",
-        **{name: np.asarray(v[name], dtype=float) for name in PARAM_FIELDS},
+    params = ModelParams(H, P, "learned", "full" if full else "fixed").replace(
+        **{name: v[name] for name in PARAM_FIELDS}
     )
     dh, dc = (None, None) if dstate is None else (dstate[0][None], dstate[1][None])
     return _segment(params, _rows(i, n), i, i + 1, v["h"][None], v["c"][None], dh=dh, dc=dc)
@@ -82,7 +80,7 @@ def _run_step(v, i=1, n=2, full=True, dstate=None):
 
 def _step_grads(seg):
     """Every gradient of a one-row step by input name, the state's included."""
-    return dict(seg.grads, h=seg.dh[0], c=seg.dc[0])
+    return {**{name: getattr(seg.grads, name) for name in PARAM_FIELDS}, "h": seg.dh[0], "c": seg.dc[0]}
 
 
 # ---------------------------------------------------------- the checker
@@ -206,9 +204,9 @@ def test_log_domain_and_exp_overflow_errors(monkeypatch):
     eps = np.zeros((1, len(seq)))
     p = init_params(H, P, seed=2)
     with pytest.raises(NumericalError, match=r"step 1 of 'u7': elbo_step: head overflow"):
-        elbo_and_grads(replace(p, head_bt=np.array(800.0)), seq, eps)
+        elbo_and_grads(p.replace(head_bt=800.0), seq, eps)
     with pytest.raises(NumericalError, match=r"step 0 of 'u7': pois_loglik: rate exponent"):
-        elbo_and_grads(replace(p, dur_b=np.array(-800.0)), seq, eps)
+        elbo_and_grads(p.replace(dur_b=-800.0), seq, eps)
     # a negative floor drives every std below zero; the regular steps take
     # the log of their ratio, so the check before the KL-only step n fires
     monkeypatch.setattr(K, "SIGMA_FLOOR", -10.0)

@@ -1,5 +1,7 @@
 """Filtered prediction, rolling evaluation, and alarm decisions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -140,18 +142,6 @@ class TestRollingEvaluate:
         records = rolling_evaluate_many(p, seqs, 4, 0)
         assert [r.user_id for r in records] == ["mm", "mm", "zz"]
 
-    def test_parallel_workers_match_serial(self):
-        p = init_params(4, 4, seed=8)
-        seqs = [
-            _seq([0.0, 2.0, 1.0, 0.7], [1, 2, 1, 3], user="a"),
-            _seq([0.0, 1.0, 4.0], [2, 2, 1], user="b"),
-        ]
-        serial = rolling_evaluate_many(p, seqs, 8, 5, workers=1)
-        parallel = rolling_evaluate_many(p, seqs, 8, 5, workers=2)
-        assert [(r.user_id, r.step, r.pred_gap, r.pred_dur) for r in serial] == [
-            (r.user_id, r.step, r.pred_gap, r.pred_dur) for r in parallel
-        ]
-
 
 class TestChurnAlarm:
     def test_fixed_mode_truth_table(self):
@@ -182,9 +172,14 @@ class TestChurnAlarm:
         higher = PredictionRecord("u", 1, pred_gap=60.0, pred_dur=1.0)
         assert churn_alarm(higher, policy)
 
-    def test_fixed_mode_validates_thresholds(self):
+    @pytest.mark.parametrize(
+        "theta_g, theta_d",
+        [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)],
+        ids=["zero", "negative", "nan-gap", "nan-duration", "inf"],
+    )
+    def test_fixed_mode_validates_thresholds(self, theta_g, theta_d):
         with pytest.raises(ValueError):
-            AlarmPolicy(mode="fixed", theta_g=0.0, theta_d=1.0)
+            AlarmPolicy(mode="fixed", theta_g=theta_g, theta_d=theta_d)
 
 
 def test_user_history_stats():

@@ -2,7 +2,7 @@
 structural properties (causality, determinism, positivity)."""
 
 import math
-from dataclasses import replace
+import pickle
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from churnkit.model import (
 )
 from churnkit.eventlog import Session, SessionSequence
 from churnkit.tppmath import IntensitySpec, expected_gap, gaussian_kl
-from churnkit.train import _pack, _segment, _sequence_arrays, grad_check
+from churnkit.train import _pack, _segment, _sequence_arrays, grad_check, load_checkpoint, save_checkpoint
 
 SOFTPLUS_HALF = math.log(2.0) + 1e-4  # softplus(0) plus the sigma floor
 
@@ -75,6 +75,44 @@ class TestInit:
             init_params(0, 4, seed=0)
 
 
+class TestLayout:
+    def test_names_are_views_of_flat_in_checkpoint_order(self, tmp_path):
+        H, P = 5, 3
+        p = init_params(H, P, seed=4, wt_mode="learned")
+        assert list(PARAM_FIELDS) == sorted(expected_shapes(H, P))
+        offsets = {}
+        end = 0
+        for name in PARAM_FIELDS:
+            view = getattr(p, name)
+            assert view.shape == expected_shapes(H, P)[name]
+            assert np.shares_memory(view, p.flat)
+            np.testing.assert_array_equal(view.ravel(), p.flat[end : end + view.size])
+            offsets[name] = end
+            end += view.size
+        assert end == p.flat.size
+
+        # a write through a name shows in flat, and only there
+        before = p.flat.copy()
+        p.lstm_W[1, 2] = 7.5
+        p.head_wt[...] = -0.25
+        changed = np.flatnonzero(p.flat != before)
+        assert changed.tolist() == [offsets["head_wt"], offsets["lstm_W"] + (3 + H) + 2]
+        assert float(p.head_wt) == -0.25
+
+        # replace copies; a pickled copy keeps its names as views of its flat
+        q = p.replace(head_bt=1.5)
+        assert float(q.head_bt) == 1.5 and float(p.head_bt) == 0.0
+        r = pickle.loads(pickle.dumps(p))
+        r.dur_b[...] = 3.0
+        assert r.flat[offsets["dur_b"]] == 3.0 and float(p.dur_b) == 0.0
+
+        # a checkpoint saved and loaded gives back the same bytes
+        path = tmp_path / "model.json"
+        save_checkpoint(p, path)
+        loaded, _ = load_checkpoint(path)
+        assert loaded.flat.tobytes() == p.flat.tobytes()
+
+
 class TestPriorPosterior:
     def test_zero_weights_give_standard_values(self):
         p = _zeroed()
@@ -103,13 +141,13 @@ class TestPriorPosterior:
         values = {name: getattr(p, name) for name in names}
 
         def loss(v):
-            q = replace(p, **v)
+            q = p.replace(**v)
             return -gaussian_kl(posterior_params(q, 1.7, 3, state[0]), prior_params(q, state[0]))
 
         # step n = 2 of the sequence carries only the KL after session 1
         rows = _pack([(_sequence_arrays(seq), np.zeros(2))], ["u"])
         seg = _segment(p, rows, 2, 3, state[:1], state[1:])
-        report = grad_check(loss, values, {name: seg.grads[name] for name in names}, h=1e-5, tol=1e-5)
+        report = grad_check(loss, values, {name: getattr(seg.grads, name) for name in names}, h=1e-5, tol=1e-5)
         assert report.passed, report.summary()
 
     def test_posterior_input_validation(self):

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from churnkit.errors import (
     NumericalError,
 )
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.model import LATENT_MODES, PARAM_FIELDS, init_params, initial_step, step
+from churnkit.model import LATENT_MODES, PARAM_FIELDS, ModelParams, init_params, initial_step, step
 from churnkit.simulate import GeneratorSpec, generate
 from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
 from churnkit.train import (
@@ -130,7 +129,7 @@ class TestSequenceElbo:
 
         values = {name: getattr(p, name) for name in p.trainable_names()}
         report = grad_check(
-            lambda bumped: _reference_elbo(replace(p, **bumped), seq, eps), values, grads
+            lambda bumped: _reference_elbo(p.replace(**bumped), seq, eps), values, grads
         )
         assert report.passed, report.summary()
         assert set(report.per_param) == set(grads)
@@ -195,11 +194,13 @@ def test_batched_unroll_equals_sum_of_single_rows(seed, lengths, mc_samples, lat
         values, grads = _unroll(p, _pack(items, labels), bptt_k)
         singles = [_unroll(p, _pack([item], [label]), bptt_k) for item, label in zip(items, labels)]
         np.testing.assert_allclose(values, [v[0] for v, _ in singles], rtol=1e-12, atol=0)
-        for name, g in grads.items():
+        for name in PARAM_FIELDS:
             # 1e-12 relative, with a floor at 1e-12 of the array's largest
             # entry: sums that cancel to ~1e-17 differ in their last bits
-            total = sum(single[name] for _, single in singles)
-            np.testing.assert_allclose(g, total, rtol=1e-12, atol=1e-12 * np.max(np.abs(total)), err_msg=name)
+            total = sum(getattr(single, name) for _, single in singles)
+            np.testing.assert_allclose(
+                getattr(grads, name), total, rtol=1e-12, atol=1e-12 * np.max(np.abs(total)), err_msg=name
+            )
 
 
 def test_divergence_names_the_first_failing_user_not_the_first_row(monkeypatch):
@@ -237,15 +238,22 @@ class TestGradcheckElbo:
 
 
 def test_clip_gradients_scales_arrays_and_scalars():
-    # the scalar heads' gradients are numpy float64 scalars, not arrays
-    grads = {"a": np.full(2, 10.0), "s": np.float64(10.0)}
-    assert clip_gradients(grads, 1.0) == pytest.approx(math.sqrt(300.0), rel=1e-15)
+    # a gradient in the parameter layout: the array entries and the rank-0
+    # scalar heads are views of one vector, and all of them are scaled
+    grads = ModelParams(1, 1, "learned", "full")
+    grads.lstm_b[:2] = 10.0
+    grads.head_wt[...] = 10.0
+    assert clip_gradients(grads.flat, 1.0) == pytest.approx(math.sqrt(300.0), rel=1e-15)
     scaled = 10.0 / math.sqrt(300.0)
-    np.testing.assert_allclose(grads["a"], [scaled, scaled], rtol=1e-15)
-    assert grads["s"] == pytest.approx(scaled, rel=1e-15)
-    unclipped = {"a": np.full(2, 0.1), "s": np.float64(0.1)}
+    np.testing.assert_allclose(grads.lstm_b[:2], [scaled, scaled], rtol=1e-15)
+    assert float(grads.head_wt) == pytest.approx(scaled, rel=1e-15)
+    unclipped = np.full(3, 0.1)
     clip_gradients(unclipped, 1.0)
-    assert unclipped["s"] == 0.1 and np.all(unclipped["a"] == 0.1)
+    assert np.all(unclipped == 0.1)
+    # max_norm 0 turns clipping off
+    big = np.full(3, 10.0)
+    assert clip_gradients(big, 0.0) == pytest.approx(math.sqrt(300.0), rel=1e-15)
+    assert np.all(big == 10.0)
 
 
 def _tiny_data(users=12, seed=5):
