@@ -2,10 +2,10 @@
 
 Every kernel works on rows: the leading axis of an array indexes rows (the
 users of an optimizer batch times their latent trajectories), and one row is
-a batch of one.  Training (churnkit.train) unrolls the cell over a whole
-batch at once; filtering, prediction and generation (churnkit.model and
-churnkit.inference) run the same kernels on one row; the distribution
-helpers of churnkit.tppmath wrap the KL and the draw.
+a batch of one.  Training (churnkit.train) and filtering (churnkit.inference)
+unroll the cell over many rows at once, prediction runs its heads on
+(records, samples) arrays and generation (churnkit.model) on one row; the
+distribution helpers of churnkit.tppmath wrap the KL and the draw.
 
 - constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS`` and the z clamp ``Z_LO``/``Z_HI``;
 - ``sigmoid`` and ``softplus``;
@@ -237,7 +237,9 @@ def cell_fwd(p, u, t, A, G, first, full):
     With the latent, both laws of logit(z) are evaluated at the state and z
     is drawn from the posterior -- at the pre-data step (first) from the
     prior, without advancing the LSTM, so the heads read the zero state.
-    Without the latent, z is fixed at 0.5.
+    Without the latent, z is fixed at 0.5.  The filter of
+    churnkit.inference passes eps = 0, so z is the posterior (at step 0 the
+    prior) mean, and G = A, so step n advances the LSTM to the frontier.
     """
     h = u.xh[t, :A, 3:]
     if full:

@@ -1,12 +1,14 @@
 """Filtered prediction of next absence gap / session duration, churn alarms.
 
 Filtering consumes observed sessions with deterministic posterior-mean
-latents, which makes evaluation reproducible and causal.  At the prediction
-frontier the latent is drawn S times from the prior at the current hidden
-state and the point prediction is the sample mean of the model-implied next
-gap and duration.  The mean next gap is exact for every intensity slope
-(tppmath.expected_gap), and a user's whole prediction frontier is evaluated
-as one (records, samples) array.
+latents, which makes evaluation reproducible and causal.  It runs the
+training step ``_kernels.cell_fwd`` at eps = 0 on packs of users, longest
+first, of at most PACK_CELLS steps x rows each.  At each prediction frontier
+the latent is drawn S times from the prior at the filtered hidden state and
+the point prediction is the sample mean of the model-implied next gap and
+duration.  The mean next gap is exact for every intensity slope
+(tppmath.expected_gap), and the frontiers of a pack are evaluated as one
+(records, samples) array with the cell's own kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import DataError, NumericalError
 from .eventlog import derive_seed
-from .model import initial_step, prior_params, step
+from .model import _pack, _sequence_arrays
 from .tppmath import IntensitySpec, expected_gap
 
 
@@ -57,49 +59,92 @@ class AlarmPolicy:
             raise ValueError(f"AlarmPolicy: unknown comparator {self.expected_dur_cmp!r}")
 
 
-def filter_sequence(params, seq):
-    """Deterministic filter pass; entry i is the state after consuming
-    session i (entry 0 is the pre-data step)."""
-    outs = [initial_step(params, "filter")]
-    for s in seq.sessions:
-        outs.append(step(params, outs[-1].state, s.g, s.d, "filter"))
-    return outs
+# steps x rows of one filter pass: a pack of sequences holds at most this
+# many, and a longer sequence is filtered alone in spans of this many steps
+PACK_CELLS = 4096
 
 
-def _predict_at(params, hs, rngs, n_samples):
-    """Posterior-predictive means of (next gap, next duration) at each hidden
-    state in hs, averaging the heads over n_samples prior draws of z.
+def _packs(seqs):
+    """Indices of seqs in packs, longest first."""
+    pack = []
+    for k in sorted(range(len(seqs)), key=lambda k: -len(seqs[k])):
+        if pack and (len(pack) + 1) * (len(seqs[pack[0]]) + 1) > PACK_CELLS:
+            yield pack
+            pack = []
+        pack.append(k)
+    yield pack
 
-    Row r uses only hs[r] and rngs[r], and every operation across rows is
-    elementwise, so a record's prediction is the same whichever records
-    share the call.
-    """
-    wz = float(params.head_wz)
-    dur_wz = float(params.dur_wz)
-    base_a = np.array([float(params.head_wh @ h) + float(params.head_bt) for h in hs])
-    base_lg = np.array([float(params.dur_wh @ h) + float(params.dur_b) for h in hs])
 
-    if params.latent_mode == "fixed":
-        z = np.full((len(hs), n_samples), 0.5)
-    else:
-        priors = [prior_params(params, h) for h in hs]
-        mu = np.array([p.mu for p in priors])[:, None]
-        sigma = np.array([p.sigma for p in priors])[:, None]
+def _filtered(params, rows):
+    """Filter the packed rows: the training step ``_kernels.cell_fwd`` at
+    eps = 0, so z is the posterior mean (the prior mean at step 0), and with
+    every running row scored, so step n also advances the state to the
+    frontier.  Yields (first step, Unroll) per span of at most PACK_CELLS
+    steps x rows; the state after step i is (u.xh[i + 1, :, 3:], u.c[i + 1])
+    and (a, log gamma) at it is u.ah[i]."""
+    full = params.latent_mode == "full"
+    h = c = np.zeros((len(rows.n), params.hidden))
+    span = max(1, PACK_CELLS // len(rows.n))
+    for lo in range(0, len(rows.feat), span):
+        u = K.Unroll(rows.feat[lo : lo + span], h, c, rows.eps[lo : lo + span], params.mlp_hidden)
+        with np.errstate(all="ignore"):  # a diverged row runs on until the check
+            for t in range(len(u.ah)):
+                A = int(np.count_nonzero(rows.n >= lo + t))
+                K.cell_fwd(params, u, t, A, A, lo + t == 0, full)
+        # heads in range and a finite state, written so that NaN fails too
+        state = np.concatenate([u.xh[1:, :, 3:], u.c[1:]], axis=2)
+        ok = (np.abs(u.ah) <= 700.0).all(axis=2) & np.isfinite(state).all(axis=2)
+        if not ok.all():
+            t, j = np.argwhere(~ok)[0]
+            raise NumericalError(f"filter: step {lo + t} of {rows.labels[rows.order[j]]!r} diverged")
+        yield lo, u
+        h, c = u.xh[-1, :, 3:], u.c[-1]
+
+
+def _predict(params, hs, keys, n_samples, seed):
+    """Posterior-predictive means of (next gap, next duration) at each row of
+    the states hs (records, H): the heads averaged over n_samples prior
+    draws of z, each record's from the stream of its (user id, step) key."""
+    if params.latent_mode == "full":
+        mu, sigma, _, _ = K.mlp2(params.prior_W1, params.prior_b1, params.prior_W2, params.prior_b2, hs)
+        rngs = (np.random.default_rng(derive_seed(seed, "pred", *key)) for key in keys)
         eps = np.array([rng.standard_normal(n_samples) for rng in rngs])
-        z = K.sigmoid(mu + sigma * eps)
-
-    a = wz * z + base_a[:, None]
-    lg = dur_wz * z + base_lg[:, None]
+        z = K.draw_z(mu[:, None], sigma[:, None], eps)
+    else:
+        z = np.full((len(hs), n_samples), 0.5)
+    a, lg = K.heads(params, z, hs[:, None])
     # written so that NaN fails the check too
     if not (np.all(np.abs(a) <= 700.0) and np.all(np.abs(lg) <= 700.0)):
         raise NumericalError("predict: head values diverged or are not finite")
     pred_gap = expected_gap(IntensitySpec(a, float(params.head_wt))).mean(axis=1)
-    pred_dur = np.exp(lg).mean(axis=1)
-    return pred_gap, pred_dur
+    return pred_gap.tolist(), np.exp(lg).mean(axis=1).tolist()
 
 
-def _record_rng(seed, user_id, step):
-    return np.random.default_rng(derive_seed(seed, "pred", user_id, step))
+def _evaluate(params, seqs, n_samples, seed, rolling):
+    """The prediction records of each sequence, in the order of seqs: at
+    each prefix length 1..n-1, paired with the next session (rolling), or
+    at the whole sequence.
+
+    The sequences are filtered in packs (``_filtered``) and each record is
+    predicted from the state it reached (``_predict``).  Every operation is
+    by row, so a record is the same whichever records share its pack.
+    """
+    out = [[] for _ in seqs]
+    for pack in _packs(seqs):
+        items = [(_sequence_arrays(seqs[k]), np.zeros(len(seqs[k]))) for k in pack]
+        rows = _pack(items, [seqs[k].user_id for k in pack])
+        for lo, u in _filtered(params, rows):
+            i = np.arange(lo, lo + len(u.ah))
+            n = rows.n[:, None]
+            r, t = np.nonzero((i >= 1) & (i < n) if rolling else i == n)
+            if not r.size:
+                continue
+            at = [(pack[rows.order[j]], s) for j, s in zip(r.tolist(), (lo + t).tolist())]
+            preds = _predict(params, u.xh[t + 1, r, 3:], [(seqs[k].user_id, s) for k, s in at], n_samples, seed)
+            for (k, s), gap, dur, (a, lg) in zip(at, *preds, u.ah[t, r].tolist()):
+                obs = (seqs[k].sessions[s].g, seqs[k].sessions[s].d) if rolling else (None, None)
+                out[k].append(PredictionRecord(seqs[k].user_id, s, gap, dur, *obs, a, math.exp(lg)))
+    return out
 
 
 def predict_next(params, prefix, n_samples=32, seed=0):
@@ -108,18 +153,7 @@ def predict_next(params, prefix, n_samples=32, seed=0):
         raise DataError("predict_next: empty prefix")
     if n_samples < 1:
         raise ValueError(f"predict_next: n_samples must be >= 1, got {n_samples}")
-    outs = filter_sequence(params, prefix)
-    frontier = outs[len(prefix)]
-    rng = _record_rng(seed, prefix.user_id, len(prefix))
-    pred_gap, pred_dur = _predict_at(params, [frontier.state[0]], [rng], n_samples)
-    return PredictionRecord(
-        user_id=prefix.user_id,
-        step=len(prefix),
-        pred_gap=float(pred_gap[0]),
-        pred_dur=float(pred_dur[0]),
-        a=frontier.a,
-        gamma=frontier.gamma,
-    )
+    return _evaluate(params, [prefix], n_samples, seed, rolling=False)[0][0]
 
 
 def rolling_evaluate(params, seq, n_samples=32, seed=0):
@@ -127,32 +161,9 @@ def rolling_evaluate(params, seq, n_samples=32, seed=0):
     actually did next.  Exactly n-1 records; identical to calling
     predict_next on each prefix because filtering is causal and deterministic
     and each record draws from its own stream."""
-    n = len(seq)
-    if n < 2:
-        raise DataError(f"rolling_evaluate: need >= 2 sessions, got {n} for {seq.user_id!r}")
-    if n_samples < 1:
-        raise ValueError(f"rolling_evaluate: n_samples must be >= 1, got {n_samples}")
-    outs = filter_sequence(params, seq)
-    steps = range(1, n)
-    pred_gap, pred_dur = _predict_at(
-        params,
-        [outs[i].state[0] for i in steps],
-        [_record_rng(seed, seq.user_id, i) for i in steps],
-        n_samples,
-    )
-    return [
-        PredictionRecord(
-            user_id=seq.user_id,
-            step=i,
-            pred_gap=float(pred_gap[i - 1]),
-            pred_dur=float(pred_dur[i - 1]),
-            obs_gap=seq.sessions[i].g,
-            obs_dur=seq.sessions[i].d,
-            a=outs[i].a,
-            gamma=outs[i].gamma,
-        )
-        for i in steps
-    ]
+    if len(seq) < 2:
+        raise DataError(f"rolling_evaluate: need >= 2 sessions, got {len(seq)} for {seq.user_id!r}")
+    return rolling_evaluate_many(params, [seq], n_samples, seed)
 
 
 def rolling_evaluate_many(params, sequences, n_samples=32, seed=0):
@@ -161,7 +172,9 @@ def rolling_evaluate_many(params, sequences, n_samples=32, seed=0):
     ordered = sorted((s for s in sequences if len(s) >= 2), key=lambda s: s.user_id)
     if not ordered:
         raise DataError("rolling_evaluate_many: no sequence has >= 2 sessions")
-    return [rec for s in ordered for rec in rolling_evaluate(params, s, n_samples, seed)]
+    if n_samples < 1:
+        raise ValueError(f"rolling_evaluate: n_samples must be >= 1, got {n_samples}")
+    return [rec for recs in _evaluate(params, ordered, n_samples, seed, rolling=True) for rec in recs]
 
 
 def user_history_stats(seq):

@@ -8,15 +8,17 @@ log rate of the Poisson duration model for the next session.  Prior and
 approximate-posterior parameters of logit(z) come from two one-hidden-layer
 MLPs shared across time-steps.
 
-The functions here run one step at a time, as a batch of one row, for
-filtering, prediction and generation; training (churnkit.train) runs the
-same step on every row of an optimizer batch at once.  Both are composed of
-the row kernels of churnkit._kernels, where every formula of the cell is
-defined once: the latent MLP (mlp2), the clamped reparameterized draw
-(draw_z), the LSTM (lstm), the heads, softplus and the constants.  The
-recurrent state is a (2, H) array (row 0 = h, row 1 = c).  The parameters
-are declared once, by name and shape, in ``expected_shapes``, and live in
-one vector with a named view per parameter (``ModelParams``).
+``step`` and ``initial_step`` run one step at a time, as a batch of one
+row, for generation (churnkit.simulate) and as the reference the tests
+check the batched step against.  Training (churnkit.train) and filtering
+(churnkit.inference) run the batched step ``_kernels.cell_fwd`` on rows
+packed by ``_pack``, longest first.  Both are composed of the row kernels
+of churnkit._kernels, where every formula of the cell is defined once: the
+latent MLP (mlp2), the clamped reparameterized draw (draw_z), the LSTM
+(lstm), the heads, softplus and the constants.  The recurrent state is a
+(2, H) array (row 0 = h, row 1 = c).  The parameters are declared once, by
+name and shape, in ``expected_shapes``, and live in one vector with a named
+view per parameter (``ModelParams``).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .tppmath import GaussianParams
 
 WT_MODES = ("frozen_zero", "learned")
 LATENT_MODES = ("full", "fixed")
-MODES = ("infer", "generate", "filter")
+MODES = ("infer", "generate")
 
 
 def expected_shapes(hidden, mlp_hidden):
@@ -121,9 +123,8 @@ for _name in PARAM_FIELDS:
 
 @dataclass
 class StepOutput:
-    """One step's results.  A law the step did not compute is None: the prior
-    in filter mode, the posterior in generate mode, both in fixed latent
-    mode."""
+    """One step's results.  A law the step did not compute is None: the
+    posterior in generate mode, both in fixed latent mode."""
 
     state: np.ndarray  # (2, H): row 0 = h, row 1 = c
     prior: GaussianParams
@@ -131,10 +132,6 @@ class StepOutput:
     z: float
     a: float
     gamma: float
-
-
-def softplus_inv(y):
-    return math.log(math.expm1(y))
 
 
 def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="full"):
@@ -154,7 +151,7 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
         s = 1.0 / math.sqrt(fan_in)
         return rng.uniform(-s, s, size=shapes[name])
 
-    raw_sigma0 = softplus_inv(0.5 - K.SIGMA_FLOOR)
+    raw_sigma0 = math.log(math.expm1(0.5 - K.SIGMA_FLOOR))  # softplus(raw_sigma0) + floor = 0.5
     # the draws run in this order; every parameter not named here is zero
     return ModelParams(H, P, wt_mode, latent_mode).replace(
         lstm_W=u("lstm_W", 3 + H),
@@ -178,15 +175,6 @@ def prior_params(params, h):
     return GaussianParams(mu=mu.item(), sigma=sigma.item())
 
 
-def _posterior(params, gf, df, h):
-    x = np.empty(2 + params.hidden)
-    x[0] = gf
-    x[1] = df
-    x[2:] = h
-    mu, sigma, _, _ = K.mlp2(params.post_W1, params.post_b1, params.post_W2, params.post_b2, x)
-    return GaussianParams(mu=mu.item(), sigma=sigma.item())
-
-
 def input_features(g, d):
     if g < 0.0:
         raise ValueError(f"gap must be >= 0, got {g}")
@@ -195,9 +183,60 @@ def input_features(g, d):
     return math.log1p(g), math.log1p(float(d))
 
 
+@dataclass
+class _Rows:
+    """The rows of one unroll, step-major and sorted by session count,
+    longest first, so the rows a step runs are always a prefix.
+
+    Step i consumes feat[i] (the features of session i - 1) and scores g[i]
+    and d[i] (the gap and duration of session i) with the latent draw
+    eps[i].  A row of n sessions runs steps 0..n: step 0 scores only d[0],
+    step n carries only its KL when training.
+    """
+
+    n: np.ndarray  # (R,) session counts, non-increasing
+    order: np.ndarray  # (R,) the caller's index of each row
+    labels: list  # the user id of each row, in the caller's order
+    feat: np.ndarray  # (N + 1, R, 2)
+    g: np.ndarray  # (N + 1, R)
+    d: np.ndarray
+    lgd: np.ndarray  # lgamma(d + 1)
+    eps: np.ndarray
+
+
+def _sequence_arrays(seq):
+    """(input features, gaps, durations, lgamma(durations + 1)) of a sequence."""
+    feat = np.array([input_features(s.g, s.d) for s in seq.sessions])
+    g = np.array([float(s.g) for s in seq.sessions])
+    d = np.array([float(s.d) for s in seq.sessions])
+    return feat, g, d, np.array([math.lgamma(x + 1.0) for x in d])
+
+
+def _pack(items, labels):
+    """_Rows from (sequence arrays, eps row) pairs, one per row."""
+    R = len(items)
+    lengths = np.array([len(arrays[1]) for arrays, _ in items])
+    order = np.argsort(-lengths, kind="stable")
+    n = lengths[order]
+    steps = int(n[0]) + 1
+    feat = np.zeros((steps, R, 2))
+    g, d, lgd, eps = (np.zeros((steps, R)) for _ in range(4))
+    for j, r in enumerate(order):
+        (f, gaps, durs, lg), e = items[r]
+        m = n[j]
+        feat[1 : m + 1, j] = f
+        g[:m, j] = gaps
+        d[:m, j] = durs
+        lgd[:m, j] = lg
+        eps[:m, j] = e[:m]
+    return _Rows(n, order, labels, feat, g, d, lgd, eps)
+
+
 def posterior_params(params, g, d, h):
     """Approximate posterior (mu_q, sigma_q) given (g_i, d_i, h_{i-1})."""
-    return _posterior(params, *input_features(g, d), h)
+    x = np.concatenate((input_features(g, d), h))
+    mu, sigma, _, _ = K.mlp2(params.post_W1, params.post_b1, params.post_W2, params.post_b2, x)
+    return GaussianParams(mu=mu.item(), sigma=sigma.item())
 
 
 def heads(params, z, h):
@@ -208,7 +247,7 @@ def heads(params, z, h):
     return a, math.exp(lg)
 
 
-def initial_step(params, mode, eps=0.0):
+def initial_step(params, eps=0.0):
     """Step-0 convention: state is zero, z comes from the prior at that state,
     the heads at (z0, 0) govern the first observed session's duration."""
     state = np.zeros((2, params.hidden))
@@ -216,7 +255,7 @@ def initial_step(params, mode, eps=0.0):
     z = 0.5
     if params.latent_mode == "full":
         prior = prior_params(params, state[0])
-        z = K.draw_z(prior.mu, prior.sigma, 0.0 if mode == "filter" else eps)
+        z = K.draw_z(prior.mu, prior.sigma, eps)
     a, gamma = heads(params, z, state[:1])
     return StepOutput(state=state, prior=prior, posterior=prior, z=float(z), a=a, gamma=gamma)
 
@@ -225,29 +264,23 @@ def step(params, prev, g, d, mode, eps=0.0):
     """One recurrence step on observed (g, d) from the (2, H) state prev.
 
     infer: z from the reparameterized posterior draw; generate: z from the
-    prior draw; filter: z = sigmoid(posterior mean), fully deterministic.
-    Only the laws a mode reads are computed: filter has no prior and
-    generate no posterior.  The returned (a, gamma) govern the NEXT
-    session's gap and duration.  The step runs the kernels of the batched
-    training step (``_kernels.cell_fwd``) on one row.
+    prior draw, without computing the posterior.  The returned (a, gamma)
+    govern the NEXT session's gap and duration.  The step runs the kernels
+    of the batched training step (``_kernels.cell_fwd``) on one row; at
+    eps = 0 infer mode is the filter of churnkit.inference.
     """
     if mode not in MODES:
         raise ValueError(f"step: unknown mode {mode!r}")
-    gf, df = input_features(g, d)
     prior = posterior = None
     z = 0.5
     if params.latent_mode == "full":
-        if mode != "filter":
-            prior = prior_params(params, prev[0])
-        if mode != "generate":
-            posterior = _posterior(params, gf, df, prev[0])
+        prior = prior_params(params, prev[0])
+        if mode == "infer":
+            posterior = posterior_params(params, g, d, prev[0])
         law = prior if mode == "generate" else posterior
-        z = K.draw_z(law.mu, law.sigma, 0.0 if mode == "filter" else eps)
-    xh = np.empty(3 + params.hidden)
-    xh[:3] = gf, df, z
-    xh[3:] = prev[0]
-    state = np.empty((2, params.hidden))
-    state[0], state[1], _ = K.lstm(params.lstm_W, params.lstm_b, xh, prev[1])
+        z = K.draw_z(law.mu, law.sigma, eps)
+    xh = np.concatenate((input_features(g, d), [z], prev[0]))
+    state = np.stack(K.lstm(params.lstm_W, params.lstm_b, xh, prev[1])[:2])
     if not np.isfinite(state).all():
         raise NumericalError("step: non-finite hidden state")
     # the heads read h as a batch of one row, the layout of the training step

@@ -56,8 +56,9 @@ class GeneratorSpec:
             raise ValueError(f"GeneratorSpec: unknown kind {self.kind!r}")
         if self.users < 1:
             raise ValueError(f"GeneratorSpec: users must be >= 1, got {self.users}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"GeneratorSpec: horizon must be positive, got {self.horizon}")
+        # the range tests are written so that NaN fails them too
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"GeneratorSpec: horizon must be finite and positive, got {self.horizon}")
         if self.max_sessions < 1:
             raise ValueError("GeneratorSpec: max_sessions must be >= 1")
         if self.kind == "stationary":
@@ -66,7 +67,7 @@ class GeneratorSpec:
             for mg, md in zip(self.regime_gaps, self.regime_durations):
                 _check_state(mg, md)
             m = np.asarray(self.switch, dtype=np.float64)
-            if m.shape != (2, 2) or np.any(m < 0.0) or np.any(np.abs(m.sum(axis=1) - 1.0) > 1e-9):
+            if m.shape != (2, 2) or not (np.all(m >= 0.0) and np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-9)):
                 raise ValueError(f"GeneratorSpec: switching matrix rows must be probabilities, got {self.switch}")
         else:
             if self.model_path is None and self.model_params is None:
@@ -74,10 +75,10 @@ class GeneratorSpec:
 
 
 def _check_state(mean_gap, mean_duration):
-    if mean_gap <= 0.0:
-        raise ValueError(f"GeneratorSpec: mean_gap must be positive, got {mean_gap}")
-    if mean_duration < 1.0:
-        raise ValueError(f"GeneratorSpec: mean_duration must be >= 1, got {mean_duration}")
+    if not 0.0 < mean_gap < math.inf:
+        raise ValueError(f"GeneratorSpec: mean_gap must be finite and positive, got {mean_gap}")
+    if not 1.0 <= mean_duration < math.inf:
+        raise ValueError(f"GeneratorSpec: mean_duration must be finite and >= 1, got {mean_duration}")
 
 
 def _user_ids(n):
@@ -129,7 +130,7 @@ def _model_user(uid, rng, params, horizon, cap):
     second session on, zero-truncated Poisson durations for every session.
     """
     wt = float(params.head_wt)
-    cur = initial_step(params, "generate", eps=float(rng.standard_normal()))
+    cur = initial_step(params, eps=float(rng.standard_normal()))
     d1 = sample_zt_poisson(cur.gamma, rng)
     sessions = [Session(t=0.0, g=0.0, d=d1)]
     loglik = zt_poisson_log_pmf(cur.gamma, d1)

@@ -46,16 +46,17 @@ from .errors import (
     DataError,
     NumericalError,
 )
-from .eventlog import derive_seed
-from .inference import rolling_evaluate
+from .eventlog import GAP_MODES, derive_seed
+from .inference import rolling_evaluate_many
 from .model import (
     LATENT_MODES,
     PARAM_FIELDS,
     WT_MODES,
     ModelParams,
+    _pack,
+    _sequence_arrays,
     expected_shapes,
     init_params,
-    input_features,
 )
 
 log = logging.getLogger(__name__)
@@ -97,6 +98,8 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: mc_samples must be >= 1, got {self.mc_samples}")
         if self.batch_size < 1:
             raise ValueError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
+        if self.gap_mode not in GAP_MODES:
+            raise ValueError(f"TrainConfig: unknown gap_mode {self.gap_mode!r}")
 
 
 @dataclass
@@ -125,55 +128,6 @@ class TrainReport:
 
 
 # ------------------------------------------------------------ ELBO and BPTT
-
-
-@dataclass
-class _Rows:
-    """The rows of one unroll, step-major and sorted by session count,
-    longest first, so the rows a step runs are always a prefix.
-
-    Step i consumes feat[i] (the features of session i - 1) and scores g[i]
-    and d[i] (the gap and duration of session i) with the latent draw
-    eps[i].  A row of n sessions runs steps 0..n: step 0 scores only d[0],
-    step n carries only its KL.
-    """
-
-    n: np.ndarray  # (R,) session counts, non-increasing
-    order: np.ndarray  # (R,) the caller's index of each row
-    labels: list  # the user id of each row, in the caller's order
-    feat: np.ndarray  # (N + 1, R, 2)
-    g: np.ndarray  # (N + 1, R)
-    d: np.ndarray
-    lgd: np.ndarray  # lgamma(d + 1)
-    eps: np.ndarray
-
-
-def _sequence_arrays(seq):
-    """(input features, gaps, durations, lgamma(durations + 1)) of a sequence."""
-    feat = np.array([input_features(s.g, s.d) for s in seq.sessions])
-    g = np.array([float(s.g) for s in seq.sessions])
-    d = np.array([float(s.d) for s in seq.sessions])
-    return feat, g, d, np.array([math.lgamma(x + 1.0) for x in d])
-
-
-def _pack(items, labels):
-    """_Rows from (sequence arrays, eps row) pairs, one per row."""
-    R = len(items)
-    lengths = np.array([len(arrays[1]) for arrays, _ in items])
-    order = np.argsort(-lengths, kind="stable")
-    n = lengths[order]
-    steps = int(n[0]) + 1
-    feat = np.zeros((steps, R, 2))
-    g, d, lgd, eps = (np.zeros((steps, R)) for _ in range(4))
-    for j, r in enumerate(order):
-        (f, gaps, durs, lg), e = items[r]
-        m = n[j]
-        feat[1 : m + 1, j] = f
-        g[:m, j] = gaps
-        d[:m, j] = durs
-        lgd[:m, j] = lg
-        eps[:m, j] = e[:m]
-    return _Rows(n, order, labels, feat, g, d, lgd, eps)
 
 
 @dataclass
@@ -384,13 +338,9 @@ def _user_eps(seed, user_id, mc_samples, length):
 
 
 def _epoch_mae(params, subsample, n_samples, seed):
-    abs_gap = []
-    abs_dur = []
-    for seq in subsample:
-        for rec in rolling_evaluate(params, seq, n_samples, seed):
-            abs_gap.append(abs(rec.pred_gap - rec.obs_gap))
-            abs_dur.append(abs(rec.pred_dur - rec.obs_dur))
-    return float(np.mean(abs_gap)), float(np.mean(abs_dur))
+    records = rolling_evaluate_many(params, subsample, n_samples, seed)
+    abs_gap = [abs(rec.pred_gap - rec.obs_gap) for rec in records]
+    return float(np.mean(abs_gap)), float(np.mean([abs(rec.pred_dur - rec.obs_dur) for rec in records]))
 
 
 def train(sequences, config):

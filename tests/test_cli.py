@@ -48,9 +48,13 @@ def test_malformed_csv_is_data_error(tmp_path):
         ("train", ["--bptt-k", "-3"]),  # used to run a full unroll
         ("train", ["--session-threshold-hours", "nan"]),  # used to write NaN into the checkpoint
         ("predict", ["--theta-g", "nan", "--theta-d", "nan"]),  # used to never alarm
+        # both used to exit 0 and write NaN into the manifest
+        ("simulate", ["--kind", "regime_switching", "--regime-stay", "nan,0.9"]),
+        ("simulate", ["--kind", "stationary", "--horizon", "nan", "--max-sessions", "50"]),
     ],
     ids=["sessionize-threshold-negative", "sessionize-threshold-nan", "train-clip-norm-nan", "train-lr-nan",
-         "train-bptt-k-negative", "train-threshold-nan", "predict-thetas-nan"],
+         "train-bptt-k-negative", "train-threshold-nan", "predict-thetas-nan", "simulate-stay-nan",
+         "simulate-horizon-nan"],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, subcommand, flags):
     ev = tmp_path / "events.csv"
@@ -65,6 +69,7 @@ def test_bad_flag_value_is_usage_error(tmp_path, subcommand, flags):
         "train": ["--sessions", str(sessions), "--out", out, "--epochs", "1", "--hidden", "4",
                   "--mlp-hidden", "3", "--train-frac", "1"],
         "predict": ["--sessions", str(sessions), "--model", str(model), "--out", out, "--split", "all"],
+        "simulate": ["--users", "3", "--out", out],
     }[subcommand]
     assert main([subcommand, *argv, *flags]) == 1
 

@@ -19,8 +19,8 @@ import pytest
 from churnkit import _kernels as K
 from churnkit.errors import NumericalError
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.model import PARAM_FIELDS, ModelParams, init_params
-from churnkit.train import _Rows, _segment, elbo_and_grads, grad_check
+from churnkit.model import PARAM_FIELDS, ModelParams, _Rows, init_params
+from churnkit.train import _segment, elbo_and_grads, grad_check
 
 H, P = 3, 2
 

@@ -1,9 +1,14 @@
 """Filtered prediction, rolling evaluation, and alarm decisions."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from churnkit import inference
 
 from churnkit.errors import DataError
 from churnkit.eventlog import Session, SessionSequence
@@ -16,7 +21,7 @@ from churnkit.inference import (
     rolling_evaluate_many,
     user_history_stats,
 )
-from churnkit.model import PARAM_FIELDS, init_params, prior_params
+from churnkit.model import LATENT_MODES, PARAM_FIELDS, init_params, initial_step, prior_params, step
 from churnkit.tppmath import sample_logit_normal
 
 
@@ -72,10 +77,12 @@ class TestPredictNext:
         rec = predict_next(p, SEQ, n_samples=64, seed=7)
 
         from churnkit.eventlog import derive_seed
-        from churnkit.inference import filter_sequence
 
-        outs = filter_sequence(p, SEQ)
-        h = outs[len(SEQ)].state[0]
+        # the filter is the one-row reference step in infer mode at eps = 0
+        state = initial_step(p).state
+        for s in SEQ.sessions:
+            state = step(p, state, s.g, s.d, "infer").state
+        h = state[0]
         prior = prior_params(p, h)
         rng = np.random.default_rng(derive_seed(7, "pred", SEQ.user_id, len(SEQ)))
         eps = rng.standard_normal(64)
@@ -141,6 +148,42 @@ class TestRollingEvaluate:
         ]
         records = rolling_evaluate_many(p, seqs, 4, 0)
         assert [r.user_id for r in records] == ["mm", "mm", "zz"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    lengths=st.lists(st.integers(1, 30), min_size=1, max_size=40).filter(lambda ns: max(ns) >= 2),
+    hidden=st.integers(1, 6),
+    latent_mode=st.sampled_from(LATENT_MODES),
+    wt=st.sampled_from((-0.05, 0.0, 0.2)),
+    seed=st.integers(0, 2**16),
+)
+def test_packs_do_not_change_predictions(data, lengths, hidden, latent_mode, wt, seed):
+    """rolling_evaluate_many over packs small enough to split the users (and
+    a long user's steps) equals each user's rolling_evaluate alone in one
+    pack, to 1e-12 relative (with a floor at 1e-12 of the largest entry)."""
+    rng = np.random.default_rng(seed)
+    seqs = [
+        _seq([0.0, *rng.exponential(2.0, n - 1)], (1 + rng.poisson(3.0, n)).tolist(), user=f"u{k:02d}")
+        for k, n in enumerate(lengths)
+    ]
+    p = init_params(hidden, 3, seed=seed, wt_mode="learned", latent_mode=latent_mode)
+    p.head_wt[...] = wt
+    usable = [s for s in seqs if len(s) >= 2]
+    alone = [rec for s in usable for rec in rolling_evaluate(p, s, 4, seed)]
+    cells = data.draw(st.integers(1, sum(len(s) + 1 for s in usable) // 2))
+    with mock.patch.object(inference, "PACK_CELLS", cells):
+        # two packs at least, or a lone user's steps cut into two spans at least
+        assert len(list(inference._packs(usable))) >= 2 or len(usable[0]) + 1 > cells
+        many = rolling_evaluate_many(p, seqs, 4, seed)
+    assert [(r.user_id, r.step, r.obs_gap, r.obs_dur) for r in many] == [
+        (r.user_id, r.step, r.obs_gap, r.obs_dur) for r in alone
+    ]
+    for name in ("pred_gap", "pred_dur", "a", "gamma"):
+        got = np.array([getattr(r, name) for r in many])
+        want = np.array([getattr(r, name) for r in alone])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name)
 
 
 class TestChurnAlarm:

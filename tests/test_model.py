@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 
 from churnkit import _kernels as K
 from churnkit.errors import NumericalError
+from churnkit.inference import _filtered
 from churnkit.model import (
     LATENT_MODES,
     PARAM_FIELDS,
+    _pack,
+    _sequence_arrays,
     expected_shapes,
     heads,
     init_params,
@@ -25,7 +28,7 @@ from churnkit.model import (
 )
 from churnkit.eventlog import Session, SessionSequence
 from churnkit.tppmath import IntensitySpec, expected_gap, gaussian_kl
-from churnkit.train import _pack, _segment, _sequence_arrays, grad_check, load_checkpoint, save_checkpoint
+from churnkit.train import _segment, grad_check, load_checkpoint, save_checkpoint
 
 SOFTPLUS_HALF = math.log(2.0) + 1e-4  # softplus(0) plus the sigma floor
 
@@ -186,20 +189,31 @@ class TestHeads:
             heads(p, 0.5, np.zeros(4))
 
 
+def _filter(p, gaps, durs):
+    """The pack filter of churnkit.inference on one sequence: its Unroll,
+    holding the state after step i at xh[i + 1, 0, 3:] and c[i + 1, 0]."""
+    t = np.cumsum(gaps)
+    seq = SessionSequence("u", [Session(t=ti, g=g, d=d) for ti, g, d in zip(t, gaps, durs)])
+    ((_, u),) = _filtered(p, _pack([(_sequence_arrays(seq), np.zeros(len(seq)))], ["u"]))
+    return u
+
+
 class TestStep:
     def test_zero_weight_step_keeps_zero_state(self):
         p = _zeroed()
-        out = step(p, np.zeros((2, 4)), 2.0, 3, "filter")
+        out = step(p, np.zeros((2, 4)), 2.0, 3, "infer", eps=0.0)
         np.testing.assert_allclose(out.state, np.zeros((2, 4)))
         assert out.a == 0.0 and out.gamma == 1.0
         assert out.z == pytest.approx(0.5)
 
     def test_filter_mode_is_deterministic_and_consumes_no_rng(self):
         p = init_params(6, 4, seed=8)
-        s1 = step(p, np.zeros((2, 6)), 1.5, 4, "filter")
-        s2 = step(p, np.zeros((2, 6)), 1.5, 4, "filter")
-        np.testing.assert_array_equal(s1.state, s2.state)
-        assert s1.z == s2.z and s1.a == s2.a and s1.gamma == s2.gamma
+        before = np.random.get_state()[1].copy()
+        u1 = _filter(p, [0.0, 1.5], [3, 4])
+        u2 = _filter(p, [0.0, 1.5], [3, 4])
+        np.testing.assert_array_equal(np.random.get_state()[1], before)
+        for name in ("xh", "c", "ah"):
+            assert getattr(u1, name).tobytes() == getattr(u2, name).tobytes()
 
     def test_modes_draw_from_the_right_distribution(self):
         p = init_params(6, 4, seed=9)
@@ -236,30 +250,26 @@ class TestStep:
         gaps = [0.0] + [float(rng.exponential(2.0)) for _ in range(9)]
         durs = [int(1 + rng.poisson(3.0)) for _ in range(10)]
 
-        def run(gs, ds):
-            outs = [initial_step(p, "filter")]
-            for g, d in zip(gs, ds):
-                outs.append(step(p, outs[-1].state, g, d, "filter"))
-            return outs
-
-        full = run(gaps, durs)
+        full = _filter(p, gaps, durs)
         perturbed = list(gaps)
         perturbed[7] = 99.0
-        part = run(perturbed, durs)
+        part = _filter(p, perturbed, durs)
         for i in range(8):  # outputs up to and including step 7 consume inputs 1..7
-            np.testing.assert_array_equal(full[i].state, part[i].state)
-            assert full[i].a == part[i].a
+            np.testing.assert_array_equal(full.xh[i + 1, 0, 3:], part.xh[i + 1, 0, 3:])
+            np.testing.assert_array_equal(full.c[i + 1], part.c[i + 1])
+            assert full.ah[i, 0, 0] == part.ah[i, 0, 0]
+        assert full.ah[8, 0, 0] != part.ah[8, 0, 0]
 
     def test_generative_consistency_with_expected_gap(self):
         p = init_params(4, 4, seed=14)
-        out = step(p, np.zeros((2, 4)), 1.0, 2, "filter")
+        out = step(p, np.zeros((2, 4)), 1.0, 2, "infer", eps=0.0)
         assert expected_gap(IntensitySpec(out.a, 0.0)) == pytest.approx(
             math.exp(-out.a), rel=1e-12
         )
 
     def test_initial_step_conventions(self):
         p = init_params(4, 4, seed=15)
-        first = initial_step(p, "filter")
+        first = initial_step(p)
         np.testing.assert_array_equal(first.state, np.zeros((2, 4)))
         assert first.prior == first.posterior
 
@@ -282,8 +292,8 @@ class TestStep:
 )
 def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidden, latent_mode, g, d, eps, wt):
     """model.step and one row of the batched training step compute the same
-    cell bit for bit: state, z, a, log gamma and the laws of logit(z); and
-    filter mode is infer mode at eps = 0."""
+    cell bit for bit: state, z, a, log gamma and the laws of logit(z), at a
+    drawn eps and at eps = 0 (the filter)."""
     rng = np.random.default_rng(seed)
     p = init_params(hidden, mlp_hidden, seed=0, wt_mode="learned", latent_mode=latent_mode)
     for name in PARAM_FIELDS:
@@ -292,8 +302,8 @@ def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidde
     state = rng.normal(0.0, 0.5, (2, hidden))
     full = latent_mode == "full"
     gf, df = input_features(g, d)
-    for mode, e in (("infer", eps), ("filter", 0.0)):
-        ref = step(p, state, g, d, mode, e)
+    for e in (eps, 0.0):
+        ref = step(p, state, g, d, "infer", e)
         feat = np.array([[[gf, df]]])
         u = K.Unroll(feat, state[:1], state[1:], np.full((1, 1), e), mlp_hidden)
         K.cell_fwd(p, u, 0, 1, 1, False, full)
@@ -301,8 +311,4 @@ def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidde
         assert (u.xh[0, 0, 2], u.ah[0, 0, 0], math.exp(u.ah[0, 0, 1])) == (ref.z, ref.a, ref.gamma)
         if full:
             assert (u.law[0, 0, 0], u.law[0, 0, 1]) == tuple(ref.posterior)
-        if full and mode == "infer":
             assert (u.law[0, 0, 2], u.law[0, 0, 3]) == tuple(ref.prior)
-    at_zero = step(p, state, g, d, "infer", 0.0)
-    assert ref.state.tobytes() == at_zero.state.tobytes()
-    assert (ref.z, ref.a, ref.gamma) == (at_zero.z, at_zero.a, at_zero.gamma)

@@ -48,15 +48,27 @@ class TestStationary:
         seqs, _ = generate(spec, seed=3)
         assert all(s.sessions[-1].t <= 30.0 for s in seqs)
 
-    def test_spec_validation(self):
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(kind="nope"),
+            dict(kind="stationary", mean_duration=0.5),
+            dict(kind="regime_switching", switch=((0.5, 0.6), (0.5, 0.5))),
+            # NaN used to run every user to max_sessions and write NaN into the manifest
+            dict(kind="stationary", horizon=math.nan),
+            dict(kind="stationary", horizon=math.inf),
+            dict(kind="stationary", mean_gap=math.nan),
+            dict(kind="stationary", mean_duration=math.nan),
+            dict(kind="regime_switching", regime_gaps=(1.0, math.nan)),
+            dict(kind="regime_switching", regime_durations=(math.nan, 8.0)),
+            dict(kind="regime_switching", switch=((math.nan, math.nan), (0.1, 0.9))),
+        ],
+        ids=["unknown-kind", "duration-below-one", "switch-not-stochastic", "horizon-nan", "horizon-inf",
+             "mean-gap-nan", "mean-duration-nan", "regime-gap-nan", "regime-duration-nan", "switch-nan"],
+    )
+    def test_spec_validation(self, kw):
         with pytest.raises(ValueError):
-            GeneratorSpec(kind="nope", users=5, horizon=10.0)
-        with pytest.raises(ValueError):
-            GeneratorSpec(kind="stationary", users=5, horizon=10.0, mean_duration=0.5)
-        with pytest.raises(ValueError):
-            GeneratorSpec(
-                kind="regime_switching", users=5, horizon=10.0, switch=((0.5, 0.6), (0.5, 0.5))
-            )
+            GeneratorSpec(**{"users": 5, "horizon": 10.0, **kw})
 
 
 class TestRegimeSwitching:

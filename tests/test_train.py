@@ -17,13 +17,20 @@ from churnkit.errors import (
     NumericalError,
 )
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.model import LATENT_MODES, PARAM_FIELDS, ModelParams, init_params, initial_step, step
+from churnkit.model import (
+    LATENT_MODES,
+    PARAM_FIELDS,
+    ModelParams,
+    _pack,
+    _sequence_arrays,
+    init_params,
+    initial_step,
+    step,
+)
 from churnkit.simulate import GeneratorSpec, generate
 from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
 from churnkit.train import (
     TrainConfig,
-    _pack,
-    _sequence_arrays,
     _unroll,
     clip_gradients,
     elbo_and_grads,
@@ -56,7 +63,7 @@ def _zero_params(hidden=4, mlp=4):
 def _reference_terms(p, seq, eps_row):
     """(log-likelihood, KL) of one latent trajectory, assembled from the
     filtering/generation step and the tppmath densities."""
-    out = initial_step(p, "infer", float(eps_row[0]))
+    out = initial_step(p, float(eps_row[0]))
     ll = poisson_log_pmf(out.gamma, seq.sessions[0].d)
     kl = 0.0
     n = len(seq)
@@ -312,6 +319,11 @@ class TestTrain:
         params, report = train(seqs, cfg)
         assert params.latent_mode == "fixed"
         assert len(report.epochs) == 2
+
+    def test_unknown_gap_mode_is_rejected(self):
+        # it used to be accepted and written into the checkpoint
+        with pytest.raises(ValueError, match="gap_mode"):
+            TrainConfig(gap_mode="bogus")
 
     def test_skips_short_sequences_but_needs_one_usable(self):
         only_short = [_seq([0.0], [1], user="a"), _seq([0.0], [2], user="b")]
