@@ -12,6 +12,7 @@ import argparse
 import difflib
 import json
 import logging
+import platform
 import sys
 from dataclasses import asdict
 
@@ -86,6 +87,8 @@ def write_manifest(out_path, subcommand, config, inputs, outputs, seed):
         "seed": seed,
         "version": __version__,
         "checkpoint_format": CHECKPOINT_VERSION,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
     }
     path = str(out_path) + ".manifest.json"
     with open(path, "w", encoding="utf-8") as fh:

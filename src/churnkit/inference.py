@@ -3,12 +3,12 @@
 Filtering consumes observed sessions with deterministic posterior-mean
 latents, which makes evaluation reproducible and causal.  It runs the
 training step ``_kernels.cell_fwd`` at eps = 0 on packs of users, longest
-first, of at most PACK_CELLS steps x rows each.  At each prediction frontier
-the latent is drawn S times from the prior at the filtered hidden state and
-the point prediction is the sample mean of the model-implied next gap and
-duration.  The mean next gap is exact for every intensity slope
-(tppmath.expected_gap), and the frontiers of a pack are evaluated as one
-(records, samples) array with the cell's own kernels.
+first, of at most PACK_CELLS steps x rows each.  At the frontier of step s
+the latent is drawn S times from the prior at the filtered state, with row
+s - 1 of one normal stream per (seed, user) whose rows are drawn in step
+order, and the point prediction is the sample mean of the model-implied
+next gap and duration.  The mean next gap is exact for every intensity slope
+(tppmath.expected_gap); a pack's frontiers are one (records, samples) array.
 """
 
 from __future__ import annotations
@@ -101,17 +101,15 @@ def _filtered(params, rows):
         h, c = u.xh[-1, :, 3:], u.c[-1]
 
 
-def _predict(params, hs, keys, n_samples, seed):
+def _predict(params, hs, eps):
     """Posterior-predictive means of (next gap, next duration) at each row of
-    the states hs (records, H): the heads averaged over n_samples prior
-    draws of z, each record's from the stream of its (user id, step) key."""
+    the states hs (records, H): the heads averaged over the prior draws of z
+    with the standard normals eps (records, samples)."""
     if params.latent_mode == "full":
         mu, sigma, _, _ = K.mlp2(params.prior_W1, params.prior_b1, params.prior_W2, params.prior_b2, hs)
-        rngs = (np.random.default_rng(derive_seed(seed, "pred", *key)) for key in keys)
-        eps = np.array([rng.standard_normal(n_samples) for rng in rngs])
         z = K.draw_z(mu[:, None], sigma[:, None], eps)
     else:
-        z = np.full((len(hs), n_samples), 0.5)
+        z = np.full(eps.shape, 0.5)
     a, lg = K.heads(params, z, hs[:, None])
     # written so that NaN fails the check too
     if not (np.all(np.abs(a) <= 700.0) and np.all(np.abs(lg) <= 700.0)):
@@ -126,21 +124,30 @@ def _evaluate(params, seqs, n_samples, seed, rolling):
     at the whole sequence.
 
     The sequences are filtered in packs (``_filtered``) and each record is
-    predicted from the state it reached (``_predict``).  Every operation is
-    by row, so a record is the same whichever records share its pack.
+    predicted from the state it reached (``_predict``).  The record at step s
+    takes row s - 1 of its user's stream, drawn span by span in step order;
+    every other operation is by row, so a record is the same whichever
+    records share its pack.
     """
+    full = params.latent_mode == "full"
     out = [[] for _ in seqs]
     for pack in _packs(seqs):
         items = [(_sequence_arrays(seqs[k]), np.zeros(len(seqs[k]))) for k in pack]
         rows = _pack(items, [seqs[k].user_id for k in pack])
+        rngs = [np.random.default_rng(derive_seed(seed, "pred", rows.labels[j])) for j in rows.order if full]
         for lo, u in _filtered(params, rows):
             i = np.arange(lo, lo + len(u.ah))
             n = rows.n[:, None]
-            r, t = np.nonzero((i >= 1) & (i < n) if rolling else i == n)
+            drawn = (i >= 1) & (i <= n)  # steps 1..n own rows 0..n-1 of their user's stream
+            record = drawn & ((i < n) if rolling else (i == n))
+            # a span draws the rows of all its steps, used or not, to keep the streams in step
+            eps = [rng.standard_normal((m, n_samples)) for rng, m in zip(rngs, drawn.sum(axis=1))]
+            eps = np.concatenate(eps)[record[drawn]] if full else np.broadcast_to(0.0, (record.sum(), n_samples))
+            r, t = np.nonzero(record)
             if not r.size:
                 continue
             at = [(pack[rows.order[j]], s) for j, s in zip(r.tolist(), (lo + t).tolist())]
-            preds = _predict(params, u.xh[t + 1, r, 3:], [(seqs[k].user_id, s) for k, s in at], n_samples, seed)
+            preds = _predict(params, u.xh[t + 1, r, 3:], eps)
             for (k, s), gap, dur, (a, lg) in zip(at, *preds, u.ah[t, r].tolist()):
                 obs = (seqs[k].sessions[s].g, seqs[k].sessions[s].d) if rolling else (None, None)
                 out[k].append(PredictionRecord(seqs[k].user_id, s, gap, dur, *obs, a, math.exp(lg)))
@@ -160,7 +167,7 @@ def rolling_evaluate(params, seq, n_samples=32, seed=0):
     """One prediction per prefix length i = 1..n-1, paired with what the user
     actually did next.  Exactly n-1 records; identical to calling
     predict_next on each prefix because filtering is causal and deterministic
-    and each record draws from its own stream."""
+    and each record takes the row of its step from its user's stream."""
     if len(seq) < 2:
         raise DataError(f"rolling_evaluate: need >= 2 sessions, got {len(seq)} for {seq.user_id!r}")
     return rolling_evaluate_many(params, [seq], n_samples, seed)

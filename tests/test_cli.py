@@ -2,7 +2,9 @@
 pipeline run through every subcommand."""
 
 import json
+import platform
 
+import numpy as np
 import pytest
 
 from churnkit.cli import main
@@ -161,6 +163,26 @@ def test_predict_expected_alarm_mode(tmp_path):
          "--alarm-mode", "expected", "--expected-dur-cmp", "greater"]
     ) == 0
     assert preds.exists()
+
+
+def test_predict_manifest_records_environment(tmp_path):
+    # the random streams of a predictions file are only reproducible with
+    # the numpy that drew them
+    sessions = tmp_path / "sessions.jsonl"
+    model = tmp_path / "model.json"
+    preds = tmp_path / "p.csv"
+    main(["simulate", "--kind", "stationary", "--users", "4", "--horizon", "30",
+          "--seed", "3", "--out", str(sessions)])
+    main(["train", "--sessions", str(sessions), "--out", str(model), "--epochs", "1",
+          "--hidden", "3", "--mlp-hidden", "2", "--seed", "1", "--train-frac", "0.75"])
+    assert main(
+        ["predict", "--sessions", str(sessions), "--model", str(model), "--out", str(preds),
+         "--split", "all", "--seed", "1", "--pred-samples", "2"]
+    ) == 0
+    manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+    assert manifest["subcommand"] == "predict"
+    assert manifest["numpy"] == np.__version__
+    assert manifest["python"] == platform.python_version()
 
 
 def test_predict_test_split_needs_a_holdout(tmp_path):

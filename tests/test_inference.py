@@ -84,8 +84,9 @@ class TestPredictNext:
             state = step(p, state, s.g, s.d, "infer").state
         h = state[0]
         prior = prior_params(p, h)
-        rng = np.random.default_rng(derive_seed(7, "pred", SEQ.user_id, len(SEQ)))
-        eps = rng.standard_normal(64)
+        # the record at step s takes row s - 1 of the user's one stream
+        rng = np.random.default_rng(derive_seed(7, "pred", SEQ.user_id))
+        eps = rng.standard_normal((len(SEQ), 64))[len(SEQ) - 1]
         zs = np.array([sample_logit_normal(prior, e) for e in eps])
         a = float(p.head_wz) * zs + float(p.head_wh @ h) + float(p.head_bt)
         assert rec.pred_gap == pytest.approx(np.mean(np.exp(-a)), rel=1e-12)
@@ -121,7 +122,7 @@ class TestRollingEvaluate:
     def test_matches_predict_next_per_prefix(self):
         for p in (init_params(5, 4, seed=6), _learned_params(5, 6, -0.05), _learned_params(5, 6, 0.2)):
             records = rolling_evaluate(p, SEQ, n_samples=8, seed=11)
-            for i in (1, 2, 4):
+            for i in range(1, len(SEQ)):
                 prefix = SessionSequence(SEQ.user_id, SEQ.sessions[:i])
                 solo = predict_next(p, prefix, n_samples=8, seed=11)
                 assert records[i - 1].pred_gap == pytest.approx(solo.pred_gap, rel=1e-12)
@@ -184,6 +185,41 @@ def test_packs_do_not_change_predictions(data, lengths, hidden, latent_mode, wt,
         got = np.array([getattr(r, name) for r in many])
         want = np.array([getattr(r, name) for r in alone])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(2, 40),
+    others=st.lists(st.integers(1, 30), max_size=6),
+    hidden=st.integers(1, 6),
+    wt=st.sampled_from((-0.05, 0.0, 0.2)),
+    seed=st.integers(0, 2**16),
+)
+def test_user_stream_is_independent_of_other_users(data, n, others, hidden, wt, seed):
+    """A user's records are the same scored alone, scored with other users
+    (before and after it in sort order), and with a PACK_CELLS that cuts its
+    steps into several spans, to 1e-12 relative (with a floor at 1e-12 of
+    the largest entry): its draws come from its own stream, row by step."""
+    rng = np.random.default_rng(seed)
+
+    def make(user, m):
+        return _seq([0.0, *rng.exponential(2.0, m - 1)], (1 + rng.poisson(3.0, m)).tolist(), user=user)
+
+    me = make("u", n)
+    crowd = [me, *(make(f"{'a' if k % 2 else 'z'}{k}", m) for k, m in enumerate(others))]
+    p = init_params(hidden, 3, seed=seed, wt_mode="learned")
+    p.head_wt[...] = wt
+    alone = rolling_evaluate(p, me, 4, seed)
+    together = [r for r in rolling_evaluate_many(p, crowd, 4, seed) if r.user_id == "u"]
+    with mock.patch.object(inference, "PACK_CELLS", data.draw(st.integers(1, n // 2 + 1))):
+        split = rolling_evaluate(p, me, 4, seed)
+    for recs in (together, split):
+        assert [r.step for r in recs] == [r.step for r in alone]
+        for name in ("pred_gap", "pred_dur", "a", "gamma"):
+            got = np.array([getattr(r, name) for r in recs])
+            want = np.array([getattr(r, name) for r in alone])
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name)
 
 
 class TestChurnAlarm:

@@ -15,6 +15,7 @@ from churnkit.tppmath import (
     WT_ZERO_EPS,
     GaussianParams,
     IntensitySpec,
+    _gap_quantile,
     cumulative_intensity,
     expected_gap,
     gaussian_kl,
@@ -197,6 +198,21 @@ class TestSampleGap:
         draws = [sample_gap(spec, rng) for _ in range(5000)]
         frac_inf = sum(math.isinf(d) for d in draws) / len(draws)
         assert frac_inf == pytest.approx(math.exp(-total_mass_rate(spec)), abs=0.03)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(a=st.floats(-3.0, 3.0), log10_wt=st.floats(-8.0, 0.5), negative=st.booleans())
+    def test_shares_match_quantiles_and_mass(self, a, log10_wt, negative):
+        # P(gap <= quantile of p * mass) = p * mass and P(inf) = 1 - mass,
+        # each within a binomial 4-sigma bound; derandomized, so a run
+        # either always passes or always fails
+        spec = IntensitySpec(a, -(10.0**log10_wt) if negative else 10.0**log10_wt)
+        n = 10_000
+        rng = np.random.default_rng(11)
+        draws = np.array([sample_gap(spec, rng) for _ in range(n)])
+        mass = total_mass(spec)
+        checks = [(np.count_nonzero(draws <= _gap_quantile(spec, p * mass)), p * mass) for p in (0.1, 0.5, 0.9)]
+        for count, share in checks + [(np.count_nonzero(draws == math.inf), 1.0 - mass)]:
+            assert abs(count / n - share) <= 4.0 * math.sqrt(share * (1.0 - share) / n)
 
 
 def total_mass_rate(spec):
