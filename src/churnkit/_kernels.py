@@ -7,7 +7,7 @@ unroll the cell over many rows at once, prediction runs its heads on
 (records, samples) arrays and generation (churnkit.model) on one row; the
 distribution helpers of churnkit.tppmath wrap the KL and the draw.
 
-- constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS`` and the z clamp ``Z_LO``/``Z_HI``;
+- constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS``, ``EXP_ARG_MAX``, the z clamp ``Z_LO``/``Z_HI``;
 - ``sigmoid`` and ``softplus``;
 - the latent MLP ``mlp2`` giving (mu, sigma) of logit(z), the clamped
   reparameterized draw ``draw_z``, the Gaussian KL ``gaussian_kl`` and its
@@ -32,6 +32,7 @@ from scipy import special
 
 SIGMA_FLOOR = 1e-4  # added to softplus, so every std of logit(z) is positive
 WT_ZERO_EPS = 1e-8  # |wt| below this is treated as exactly zero
+EXP_ARG_MAX = 700.0  # the largest exp argument accepted, below exp's overflow at 709.8
 Z_LO = 1e-15  # z is clamped into [Z_LO, Z_HI], strictly inside (0, 1)
 Z_HI = 0.9999999999999999  # the largest float below 1
 

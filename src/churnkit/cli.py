@@ -14,7 +14,7 @@ import json
 import logging
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -30,7 +30,8 @@ from .eventlog import (
 )
 from .evalharness import BASELINE_KINDS, compare, fit_baseline
 from .inference import AlarmPolicy, churn_alarm, rolling_evaluate_many, user_history_stats
-from .simulate import GeneratorSpec, generate
+from .model import LATENT_MODES, WT_MODES
+from .simulate import KINDS, GeneratorSpec, generate
 from .train import (
     CHECKPOINT_VERSION,
     TrainConfig,
@@ -62,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
             options = self._all_option_strings()
             hints = []
             for u in unknown:
-                close = difflib.get_close_matches(u, options, n=1)
+                close = difflib.get_close_matches(u, [o for o in options if o != u], n=1)
                 if close:
                     hints.append(f"did you mean {close[0]}?")
             if hints:
@@ -97,10 +98,26 @@ def write_manifest(out_path, subcommand, config, inputs, outputs, seed):
     return path
 
 
-def _split_sequences(sequences, train_frac, seed):
-    if train_frac >= 1.0:
+# kept out of a manifest's config: the seed and the files, which it records
+# on their own, and the entries that select the command and its logging
+_NOT_CONFIG = {"func", "subcommand", "verbose", "seed", "infile", "out", "sessions", "model"}
+
+# every TrainConfig field but the per-epoch MAE's is a train flag
+_TRAIN_FIELDS = [f for f in fields(TrainConfig) if not f.name.startswith("report_mae_")]
+_TRAIN_CHOICES = {"wt_mode": WT_MODES, "latent_mode": LATENT_MODES}
+
+
+def _config(args):
+    """The parsed options of a run, for its manifest."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
+def _split(sequences, args):
+    """(training users, held-out users): the --train-frac split by --seed,
+    which holds no user out at a fraction of 1 or more."""
+    if args.train_frac >= 1.0:
         return sequences, []
-    return split_users(sequences, train_frac, seed)
+    return split_users(sequences, args.train_frac, args.seed)
 
 
 # ------------------------------------------------------------- subcommands
@@ -110,37 +127,17 @@ def _cmd_sessionize(args):
     per_user = ingest_events(args.infile, fmt=args.format, time_unit=args.time_unit)
     sequences = sessionize_log(per_user, args.session_threshold_hours, args.gap_mode)
     write_sessions(sequences, args.out)
-    config = {
-        "format": args.format,
-        "time_unit": args.time_unit,
-        "session_threshold_hours": args.session_threshold_hours,
-        "gap_mode": args.gap_mode,
-    }
-    write_manifest(args.out, "sessionize", config, {"events": args.infile}, {"sessions": args.out}, None)
+    write_manifest(args.out, "sessionize", _config(args), {"events": args.infile}, {"sessions": args.out}, None)
     print(f"sessionize: {len(sequences)} users -> {args.out}")
     return 0
 
 
 def _cmd_train(args):
     sequences = read_sessions(args.sessions)
-    train_seqs, test_seqs = _split_sequences(sequences, args.train_frac, args.seed)
-    config = TrainConfig(
-        epochs=args.epochs,
-        lr=args.lr,
-        hidden=args.hidden,
-        mlp_hidden=args.mlp_hidden,
-        mc_samples=args.mc_samples,
-        batch_size=args.batch_size,
-        bptt_k=args.bptt_k,
-        seed=args.seed,
-        wt_mode=args.wt_mode,
-        latent_mode=args.latent_mode,
-        clip_norm=args.clip_norm,
-        gap_mode=args.gap_mode,
-        session_threshold_hours=args.session_threshold_hours,
-    )
+    train_seqs, test_seqs = _split(sequences, args)
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in _TRAIN_FIELDS})
     params, report = train(train_seqs, config)
-    save_checkpoint(params, args.out, config.gap_mode, config.session_threshold_hours)
+    save_checkpoint(params, args.out)
     report_path = args.report or (args.out + ".report.csv")
     report.to_csv(report_path)
     write_manifest(
@@ -159,17 +156,6 @@ def _cmd_train(args):
     return 0
 
 
-def _select_split(sequences, which, train_frac, seed):
-    if which == "all":
-        return sequences
-    if train_frac >= 1.0:
-        if which == "test":
-            raise DataError("no held-out users when --train-frac >= 1")
-        return sequences
-    train_seqs, test_seqs = split_users(sequences, train_frac, seed)
-    return train_seqs if which == "train" else test_seqs
-
-
 def _cmd_predict(args):
     policy = AlarmPolicy(
         mode=args.alarm_mode,
@@ -179,9 +165,10 @@ def _cmd_predict(args):
     )
     sequences = read_sessions(args.sessions)
     params, _ = load_checkpoint(args.model)
-    selected = _select_split(sequences, args.split, args.train_frac, args.seed)
+    # --split all needs no split, so it also takes a single user
+    selected = sequences if args.split == "all" else _split(sequences, args)[args.split == "test"]
     if not selected:
-        raise DataError("predict: selected split is empty")
+        raise DataError("predict: no held-out users when --train-frac >= 1")
     records = rolling_evaluate_many(params, selected, args.pred_samples, args.seed)
     stats = {s.user_id: user_history_stats(s) for s in selected}
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -192,19 +179,10 @@ def _cmd_predict(args):
                 f"{r.user_id},{r.step},{_fmt(r.pred_gap)},{_fmt(r.obs_gap)},"
                 f"{_fmt(r.pred_dur)},{r.obs_dur},{int(alarm)}\n"
             )
-    config = {
-        "split": args.split,
-        "train_frac": args.train_frac,
-        "pred_samples": args.pred_samples,
-        "alarm_mode": args.alarm_mode,
-        "theta_g": args.theta_g,
-        "theta_d": args.theta_d,
-        "expected_dur_cmp": args.expected_dur_cmp,
-    }
     write_manifest(
         args.out,
         "predict",
-        config,
+        _config(args),
         {"sessions": args.sessions, "model": args.model},
         {"predictions": args.out},
         args.seed,
@@ -216,37 +194,33 @@ def _cmd_predict(args):
 def _cmd_evaluate(args):
     sequences = read_sessions(args.sessions)
     params, _ = load_checkpoint(args.model)
-    train_seqs, test_seqs = _split_sequences(sequences, args.train_frac, args.seed)
-    eval_seqs = _select_split(sequences, args.split, args.train_frac, args.seed)
+    train_seqs, test_seqs = _split(sequences, args)
+    eval_seqs = {"all": sequences, "train": train_seqs, "test": test_seqs}[args.split]
     if not eval_seqs:
-        raise DataError("evaluate: selected split is empty")
-    fit_seqs = train_seqs if train_seqs else sequences
+        raise DataError("evaluate: no held-out users when --train-frac >= 1")
 
     method_names = [m.strip() for m in args.methods.split(",") if m.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     if not method_names or not seeds:
         raise ValueError("evaluate: need at least one method and one seed")
-
+    # only the ablation takes a seed, so the other baselines are fitted once
+    fitted = {
+        name: params if name == "model" else fit_baseline(name, train_seqs)
+        for name in method_names
+        if name != "ablation_rnn"
+    }
     per_seed = {}
     for seed in seeds:
-        methods = {}
-        for name in method_names:
-            if name == "model":
-                methods[name] = params
-            elif name in BASELINE_KINDS:
-                if name == "ablation_rnn":
-                    cfg = TrainConfig(
-                        epochs=args.ablation_epochs,
-                        lr=args.ablation_lr,
-                        hidden=params.hidden,
-                        mlp_hidden=params.mlp_hidden,
-                        seed=seed,
-                    )
-                    methods[name] = fit_baseline(name, fit_seqs, cfg)
-                else:
-                    methods[name] = fit_baseline(name, fit_seqs)
-            else:
-                raise ValueError(f"evaluate: unknown method {name!r}")
+        methods = dict(fitted)
+        if "ablation_rnn" in method_names:
+            cfg = TrainConfig(
+                epochs=args.ablation_epochs,
+                lr=args.ablation_lr,
+                hidden=params.hidden,
+                mlp_hidden=params.mlp_hidden,
+                seed=seed,
+            )
+            methods["ablation_rnn"] = fit_baseline("ablation_rnn", train_seqs, cfg)
         per_seed[seed] = compare(methods, eval_seqs, args.pred_samples, seed)
 
     metric_fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")
@@ -264,19 +238,10 @@ def _cmd_evaluate(args):
                 summary = per_seed[seed][name]
                 for f in metric_fields:
                     fh.write(f"{name},{seed},{f},{_fmt(getattr(summary, f))}\n")
-    config = {
-        "methods": method_names,
-        "seeds": seeds,
-        "split": args.split,
-        "train_frac": args.train_frac,
-        "pred_samples": args.pred_samples,
-        "ablation_epochs": args.ablation_epochs,
-        "ablation_lr": args.ablation_lr,
-    }
     write_manifest(
         args.out,
         "evaluate",
-        config,
+        _config(args) | {"methods": method_names, "seeds": seeds},
         {"sessions": args.sessions, "model": args.model},
         {"summary": args.out, "long": long_path},
         args.seed,
@@ -347,14 +312,7 @@ def _cmd_gradcheck(args):
         write_manifest(
             args.out,
             "gradcheck",
-            {
-                "hidden": args.hidden,
-                "mlp_hidden": args.mlp_hidden,
-                "steps": args.steps,
-                "wt_mode": args.wt_mode,
-                "step_size": args.step_size,
-                "tol": args.tol,
-            },
+            _config(args),
             {},
             {"report": args.out},
             args.seed,
@@ -390,20 +348,10 @@ def build_parser():
     p.add_argument("--sessions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--epochs", type=int, default=70)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--mlp-hidden", type=int, default=32)
-    p.add_argument("--mc-samples", type=int, default=1)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--bptt-k", type=int, default=200)
-    p.add_argument("--clip-norm", type=float, default=5.0)
-    p.add_argument("--wt-mode", choices=("frozen_zero", "learned"), default="frozen_zero")
-    p.add_argument("--latent-mode", choices=("full", "fixed"), default="full")
+    for f in _TRAIN_FIELDS:
+        flag = "--" + f.name.replace("_", "-")
+        p.add_argument(flag, type=type(f.default), default=f.default, choices=_TRAIN_CHOICES.get(f.name))
     p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--gap-mode", choices=GAP_MODES, default="start-to-start")
-    p.add_argument("--session-threshold-hours", type=float, default=1.0)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("predict", help="rolling next-gap/duration predictions and alarms")
@@ -439,7 +387,7 @@ def build_parser():
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="generate synthetic session data")
-    p.add_argument("--kind", choices=("stationary", "regime_switching", "from_model"), required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--users", type=int, default=100)
     p.add_argument("--horizon", type=float, default=500.0)
     p.add_argument("--seed", type=int, default=0)
@@ -458,7 +406,7 @@ def build_parser():
     p.add_argument("--mlp-hidden", type=int, default=4)
     p.add_argument("--steps", type=int, default=5)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--wt-mode", choices=("frozen_zero", "learned"), default="learned")
+    p.add_argument("--wt-mode", choices=WT_MODES, default="learned")
     p.add_argument("--step-size", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--out", default=None)

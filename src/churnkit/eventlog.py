@@ -41,6 +41,8 @@ class Session:
             raise DataError(f"Session: duration must be >= 1, got {self.d}")
         if self.g < 0.0 or not math.isfinite(self.g):
             raise DataError(f"Session: bad gap {self.g}")
+        if not math.isfinite(self.t):
+            raise DataError(f"Session: bad start time {self.t}")
 
 
 @dataclass
@@ -68,28 +70,26 @@ class SessionSequence:
         return [s.d for s in self.sessions]
 
 
-def _parse_timestamp(raw, time_unit, where):
-    if isinstance(raw, (int, float)):
-        value = float(raw)
-    else:
-        text = str(raw).strip()
-        if not text:
-            raise DataError(f"{where}: empty timestamp")
+def _parse_timestamp(raw, time_unit, lineno):
+    """Hours from a number in time_unit or an ISO-8601 string; anything
+    else, or a value that is not finite, is a DataError naming the line."""
+    # an int goes through its text, where a huge one reads as inf, not OverflowError
+    text = raw if isinstance(raw, float) else str(raw).strip()
+    try:
+        value = float(text)
+        if time_unit == "seconds":
+            value /= 3600.0
+    except ValueError:
         try:
-            value = float(text)
+            dt = datetime.fromisoformat(text.replace("Z", "+00:00") if text.endswith("Z") else text)
         except ValueError:
-            try:
-                iso = text.replace("Z", "+00:00") if text.endswith("Z") else text
-                dt = datetime.fromisoformat(iso)
-            except ValueError:
-                raise DataError(f"{where}: unparseable timestamp {text!r}") from None
-            if dt.tzinfo is None:
-                dt = dt.replace(tzinfo=timezone.utc)
-            return dt.timestamp() / 3600.0
-        return value / 3600.0 if time_unit == "seconds" else value
+            raise DataError(f"line {lineno}: unparseable timestamp {text!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        value = dt.timestamp() / 3600.0
     if not math.isfinite(value):
-        raise DataError(f"{where}: non-finite timestamp")
-    return value / 3600.0 if time_unit == "seconds" else value
+        raise DataError(f"line {lineno}: non-finite timestamp")
+    return value
 
 
 def ingest_events(source, fmt="csv", time_unit="hours"):
@@ -133,7 +133,7 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                 user = rec[ui].strip()
                 if not user:
                     raise DataError(f"line {lineno}: empty user_id")
-                ts = _parse_timestamp(rec[ti], time_unit, f"line {lineno}")
+                ts = _parse_timestamp(rec[ti], time_unit, lineno)
                 per_user.setdefault(user, set()).add(ts)
         else:
             for lineno, raw in enumerate(stream, start=1):
@@ -149,7 +149,7 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                 user = str(obj["user_id"])
                 if not user:
                     raise DataError(f"line {lineno}: empty user_id")
-                ts = _parse_timestamp(obj["timestamp"], time_unit, f"line {lineno}")
+                ts = _parse_timestamp(obj["timestamp"], time_unit, lineno)
                 per_user.setdefault(user, set()).add(ts)
     finally:
         if close:

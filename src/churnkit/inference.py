@@ -93,7 +93,7 @@ def _filtered(params, rows):
                 K.cell_fwd(params, u, t, A, A, lo + t == 0, full)
         # heads in range and a finite state, written so that NaN fails too
         state = np.concatenate([u.xh[1:, :, 3:], u.c[1:]], axis=2)
-        ok = (np.abs(u.ah) <= 700.0).all(axis=2) & np.isfinite(state).all(axis=2)
+        ok = (np.abs(u.ah) <= K.EXP_ARG_MAX).all(axis=2) & np.isfinite(state).all(axis=2)
         if not ok.all():
             t, j = np.argwhere(~ok)[0]
             raise NumericalError(f"filter: step {lo + t} of {rows.labels[rows.order[j]]!r} diverged")
@@ -112,7 +112,7 @@ def _predict(params, hs, eps):
         z = np.full(eps.shape, 0.5)
     a, lg = K.heads(params, z, hs[:, None])
     # written so that NaN fails the check too
-    if not (np.all(np.abs(a) <= 700.0) and np.all(np.abs(lg) <= 700.0)):
+    if not (np.all(np.abs(a) <= K.EXP_ARG_MAX) and np.all(np.abs(lg) <= K.EXP_ARG_MAX)):
         raise NumericalError("predict: head values diverged or are not finite")
     pred_gap = expected_gap(IntensitySpec(a, float(params.head_wt))).mean(axis=1)
     return pred_gap.tolist(), np.exp(lg).mean(axis=1).tolist()

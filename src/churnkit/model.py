@@ -242,7 +242,7 @@ def posterior_params(params, g, d, h):
 def heads(params, z, h):
     """Intensity base a and duration rate gamma evaluated at (z, h)."""
     a, lg = (v.item() for v in K.heads(params, z, h))
-    if not (abs(a) <= 700.0 and abs(lg) <= 700.0):  # NaN fails too
+    if not (abs(a) <= K.EXP_ARG_MAX and abs(lg) <= K.EXP_ARG_MAX):  # NaN fails too
         raise NumericalError(f"heads: diverged (a={a:.3g}, log gamma={lg:.3g})")
     return a, math.exp(lg)
 

@@ -15,10 +15,10 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import _kernels as K
-from ._kernels import WT_ZERO_EPS
+from ._kernels import EXP_ARG_MAX, WT_ZERO_EPS
 from .errors import NumericalError
 
 
@@ -45,7 +45,7 @@ def cumulative_intensity(spec, g):
     if abs(wt) < WT_ZERO_EPS:
         return ea * g
     x = wt * g
-    if x > 700.0:
+    if x > EXP_ARG_MAX:
         raise NumericalError("cumulative_intensity: exp overflow")
     return ea * math.expm1(x) / wt
 
@@ -72,7 +72,7 @@ def log_gap_density(spec, g):
     if g < 0.0:
         raise ValueError(f"log_gap_density: negative gap {g}")
     a, wt = spec
-    if wt > WT_ZERO_EPS and wt * g > 700.0:
+    if wt > WT_ZERO_EPS and wt * g > EXP_ARG_MAX:
         return _LOG_DENSITY_FLOOR
     val = a + (0.0 if abs(wt) < WT_ZERO_EPS else wt * g) - cumulative_intensity(spec, g)
     if not math.isfinite(val):
@@ -152,6 +152,8 @@ def _quadrature_mean(spec):
     known share of the mass however narrow or wide the law is, and the last
     piece runs to infinity.
     """
+    from scipy import integrate  # only this test reference needs it, and it is slow to import
+
     mass = total_mass(spec)
     edges = [0.0] + [_gap_quantile(spec, p * mass) for p in _QUAD_SPLITS] + [math.inf]
 
@@ -170,23 +172,18 @@ def _quadrature_mean(spec):
         total += val
         err += piece_err
     if not (math.isfinite(total) and total > 0.0) or err > 1e-8 * total:
-        raise NumericalError(f"expected_gap: quadrature failed for {tuple(spec)}")
+        raise NumericalError(f"_quadrature_mean: quadrature failed for {tuple(spec)}")
     return total / mass
 
 
-def expected_gap(spec, mode="closed"):
+def expected_gap(spec):
     """Mean next gap; for wt < 0 the mean is conditional on returning.
 
-    mode="closed" is exact for every slope (see _closed_mean) and accepts an
-    array of a with a scalar wt, returning an array of the same shape;
-    mode="quadrature" integrates numerically for a scalar a and is the
-    reference the closed form is tested against.
+    Exact for every slope (see _closed_mean).  Accepts an array of a with a
+    scalar wt and returns an array of the same shape.  _quadrature_mean is
+    the reference it is tested against.
     """
     a, wt = spec
-    if mode == "quadrature":
-        return _quadrature_mean(IntensitySpec(float(a), float(wt)))
-    if mode != "closed":
-        raise ValueError(f"expected_gap: unknown mode {mode!r}")
     mean = _closed_mean(a, float(wt))
     if not np.all(np.isfinite(mean) & (mean > 0.0)):
         raise NumericalError(f"expected_gap: no finite positive mean at wt={wt}")

@@ -46,7 +46,7 @@ from .errors import (
     DataError,
     NumericalError,
 )
-from .eventlog import GAP_MODES, derive_seed
+from .eventlog import derive_seed
 from .inference import rolling_evaluate_many
 from .model import (
     LATENT_MODES,
@@ -77,8 +77,6 @@ class TrainConfig:
     wt_mode: str = "frozen_zero"
     latent_mode: str = "full"
     clip_norm: float = 5.0  # global gradient norm, 0 = no clipping
-    gap_mode: str = "start-to-start"
-    session_threshold_hours: float = 1.0
     report_mae_users: int = 32  # per-epoch MAE subsample cap
     report_mae_samples: int = 16
 
@@ -90,16 +88,12 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.clip_norm < math.inf:
             raise ValueError(f"TrainConfig: clip_norm must be finite and >= 0, got {self.clip_norm}")
-        if not 0.0 < self.session_threshold_hours < math.inf:
-            raise ValueError(f"TrainConfig: bad session_threshold_hours {self.session_threshold_hours}")
         if self.bptt_k < 0:
             raise ValueError(f"TrainConfig: bptt_k must be >= 0 (0 = full unroll), got {self.bptt_k}")
         if self.mc_samples < 1:
             raise ValueError(f"TrainConfig: mc_samples must be >= 1, got {self.mc_samples}")
         if self.batch_size < 1:
             raise ValueError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
-        if self.gap_mode not in GAP_MODES:
-            raise ValueError(f"TrainConfig: unknown gap_mode {self.gap_mode!r}")
 
 
 @dataclass
@@ -149,10 +143,11 @@ def _failures(lo, first, gap, last, full, wt, g, a, lg, term, kl, law):
     sq, sp = law[1], law[3]
     checks = (
         (first & ~np.isfinite(lg), lambda s, r: "zh_affine: non-finite head value"),
-        (first & (np.abs(lg) > 700.0), lambda s, r: f"pois_loglik: rate exponent {lg[s, r]:.3g} out of range"),
-        (gap & ((np.abs(a) > 700.0) | (np.abs(lg) > 700.0)),
-         lambda s, r: "elbo_step: head overflow: |exp argument| > 700"),
-        (gap & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > 700.0),
+        (first & (np.abs(lg) > K.EXP_ARG_MAX),
+         lambda s, r: f"pois_loglik: rate exponent {lg[s, r]:.3g} out of range"),
+        (gap & ((np.abs(a) > K.EXP_ARG_MAX) | (np.abs(lg) > K.EXP_ARG_MAX)),
+         lambda s, r: f"elbo_step: head overflow: |exp argument| > {K.EXP_ARG_MAX:g}"),
+        (gap & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > K.EXP_ARG_MAX),
          lambda s, r: "elbo_step: cumulative intensity overflow"),
         (gap & ~np.isfinite(term), lambda s, r: "elbo_step: non-finite ELBO term"),
         (gap & full & (kl < -1e-12), lambda s, r: f"elbo_step: negative KL {kl[s, r]:.3e}"),
@@ -512,7 +507,7 @@ def gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned", h
 # -------------------------------------------------------------- checkpoints
 
 
-def save_checkpoint(params, path, gap_mode="start-to-start", session_threshold_hours=1.0):
+def save_checkpoint(params, path):
     payload = {
         "format_version": CHECKPOINT_VERSION,
         "config": {
@@ -520,8 +515,6 @@ def save_checkpoint(params, path, gap_mode="start-to-start", session_threshold_h
             "H_p": params.mlp_hidden,
             "w_t_mode": params.wt_mode,
             "latent_mode": params.latent_mode,
-            "gap_mode": gap_mode,
-            "session_threshold_hours": session_threshold_hours,
         },
         "params": {
             name: {
@@ -536,8 +529,9 @@ def save_checkpoint(params, path, gap_mode="start-to-start", session_threshold_h
         fh.write("\n")
 
 
-def load_checkpoint(path, expect_hidden=None, expect_mlp_hidden=None):
-    """Read a checkpoint; returns (ModelParams, config dict)."""
+def load_checkpoint(path):
+    """Read a checkpoint; returns (ModelParams, config dict).  Config keys
+    other than the sizes and modes are ignored, as older checkpoints hold more."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -564,12 +558,6 @@ def load_checkpoint(path, expect_hidden=None, expect_mlp_hidden=None):
         raise CorruptCheckpointError(f"checkpoint has unknown w_t_mode {wt_mode!r}")
     if latent_mode not in LATENT_MODES:
         raise CorruptCheckpointError(f"checkpoint has unknown latent_mode {latent_mode!r}")
-    if expect_hidden is not None and hidden != expect_hidden:
-        raise CheckpointShapeError(f"checkpoint has H={hidden}, expected H={expect_hidden}")
-    if expect_mlp_hidden is not None and mlp_hidden != expect_mlp_hidden:
-        raise CheckpointShapeError(
-            f"checkpoint has H_p={mlp_hidden}, expected H_p={expect_mlp_hidden}"
-        )
 
     shapes = expected_shapes(hidden, mlp_hidden)
     arrays = {}

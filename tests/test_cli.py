@@ -2,6 +2,7 @@
 pipeline run through every subcommand."""
 
 import json
+import math
 import platform
 
 import numpy as np
@@ -39,6 +40,22 @@ def test_malformed_csv_is_data_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("csv", "user_id,timestamp\nu1,nan\nu1,3.0\n"),  # used to merge both into one session at t = 3
+        ("csv", "user_id,timestamp\nu1,inf\n"),
+        ("jsonl", '{"user_id": "u1", "timestamp": "nan"}\n'),  # used to write "t": NaN
+        ("jsonl", '{"user_id": "u1", "timestamp": 1' + "0" * 400 + "}\n"),  # used to raise OverflowError
+    ],
+    ids=["csv-nan", "csv-inf", "jsonl-nan-text", "jsonl-huge-int"],
+)
+def test_non_finite_timestamp_is_data_error(tmp_path, fmt, text):
+    src = tmp_path / f"events.{fmt}"
+    src.write_text(text)
+    assert main(["sessionize", "--in", str(src), "--out", str(tmp_path / "s.jsonl"), "--format", fmt]) == 2
+
+
+@pytest.mark.parametrize(
     "subcommand, flags",
     [
         ("sessionize", ["--session-threshold-hours", "-2"]),
@@ -48,14 +65,13 @@ def test_malformed_csv_is_data_error(tmp_path):
         ("train", ["--clip-norm", "nan"]),
         ("train", ["--lr", "nan"]),  # used to exit 3 mid-training
         ("train", ["--bptt-k", "-3"]),  # used to run a full unroll
-        ("train", ["--session-threshold-hours", "nan"]),  # used to write NaN into the checkpoint
         ("predict", ["--theta-g", "nan", "--theta-d", "nan"]),  # used to never alarm
         # both used to exit 0 and write NaN into the manifest
         ("simulate", ["--kind", "regime_switching", "--regime-stay", "nan,0.9"]),
         ("simulate", ["--kind", "stationary", "--horizon", "nan", "--max-sessions", "50"]),
     ],
     ids=["sessionize-threshold-negative", "sessionize-threshold-nan", "train-clip-norm-nan", "train-lr-nan",
-         "train-bptt-k-negative", "train-threshold-nan", "predict-thetas-nan", "simulate-stay-nan",
+         "train-bptt-k-negative", "predict-thetas-nan", "simulate-stay-nan",
          "simulate-horizon-nan"],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, subcommand, flags):
@@ -266,6 +282,12 @@ def _sessions_exit_code(tmp_path, subcommand, sessions_records, pred_samples=2):
 
 def test_non_numeric_session_field_is_data_error(tmp_path):
     records = [{"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": "x", "g": 1.0, "d": 2}]}]
+    assert _sessions_exit_code(tmp_path, "predict", records) == 2
+
+
+def test_non_finite_start_time_is_data_error(tmp_path):
+    # json reads NaN, and a NaN start time passed the increasing-times check
+    records = [{"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": math.nan, "g": 1.0, "d": 2}]}]
     assert _sessions_exit_code(tmp_path, "predict", records) == 2
 
 

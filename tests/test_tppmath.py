@@ -3,19 +3,24 @@ quadrature for integrals, inverse-CDF sampling + KS for distributions,
 Monte-Carlo for expectations."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import churnkit
 from churnkit.errors import NumericalError
 from churnkit.tppmath import (
     WT_ZERO_EPS,
     GaussianParams,
     IntensitySpec,
     _gap_quantile,
+    _quadrature_mean,
     cumulative_intensity,
     expected_gap,
     gaussian_kl,
@@ -92,9 +97,7 @@ class TestExpectedGap:
 
     def test_closed_equals_quadrature_at_zero_slope(self):
         spec = IntensitySpec(0.4, 0.0)
-        assert expected_gap(spec, "closed") == pytest.approx(
-            expected_gap(spec, "quadrature"), rel=1e-6
-        )
+        assert expected_gap(spec) == pytest.approx(_quadrature_mean(spec), rel=1e-6)
 
     def test_quadrature_matches_monte_carlo(self):
         spec = IntensitySpec(0.0, 0.5)
@@ -111,10 +114,6 @@ class TestExpectedGap:
         assert len(returned) / len(draws) == pytest.approx(total_mass(spec), abs=5e-3)
         assert expected_gap(spec) == pytest.approx(returned.mean(), rel=1e-2)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            expected_gap(IntensitySpec(0.0, 0.0), "guess")
-
     @pytest.mark.parametrize(
         "a, wt, mean",
         [(5.0, -0.038, 0.006740), (0.7, -2e-7, 0.4966), (0.0, -1e-3, None), (5.0, -0.5, None)],
@@ -123,7 +122,7 @@ class TestExpectedGap:
         # a defective law whose mass sits far below the old fixed upper
         # limit of the integration range
         spec = IntensitySpec(a, wt)
-        quad = expected_gap(spec, "quadrature")
+        quad = _quadrature_mean(spec)
         assert quad > 0.0
         assert quad == pytest.approx(expected_gap(spec), rel=1e-6)
         if mean is not None:
@@ -138,7 +137,7 @@ class TestExpectedGap:
     def test_closed_form_matches_quadrature(self, a, log10_wt, negative):
         wt = -(10.0**log10_wt) if negative else 10.0**log10_wt
         spec = IntensitySpec(a, wt)
-        assert expected_gap(spec) == pytest.approx(expected_gap(spec, "quadrature"), rel=1e-6)
+        assert expected_gap(spec) == pytest.approx(_quadrature_mean(spec), rel=1e-6)
 
     @pytest.mark.parametrize("a", [-3.0, 0.0, 3.0])
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
@@ -269,6 +268,24 @@ class TestZeroTruncatedPoisson:
         for k in (950, 1000, 1050):
             assert np.mean(draws <= k) == pytest.approx(stats.poisson.cdf(k, rate), abs=0.015)
 
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(log10_rate=st.floats(-2.0, 4.0))
+    # either side of the switch to the walk from the mode, near rate 715
+    @example(log10_rate=math.log10(700.0))
+    @example(log10_rate=math.log10(730.0))
+    def test_shares_match_truncated_cdf(self, log10_rate):
+        # P(draw <= k) is the truncated CDF at the 0.1, 0.5 and 0.9 quantiles
+        # of the Poisson, each within a binomial 4-sigma bound; derandomized,
+        # so a run either always passes or always fails
+        rate = 10.0**log10_rate
+        n = 5_000
+        rng = np.random.default_rng(19)
+        draws = np.array([sample_zt_poisson(rate, rng) for _ in range(n)])
+        for q in (0.1, 0.5, 0.9):
+            k = max(1, int(stats.poisson.ppf(q, rate)))
+            share = (stats.poisson.cdf(k, rate) - stats.poisson.pmf(0, rate)) / stats.poisson.sf(0, rate)
+            assert abs(np.mean(draws <= k) - share) <= 4.0 * math.sqrt(share * (1.0 - share) / n)
+
 
 class TestGaussianKL:
     def test_identity_is_zero(self):
@@ -331,3 +348,11 @@ class TestLogitNormal:
                 float(rng.standard_normal()),
             )
             assert 0.0 < z < 1.0
+
+
+def test_import_leaves_out_scipy_integrate():
+    # it takes about a quarter of a second to import, which every CLI call
+    # would pay, and only the quadrature reference uses it
+    code = "import sys, churnkit.cli; sys.exit('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(churnkit.__file__)))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
