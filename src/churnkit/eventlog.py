@@ -5,6 +5,11 @@ Internal time unit is hours.  Raw logs arrive as CSV (header
 numeric timestamps are taken as hours unless ``time_unit="seconds"``, and
 ISO-8601 strings are always converted to hours since the Unix epoch.
 
+A CSV is parsed a column at a time, in blocks of whole lines, up to the first
+block with a quote, a carriage return, a line of the wrong length, a timestamp
+that is not a finite number or an empty user id; the ``csv`` row loop, which
+names a failing line, reads from there on.  Either gives the same events.
+
 A session is a maximal run of one user's events whose consecutive gaps are
 strictly below the threshold; a gap exactly equal to the threshold starts a
 new session.  The stored gap of session i is start-to-start by default
@@ -16,8 +21,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
+import itertools
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -26,6 +34,7 @@ import numpy as np
 from .errors import DataError
 
 GAP_MODES = ("start-to-start", "end-to-start")
+BLOCK_CHARS = 1 << 20  # a CSV block; the column parse holds a few times this
 
 
 @dataclass(frozen=True)
@@ -92,6 +101,53 @@ def _parse_timestamp(raw, time_unit, lineno):
     return value
 
 
+def _csv_columns(block, ncols, ui, ti, time_unit, codes, lineno):
+    """(user codes, hours) of a block of whole CSV lines from line ``lineno``
+    on, or None if the block needs the row loop.  A user new to ``codes`` gets
+    the number of its first line, so codes rise in order of first appearance."""
+    block += "" if block.endswith("\n") else "\n"
+    lines, fields = block.count("\n"), block.replace("\n", ",\n,").split(",")
+    # a line ends at its (ncols + 1)-th token: no short, long or blank line
+    if ('"' in block or "\r" in block or len(fields) != lines * (ncols + 1) + 1
+            or fields[ncols :: ncols + 1].count("\n") != lines):
+        return None
+    try:
+        hours = np.fromiter(map(float, fields[ti : -1 : ncols + 1]), np.float64, lines)
+    except ValueError:
+        return None
+    hours /= 3600.0 if time_unit == "seconds" else 1.0  # exact either way
+    users = list(map(str.strip, fields[ui : -1 : ncols + 1]))
+    if not np.isfinite(hours).all() or "" in users:
+        return None
+    return np.fromiter(map(codes.setdefault, users, itertools.count(lineno)), np.intp, lines), hours
+
+
+def _csv_blocks(stream, ncols, ui, ti, time_unit):
+    """({user: sorted unique hours} as lists, or as sets if rows are left, the
+    rows left, their first line number) of a CSV body parsed by blocks."""
+    codes, parts, lineno, rows = {}, [], 2, ()
+    while block := stream.read(BLOCK_CHARS) + stream.readline():
+        if (part := _csv_columns(block, ncols, ui, ti, time_unit, codes, lineno)) is None:
+            # newline="" splits the block as reading the file itself does
+            rows = csv.reader(itertools.chain(io.StringIO(block, newline=""), stream))
+            break
+        parts.append(part)
+        lineno += part[0].size
+    if not parts:
+        return {}, rows, lineno
+    code, hours = (np.concatenate(col) for col in zip(*parts))
+    parts.clear()  # here and below, each array goes as soon as it is used
+    # by user, then time; stable, so of equal times (0.0, -0.0) the first stays
+    order = np.argsort(hours, kind="stable")
+    order = order[np.argsort(code[order], kind="stable")]
+    code, hours = code[order], hours[order]
+    del order
+    keep = (np.diff(code, prepend=-1) != 0) | (np.diff(hours, prepend=np.nan) != 0)
+    code, hours = code[keep], hours[keep]
+    users = np.split(hours, np.flatnonzero(np.diff(code)) + 1)
+    return {user: (set if rows else list)(h.tolist()) for user, h in zip(codes, users)}, rows, lineno
+
+
 def ingest_events(source, fmt="csv", time_unit="hours"):
     """Parse an event file into {user_id: sorted unique timestamps (hours)}.
 
@@ -102,30 +158,24 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
         raise ValueError(f"ingest_events: unknown time_unit {time_unit!r}")
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"ingest_events: unknown format {fmt!r}")
-
-    close = False
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        try:
-            stream = open(source, "r", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise DataError(f"cannot open event file: {exc}") from None
-        close = True
-    else:
-        stream = source
+    try:
+        is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+        opened = open(source, "r", encoding="utf-8", newline="") if is_path else nullcontext(source)
+    except OSError as exc:
+        raise DataError(f"cannot open event file: {exc}") from None
 
     per_user = {}
-    try:
+    with opened as stream:
         if fmt == "csv":
-            reader = csv.reader(stream)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError("empty event file") from None
+            header = next(csv.reader(stream), None)
+            if header is None:
+                raise DataError("empty event file")
             cols = [c.strip() for c in header]
             if "user_id" not in cols or "timestamp" not in cols:
                 raise DataError(f"line 1: expected header with user_id,timestamp, got {header}")
             ui, ti = cols.index("user_id"), cols.index("timestamp")
-            for lineno, rec in enumerate(reader, start=2):
+            per_user, rows, start = _csv_blocks(stream, len(cols), ui, ti, time_unit)
+            for lineno, rec in enumerate(rows, start=start):
                 if not rec:
                     continue
                 if len(rec) <= max(ui, ti):
@@ -133,8 +183,7 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                 user = rec[ui].strip()
                 if not user:
                     raise DataError(f"line {lineno}: empty user_id")
-                ts = _parse_timestamp(rec[ti], time_unit, lineno)
-                per_user.setdefault(user, set()).add(ts)
+                per_user.setdefault(user, set()).add(_parse_timestamp(rec[ti], time_unit, lineno))
         else:
             for lineno, raw in enumerate(stream, start=1):
                 raw = raw.strip()
@@ -146,14 +195,13 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                     raise DataError(f"line {lineno}: bad JSON ({exc.msg})") from None
                 if not isinstance(obj, dict) or "user_id" not in obj or "timestamp" not in obj:
                     raise DataError(f"line {lineno}: need user_id and timestamp fields")
-                user = str(obj["user_id"])
+                user = obj["user_id"]
+                if isinstance(user, bool) or not isinstance(user, (str, int)):
+                    raise DataError(f"line {lineno}: user_id must be a string or an integer, got {user!r}")
+                user = str(user).strip()  # as in a CSV
                 if not user:
                     raise DataError(f"line {lineno}: empty user_id")
-                ts = _parse_timestamp(obj["timestamp"], time_unit, lineno)
-                per_user.setdefault(user, set()).add(ts)
-    finally:
-        if close:
-            stream.close()
+                per_user.setdefault(user, set()).add(_parse_timestamp(obj["timestamp"], time_unit, lineno))
 
     if not per_user:
         raise DataError("event file contains no events")
@@ -175,27 +223,17 @@ def sessionize(user_id, timestamps, threshold, gap_mode="start-to-start"):
         raise DataError(f"sessionize: no events for user {user_id!r}")
 
     ts = np.asarray(timestamps, dtype=np.float64)
-    if np.any(np.diff(ts) < 0.0):
+    steps = np.diff(ts)
+    if np.any(steps < 0.0):
         raise ValueError(f"sessionize: timestamps not sorted for user {user_id!r}")
 
-    breaks = np.flatnonzero(np.diff(ts) >= threshold) + 1
+    breaks = np.flatnonzero(steps >= threshold) + 1
     starts = np.concatenate(([0], breaks))
     ends = np.concatenate((breaks, [ts.size]))
-
-    sessions = []
-    prev_start = None
-    prev_last = None
-    for s, e in zip(starts, ends):
-        t0 = float(ts[s])
-        if prev_start is None:
-            gap = 0.0
-        elif gap_mode == "start-to-start":
-            gap = t0 - prev_start
-        else:
-            gap = t0 - prev_last
-        sessions.append(Session(t=t0, g=gap, d=int(e - s)))
-        prev_start = t0
-        prev_last = float(ts[e - 1])
+    t0 = ts[starts]
+    before = t0[:-1] if gap_mode == "start-to-start" else ts[ends[:-1] - 1]
+    gaps = [0.0, *(t0[1:] - before).tolist()]
+    sessions = [Session(t=t, g=g, d=d) for t, g, d in zip(t0.tolist(), gaps, (ends - starts).tolist())]
     return SessionSequence(user_id=user_id, sessions=sessions)
 
 
@@ -251,8 +289,9 @@ def _count(value):
 def read_sessions(path):
     """Read sequences from the JSONL produced by write_sessions / simulate.
 
-    Each user appears on one line only, and the first session carries the
-    sentinel gap 0; anything else is a DataError.
+    Each user appears on one line only, the first session carries the
+    sentinel gap 0, and a later gap g is in (0, t - previous t], up to the
+    rounding of previous t + g, in either gap mode; else it is a DataError.
     """
     sequences = []
     seen = set()
@@ -276,8 +315,9 @@ def read_sessions(path):
                 raise DataError(f"line {lineno}: bad session record ({exc})") from None
             if sessions[0].g != 0.0:
                 raise DataError(f"line {lineno}: the first session's gap must be the sentinel 0")
-            if any(s.g <= 0.0 for s in sessions[1:]):
-                raise DataError(f"line {lineno}: a gap after the first session must be positive")
+            for a, b in zip(sessions, sessions[1:]):
+                if not 0.0 < b.g <= b.t - a.t + 1e-12 * (abs(a.t) + abs(b.t)):
+                    raise DataError(f"line {lineno}: gap {b.g!r} at t = {b.t!r} is not in (0, t - last t]")
             uid = sequences[-1].user_id
             if uid in seen:
                 raise DataError(f"line {lineno}: duplicate user_id {uid!r}")

@@ -55,6 +55,37 @@ def test_non_finite_timestamp_is_data_error(tmp_path, fmt, text):
     assert main(["sessionize", "--in", str(src), "--out", str(tmp_path / "s.jsonl"), "--format", fmt]) == 2
 
 
+# the first three used to be read as the users "None", "True" and "{'x': 1}"
+@pytest.mark.parametrize(
+    "user, message",
+    [
+        (None, "line 2: user_id must be a string or an integer, got None"),
+        (True, "line 2: user_id must be a string or an integer, got True"),
+        ({"x": 1}, "line 2: user_id must be a string or an integer, got {'x': 1}"),
+        (" \t", "line 2: empty user_id"),
+    ],
+    ids=["null", "bool", "object", "whitespace"],
+)
+def test_jsonl_user_id_is_a_string_or_an_integer(tmp_path, capsys, user, message):
+    src = tmp_path / "events.jsonl"
+    src.write_text("".join(json.dumps({"user_id": u, "timestamp": 0}) + "\n" for u in ("u1", user)))
+    assert main(["sessionize", "--in", str(src), "--out", str(tmp_path / "s.jsonl"), "--format", "jsonl"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_jsonl_and_csv_strip_user_ids_alike(tmp_path):
+    # " a " used to be a user of its own in JSONL, and "a" in CSV
+    rows = [(" a ", 0.0), ("a", 3.0), (7, 5.0), ("7", 9.0)]
+    (tmp_path / "e.csv").write_text("user_id,timestamp\n" + "".join(f"{u},{t}\n" for u, t in rows))
+    (tmp_path / "e.jsonl").write_text("".join(json.dumps({"user_id": u, "timestamp": t}) + "\n" for u, t in rows))
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"{fmt}.jsonl"
+        assert main(["sessionize", "--in", str(tmp_path / f"e.{fmt}"), "--out", str(out), "--format", fmt]) == 0
+    lines = (tmp_path / "jsonl.jsonl").read_text()
+    assert lines == (tmp_path / "csv.jsonl").read_text()
+    assert [json.loads(line)["user_id"] for line in lines.splitlines()] == ["7", "a"]
+
+
 @pytest.mark.parametrize(
     "subcommand, flags",
     [
@@ -307,6 +338,13 @@ def test_zero_gap_after_first_session_is_data_error(tmp_path):
         {"user_id": "u2", "sessions": [{"t": 0.0, "g": 0.0, "d": 3}, {"t": 2.5, "g": 2.5, "d": 1}]},
     ]
     assert _sessions_exit_code(tmp_path, "evaluate", records) == 2
+
+
+@pytest.mark.parametrize("g", [1.5, -0.5], ids=["above-start-difference", "below-zero"])
+def test_gap_that_disagrees_with_start_times_is_data_error(tmp_path, g):
+    # 1.5 h since a start only 1 h before used to be read as it stood
+    records = [{"user_id": "u1", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": 1.0, "g": g, "d": 2}]}]
+    assert _sessions_exit_code(tmp_path, "predict", records) == 2
 
 
 _TWO_USERS = [

@@ -3,10 +3,15 @@ segmentation invariants checked by brute force against raw events."""
 
 import io
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from churnkit import eventlog, simulate
+from churnkit.cli import main
 from churnkit.errors import DataError
 from churnkit.eventlog import (
     Session,
@@ -22,6 +27,53 @@ from churnkit.eventlog import (
 
 def _csv(text):
     return io.StringIO(text)
+
+
+def _bits(per_user):
+    """Users in dict order, each with the exact bits of its times (-0.0 is not 0.0)."""
+    return [(user, [t.hex() for t in stamps]) for user, stamps in per_user.items()]
+
+
+def _row_loop():
+    """Send every block of a CSV to the row loop."""
+    return mock.patch.object(eventlog, "_csv_columns", lambda *args: None)
+
+
+def _spy_columns(results):
+    """Record what the column parse returns for each block."""
+    real = eventlog._csv_columns
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    return mock.patch.object(eventlog, "_csv_columns", spy)
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _clean_csv(draw):
+    """A CSV the column parse takes whole: user ids and times with whitespace
+    around them, duplicate, unsorted and interleaved rows, extra columns."""
+    cols = draw(st.permutations(["user_id", "timestamp"] + ["x", "y"][: draw(st.integers(0, 2))]))
+    stamp = st.one_of(
+        st.sampled_from(["0", "0.0", "-0.0", "1.5", "-2", "3600", "7200.25", "1e3", "1_000"]),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(10**7), 10**7).map(str),
+    )
+    value = {
+        "user_id": st.sampled_from(["a", "b", "u1", "42", "ü"]),
+        "timestamp": stamp,
+        "x": st.text("xy 0.", max_size=3),
+        "y": st.text("xy 0.", max_size=3),
+    }
+    row = st.tuples(*(st.tuples(_PAD, value[c], _PAD).map("".join) for c in cols)).map(",".join)
+    rows = draw(st.lists(row, min_size=1, max_size=40))
+    rows = draw(st.permutations(rows + draw(st.lists(st.sampled_from(rows), max_size=10))))
+    header = ",".join(draw(_PAD) + c for c in cols)
+    return "\n".join([header, *rows]) + draw(st.sampled_from(["\n", ""]))
 
 
 class TestIngest:
@@ -66,6 +118,79 @@ class TestIngest:
     def test_jsonl_bad_line(self):
         with pytest.raises(DataError, match="line 2"):
             ingest_events(io.StringIO('{"user_id":"a","timestamp":1}\n{oops\n'), fmt="jsonl")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        text=_clean_csv(),
+        time_unit=st.sampled_from(["hours", "seconds"]),
+        block=st.sampled_from([8, 64, 1 << 20]),
+    )
+    def test_column_parse_equals_row_loop(self, text, time_unit, block):
+        results = []
+        with mock.patch.object(eventlog, "BLOCK_CHARS", block), _spy_columns(results):
+            got = ingest_events(_csv(text), time_unit=time_unit)
+        assert results and all(r is not None for r in results)  # no row loop
+        with _row_loop():
+            want = ingest_events(_csv(text), time_unit=time_unit)
+        assert got == want
+        assert _bits(got) == _bits(want)
+        assert all(type(t) is float for stamps in got.values() for t in stamps)
+
+    def test_lines_of_other_lengths_go_to_the_row_loop(self):
+        # 2 fields, then 4: as many as two lines of 3, but in other places
+        got = ingest_events(_csv("user_id,timestamp,x\nu2,2.0\nu1,5,7,9\n"))
+        assert got == {"u2": [2.0], "u1": [5.0]}
+
+    def test_first_of_equal_times_stays(self):
+        # 0.0 == -0.0, so, as in a set, a user keeps the first of them
+        rng = np.random.default_rng(7)
+        middle = [f"u{i % 3},{rng.choice(['0.0', '-0.0', '0', '1.5'])}\n" for i in range(3000)]
+        text = "user_id,timestamp\nu0,-0.0\nu1,-0.0\nu2,-0.0\n" + "".join(middle) + "u0,0\nu1,0\nu2,0\n"
+        with _row_loop():
+            want = ingest_events(_csv(text))
+        first = ["-0x0.0p+0", "0x1.8000000000000p+0"]  # -0.0, 1.5
+        assert _bits(ingest_events(_csv(text))) == _bits(want) == [(f"u{i}", first) for i in range(3)]
+
+
+# 12 clean lines (2 to 13), so that a tail at line 14 is in a later block
+_HEAD = "user_id,timestamp\n" + "".join(f"u{i % 3},{i}.5\n" for i in range(12))
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        ("u1,abc\n", "line 14: unparseable timestamp 'abc'"),
+        ("u1\n", "line 14: expected 2 fields, got 1"),
+        ("\n", None),
+        ('"u,1",2.0\n', None),
+        ("u1,3.0\r\nu2,4.0\r\n", None),
+        ("u1,nan\n", "line 14: non-finite timestamp"),
+        ("u1,-inf\n", "line 14: non-finite timestamp"),
+        ("u1,1970-01-01T03:00:00Z\n", None),
+        (" ,1.0\n", "line 14: empty user_id"),
+    ],
+    ids=["bad-value", "short-row", "blank-line", "quoted", "crlf", "nan", "inf", "iso", "empty-user"],
+)
+def test_row_loop_takes_over_in_a_later_block(tmp_path, capsys, tail, message):
+    # the same events, or the same message, line and exit code, as the row loop alone
+    events = tmp_path / "events.csv"
+    events.write_text(_HEAD + tail + "u9,99.0\n", newline="")
+
+    def sessionize(out):
+        code = main(["sessionize", "--in", str(events), "--out", str(out)])
+        return code, capsys.readouterr().err, out.read_text() if out.exists() else None
+
+    results = []
+    with mock.patch.object(eventlog, "BLOCK_CHARS", 16), _spy_columns(results):
+        got = sessionize(tmp_path / "blocks.jsonl")
+    assert results[0] is not None and results[-1] is None
+    with _row_loop():
+        want = sessionize(tmp_path / "rows.jsonl")
+    assert got == want
+    if message is None:
+        assert got[0] == 0
+    else:
+        assert got[0] == 2 and message in got[1]
 
 
 class TestSessionize:
@@ -200,6 +325,26 @@ class TestSessionsIO:
         p.write_text("not json\n")
         with pytest.raises(DataError, match="line 1"):
             read_sessions(p)
+
+    @pytest.mark.parametrize("gap_mode", ["start-to-start", "end-to-start"])
+    def test_sessionized_files_load(self, tmp_path, gap_mode):
+        rng = np.random.default_rng(6)
+        per_user = {u: sorted(4.4e5 + rng.uniform(0, 500, size=300)) for u in ("a", "b")}
+        seqs = sessionize_log(per_user, threshold=0.5, gap_mode=gap_mode)
+        write_sessions(seqs, tmp_path / "s.jsonl")
+        back = read_sessions(tmp_path / "s.jsonl")
+        assert [[(s.t, s.g, s.d) for s in q.sessions] for q in back] == [
+            [(s.t, s.g, s.d) for s in q.sessions] for q in seqs
+        ]
+
+    def test_simulated_files_load(self, tmp_path):
+        # simulate adds each gap to the last start time, so about half the gaps
+        # exceed their start difference by a rounding error
+        spec = simulate.GeneratorSpec(kind="stationary", users=3, horizon=2000.0, mean_gap=0.3)
+        seqs, _ = simulate.generate(spec, 3)
+        assert any(b.g > b.t - a.t for q in seqs for a, b in zip(q.sessions, q.sessions[1:]))
+        write_sessions(seqs, tmp_path / "s.jsonl")
+        assert len(read_sessions(tmp_path / "s.jsonl")) == 3
 
     def test_session_invariants_enforced(self):
         with pytest.raises(DataError):
