@@ -1,28 +1,29 @@
 """Hot numeric kernels, and the one definition of every formula of the cell.
 
-Every kernel works on rows: the leading axis of an array indexes rows (the
-users of an optimizer batch times their latent trajectories), and one row is
-a batch of one.  Training (churnkit.train) and filtering (churnkit.inference)
+Every kernel works feature-major: the last axis of an array indexes rows
+(the users of an optimizer batch times their latent trajectories), so one
+step's quantity is a contiguous (features, rows) block, and one column is a
+batch of one.  Training (churnkit.train) and filtering (churnkit.inference)
 unroll the cell over many rows at once, prediction runs its heads on
-(records, samples) arrays and generation (churnkit.model) on one row; the
+(samples, records) arrays and generation (churnkit.model) on one column; the
 distribution helpers of churnkit.tppmath wrap the KL and the draw.
 
 - constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS``, ``EXP_ARG_MAX``, the z clamp ``Z_LO``/``Z_HI``;
 - ``sigmoid`` and ``softplus``;
-- the latent MLP ``mlp2`` giving (mu, sigma) of logit(z), the clamped
+- the latent MLPs ``mlp2`` giving (mu, sigma) of logit(z), the clamped
   reparameterized draw ``draw_z``, the Gaussian KL ``gaussian_kl`` and its
   gradient ``gaussian_kl_grad``;
 - the LSTM cell ``lstm`` and the two ``heads``;
 - the gap and duration log-likelihoods with their derivatives;
-- the training step over rows, ``cell_fwd``, and its adjoint ``cell_bwd``.
-  They read and write one step of an ``Unroll``, the (steps, rows, .) caches
-  of one truncation segment, which also reduces the parameter gradients of
-  the whole segment as matrix products over its steps and rows.
+- the training step ``cell_fwd`` and its adjoint ``cell_bwd``, on weights
+  packed once (``Cell``).  They read and write one step of an ``Unroll``,
+  the (steps, features, rows) caches of one truncation segment, which also
+  reduces the parameter gradients of the whole segment.
 
 Conventions: float64 throughout; LSTM gate order is [input, forget, output,
 candidate], each block H wide inside the stacked 4H preactivation; the
 recurrent state of one row is a (2, H) array with row 0 = h and row 1 = c,
-and a batch keeps h and c as separate (rows, H) arrays.
+and a batch keeps h and c as separate (H, rows) blocks.
 """
 
 from __future__ import annotations
@@ -50,14 +51,14 @@ def softplus(v):
 # ------------------------------------------------------------- the latent
 
 
-def mlp2(W1, b1, W2, b2, x):
-    """The prior MLP on rows of the state h, or the posterior MLP on rows of
-    [gf, df, h]: (mu, sigma) of logit(z) with sigma = softplus(raw) +
-    SIGMA_FLOOR, and the hidden layer and raw for the adjoint."""
-    hid = np.tanh(x @ W1.T + b1)
-    out = hid @ W2.T + b2
-    raw = out[..., 1]
-    return out[..., 0], softplus(raw) + SIGMA_FLOOR, hid, raw
+def mlp2(W2, b2, pre, hid=None):
+    """(mu, sigma, hidden layer, raw) of each law of logit(z) from its MLP's
+    first-layer preactivation pre, with sigma = softplus(raw) + SIGMA_FLOOR;
+    W2's rows pair (mu, raw) of each law, and hid receives the hidden layer."""
+    hid = np.tanh(pre, out=hid)
+    out = W2 @ hid + b2[:, None]
+    raw = out[1::2]
+    return out[0::2], softplus(raw) + SIGMA_FLOOR, hid, raw
 
 
 def draw_z(mu, sigma, eps):
@@ -81,22 +82,21 @@ def gaussian_kl_grad(muq, sq, mup, sp):
 # ------------------------------------------------------ the LSTM and heads
 
 
-def lstm(W, b, xh, c):
-    """One LSTM step on rows of xh = [gf, df, z, h], the session features,
-    the latent and the hidden state, with cell state c.  Returns (h_new,
-    c_new, gates)."""
-    H = c.shape[-1]
-    gates = xh @ W.T + b
-    sigmoid(gates[..., : 3 * H], out=gates[..., : 3 * H])
-    np.tanh(gates[..., 3 * H :], out=gates[..., 3 * H :])
-    c_new = gates[..., H : 2 * H] * c + gates[..., :H] * gates[..., 3 * H :]
-    return gates[..., 2 * H : 3 * H] * np.tanh(c_new), c_new, gates
+def lstm(gates, c, h_new, c_new):
+    """One LSTM step from the gate preactivations (4H, rows), turned into
+    the gates in place, and the cell state c; writes h_new and c_new."""
+    H = c.shape[0]
+    sigmoid(gates[: 3 * H], out=gates[: 3 * H])
+    np.tanh(gates[3 * H :], out=gates[3 * H :])
+    np.multiply(gates[H : 2 * H], c, out=c_new)
+    c_new += gates[:H] * gates[3 * H :]
+    np.multiply(gates[2 * H : 3 * H], np.tanh(c_new), out=h_new)
 
 
-def heads(p, z, h):
-    """Intensity base a and log duration rate at (z, h)."""
-    a = h @ p.head_wh + (float(p.head_wz) * z + float(p.head_bt))
-    return a, h @ p.dur_wh + (float(p.dur_wz) * z + float(p.dur_b))
+def heads(w, z, h):
+    """Intensity base a and log duration rate at (z, h), as the two rows of
+    the second-to-last axis, for states h as columns; w is the ``Cell``."""
+    return w.Wo @ h + (w.oz * z + w.ob)
 
 
 def gap_loglik(a, wt, g):
@@ -127,48 +127,85 @@ def dur_loglik(lg, d, lgd):
 # ------------------------------------------------- the unrolled training step
 
 
+class Cell:
+    """The weights of the cell, packed once per unroll.  W stacks the first
+    layers of the posterior and prior MLPs and the LSTM as rows over the
+    inputs [gf, df, z, h], b their biases: an Unroll takes the feature terms
+    of all steps before the loop, a step multiplies row blocks of W by its
+    state.  W2, b2 are both second MLP layers as one block; Wo, oz, ob the heads."""
+
+    def __init__(self, p):
+        P, H = p.mlp_hidden, p.hidden
+        self.full = p.latent_mode == "full"
+        self.W = np.zeros((2 * P + 4 * H, 3 + H))
+        self.W[:P, :2], self.W[:P, 3:], self.W[P : 2 * P, 3:] = p.post_W1[:, :2], p.post_W1[:, 2:], p.prior_W1
+        self.W[2 * P :] = p.lstm_W
+        self.b = np.concatenate([p.post_b1, p.prior_b1, p.lstm_b])
+        self.W2 = np.zeros((4, 2 * P))
+        self.W2[:2, :P], self.W2[2:, P:] = p.post_W2, p.prior_W2
+        self.b2 = np.concatenate([p.post_b2, p.prior_b2])
+        self.Wo = np.array([p.head_wh, p.dur_wh])
+        scalars = [float(p.head_wz), float(p.dur_wz), float(p.head_bt), float(p.dur_b)]
+        self.oz, self.ob = np.array(scalars).reshape(2, 2, 1)
+
+
+def width(A, R):
+    """Columns a step runs when the first A of R rows are active: all, so the
+    blocks stay contiguous, unless 16 or more are idle (measured at H = 8, 16)."""
+    return R if R - A < 16 else A
+
+
 class Unroll:
-    """Caches of one truncation segment: ``steps`` steps of every row.
+    """Caches of ``steps`` steps of every row, (steps, features, rows).
 
     xh[t] is the LSTM input of step t, [gf, df, z, h]: the features of the
     session it consumes, its latent draw and the hidden state it starts
-    from; xq[t] is the posterior MLP's input [gf, df, h].  Step t reads
-    (h, c[t]) and writes its z to xh[t, :, 2] and the new state to h of step
-    t + 1 and c[t + 1].  The entries of a row that a step does not run stay
-    zero, so they add nothing to the reductions over the segment.
+    from.  Step t reads (h, c[t]) and writes its z to xh[t, 2] and the new
+    state to h of step t + 1 and c[t + 1].  dp[t] holds the preactivations
+    of the rows of Cell.W (the LSTM's become its gates), and then their
+    adjoints.  ``clear`` zeroes the entries of rows that do not run a step.
     """
 
-    def __init__(self, feat, h0, c0, eps, mlp_hidden):
+    def __init__(self, w, feat, h0, c0, eps):
         S, R = eps.shape
-        H, P = h0.shape[1], mlp_hidden
-        self.xh = np.zeros((S + 1, R, 3 + H))
-        self.xh[:S, :, :2] = feat
-        self.xh[0, :, 3:] = h0
-        self.xq = np.zeros((S + 1, R, 2 + H))
-        self.xq[:S, :, :2] = feat
-        self.xq[0, :, 2:] = h0
-        self.c = np.zeros((S + 1, R, H))
-        self.c[0] = c0
+        H, P2 = h0.shape[1], w.W2.shape[1]
+        self.xh = np.zeros((S + 1, 3 + H, R))
+        self.xh[:S, :2] = feat.transpose(0, 2, 1)
+        self.xh[0, 3:] = h0.T
+        self.c = np.zeros((S + 1, H, R))
+        self.c[0] = c0.T
         self.eps = eps
-        self.hid = np.zeros((S, R, 2 * P))  # posterior | prior hidden layer
-        self.law = np.zeros((S, R, 4))  # muq, sq, mup, sp
-        self.raw = np.zeros((S, R, 2))  # raw sigma of the posterior, the prior
-        # preactivation adjoints of the MLPs' first layers and of the LSTM;
-        # the LSTM's part holds its gates until the reverse pass needs it
-        self.dp = np.zeros((S, R, 2 * P + 4 * H))
-        self.gates = self.dp[..., 2 * P :]
-        self.ah = np.zeros((S, R, 2))  # a, log gamma
+        self.hid = np.zeros((S, P2, R))  # posterior | prior hidden layer
+        self.law = np.zeros((S, 4, R))  # muq, sq, mup, sp
+        self.raw = np.zeros((S, 2, R))  # raw sigma of the posterior, the prior
+        self.dp = w.W[:, :2] @ self.xh[:S, :2]
+        self.dp += w.b[:, None]
 
-    def adjoint_terms(self, p, da, dlg, dlaw, drawn):
+    def outputs(self, w):
+        """The heads of every step, ah (S, 2, R), once, after the loop."""
+        self.ah = heads(w, self.xh[:-1, 2:3], self.xh[1:, 3:])
+
+    def clear(self, run, scored):
+        """Zero the entries of each (step, row) its row does not run, before
+        ``outputs``: run (S, R) marks MLPs that count, scored draws and states."""
+        P2 = self.hid.shape[1]
+        k = int(np.count_nonzero(scored.all(axis=1)))  # a prefix of steps runs every row
+        off, idle = ~run[k:, None], ~scored[k:, None]
+        for a, mask in ((self.hid, off), (self.law, off), (self.raw, off), (self.dp[:, :P2], off),
+                        (self.dp[:, P2:], idle), (self.xh[1:, 3:], idle), (self.c[1:], idle),
+                        (self.xh[:-1, 2:3], idle)):
+            np.copyto(a[k:], 0.0, where=mask)
+
+    def adjoint_terms(self, w, da, dlg, dlaw, drawn):
         """The step-local factors of the reverse pass, for every step at once.
 
-        da, dlg: (S, R) adjoints of a and log gamma; dlaw: (S, R, 4) adjoint
-        of (muq, sq, mup, sp) from the KL; drawn: (S, R, 2) whether z was
+        da, dlg: (S, R) adjoints of a and log gamma; dlaw: (S, 4, R) adjoint
+        of (muq, sq, mup, sp) from the KL; drawn: (S, 2, R) whether z was
         drawn from the posterior, the prior.
         """
-        H = self.c.shape[2]
-        z = self.xh[:-1, :, 2]
-        gi, gf, go, gc = (self.gates[..., k * H : (k + 1) * H] for k in range(4))
+        H, P2 = self.c.shape[1], self.hid.shape[1]
+        z = self.xh[:-1, 2]
+        gi, gf, go, gc = (self.dp[:, P2 + k * H : P2 + (k + 1) * H] for k in range(4))
         # the gates become, in place, d(gate preactivation) per unit adjoint
         # of (c, c, h, c); cell_bwd multiplies those adjoints in, in place
         self.gf = gf.copy()  # the forget gate carries the cell state's adjoint
@@ -180,129 +217,106 @@ class Unroll:
         fi = gc * gi * (1.0 - gi)
         gc[...] = gi * (1.0 - gc * gc)
         gi[...] = fi
-        self.gates = None
-        self.dhh = da[..., None] * p.head_wh + dlg[..., None] * p.dur_wh
-        self.dzh = da * p.head_wz + dlg * p.dur_wz
+        self.dhh = np.matmul(w.Wo.T, np.stack([da, dlg], axis=1))
+        self.dzh = da * w.oz[0] + dlg * w.oz[1]
         self.zz = z * (1.0 - z)
         sr = sigmoid(self.raw)  # d sigma / d raw, through softplus
         self.ko2 = dlaw.copy()
-        self.ko2[..., 1::2] *= sr
+        self.ko2[:, 1::2] *= sr
         # (mu, raw) adjoint of each law per unit adjoint of the drawn z's logit
         self.eq = np.zeros(self.law.shape)
-        self.eq[..., 0::2] = drawn
-        self.eq[..., 1::2] = drawn * self.eps[..., None] * sr
+        self.eq[:, 0::2] = drawn
+        self.eq[:, 1::2] = drawn * self.eps[:, None] * sr
         self.hh = 1.0 - self.hid * self.hid
         self.do2 = np.zeros(self.law.shape)  # (mu, raw) adjoints of both laws
 
     def grads(self, da, dlg):
-        """Parameter gradients of the segment by name (all but head_wt),
-        reduced as matrix products over all its steps and rows; the caller
-        packs them into the parameter vector's layout."""
-        S, R, H = self.c[1:].shape
-        P = self.hid.shape[2] // 2
-        dp = self.dp.reshape(S * R, -1)
-        dq, dpp, dpre = dp[:, :P], dp[:, P : 2 * P], dp[:, 2 * P :]
-        xh = self.xh[:-1].reshape(S * R, 3 + H)
-        xq = self.xq[:-1].reshape(S * R, 2 + H)
-        hprev = xh[:, 3:]
-        hnext = self.xh[1:, :, 3:].reshape(S * R, H)
-        z = xh[:, 2]
-        do2 = self.do2.reshape(S * R, 4)
-        hid = self.hid.reshape(S * R, 2 * P)
-        da = da.reshape(-1)
-        dlg = dlg.reshape(-1)
+        """Parameter gradients of the segment by name (all but head_wt), as
+        matrix products over its steps and rows after one transposed copy."""
+        P = self.hid.shape[1] // 2
+        self.gf = self.dch = self.dhh = self.hh = self.eq = self.ko2 = None  # free before the copies
+
+        def cols(x):
+            return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+        xh = cols(self.xh[:-1])
+        dW = cols(self.dp) @ xh.T  # of Cell.W
+        db = self.dp.sum(axis=0).sum(axis=1)
+        dW2 = cols(self.do2) @ cols(self.hid).T
+        db2 = self.do2.sum(axis=0).sum(axis=1)
+        hnext = cols(self.xh[1:, 3:])
+        da, dlg, z = da.reshape(-1), dlg.reshape(-1), xh[2]
         return {
-            "lstm_W": dpre.T @ xh,
-            "lstm_b": dpre.sum(axis=0),
-            "post_W1": dq.T @ xq,
-            "post_b1": dq.sum(axis=0),
-            "post_W2": do2[:, :2].T @ hid[:, :P],
-            "post_b2": do2[:, :2].sum(axis=0),
-            "prior_W1": dpp.T @ hprev,
-            "prior_b1": dpp.sum(axis=0),
-            "prior_W2": do2[:, 2:].T @ hid[:, P:],
-            "prior_b2": do2[:, 2:].sum(axis=0),
+            "lstm_W": dW[2 * P :],
+            "lstm_b": db[2 * P :],
+            "post_W1": np.delete(dW[:P], 2, axis=1),
+            "post_b1": db[:P],
+            "post_W2": dW2[:2, :P],
+            "post_b2": db2[:2],
+            "prior_W1": dW[P : 2 * P, 3:],
+            "prior_b1": db[P : 2 * P],
+            "prior_W2": dW2[2:, P:],
+            "prior_b2": db2[2:],
             "head_wz": da @ z,
-            "head_wh": hnext.T @ da,
+            "head_wh": hnext @ da,
             "head_bt": da.sum(),
             "dur_wz": dlg @ z,
-            "dur_wh": hnext.T @ dlg,
+            "dur_wh": hnext @ dlg,
             "dur_b": dlg.sum(),
         }
 
 
-def cell_fwd(p, u, t, A, G, first, full):
-    """Step t of the unroll u for rows [:A]; rows [:G] of them score their
-    next session, the others are at their last step n and carry only the KL.
+def cell_fwd(w, u, t, W, first=False, generate=False):
+    """Step t of the unroll u on its first W columns, up to the heads.
 
     With the latent, both laws of logit(z) are evaluated at the state and z
-    is drawn from the posterior -- at the pre-data step (first) from the
-    prior, without advancing the LSTM, so the heads read the zero state.
-    Without the latent, z is fixed at 0.5.  The filter of
-    churnkit.inference passes eps = 0, so z is the posterior (at step 0 the
-    prior) mean, and G = A, so step n advances the LSTM to the frontier.
+    is drawn from the posterior; at the pre-data step (first) only the prior
+    runs, z is drawn from it and the LSTM does not advance; generate draws z
+    from the prior and advances.  Without the latent, z is fixed at 0.5.
+    The filter of churnkit.inference passes eps = 0, so z is the posterior
+    (at step 0 the prior) mean.
     """
-    h = u.xh[t, :A, 3:]
-    if full:
-        P = p.prior_b1.shape[0]
-        mup, sp, hp, rp = mlp2(p.prior_W1, p.prior_b1, p.prior_W2, p.prior_b2, h)
-        u.law[t, :A, 2] = mup
-        u.law[t, :A, 3] = sp
-        u.hid[t, :A, P:] = hp
-        u.raw[t, :A, 1] = rp
-        if first:
-            mu, sigma = mup, sp
-        else:
-            mu, sigma, hq, rq = mlp2(p.post_W1, p.post_b1, p.post_W2, p.post_b2, u.xq[t, :A])
-            u.law[t, :A, 0] = mu
-            u.law[t, :A, 1] = sigma
-            u.hid[t, :A, :P] = hq
-            u.raw[t, :A, 0] = rq
-        z = draw_z(mu[:G], sigma[:G], u.eps[t, :G])
+    P2 = w.W2.shape[1]
+    P = P2 // 2
+    k = int(first or generate)  # the laws run: both, or (k = 1) the prior alone
+    h = u.xh[t, 3:, :W]
+    if w.full:
+        pre = u.dp[t, k * P : P2, :W]
+        pre += w.W[k * P : P2, 3:] @ h
+        mu, sigma, _, raw = mlp2(w.W2[2 * k :, k * P :], w.b2[2 * k :], pre, u.hid[t, k * P :, :W])
+        u.law[t, 2 * k :: 2, :W] = mu
+        u.law[t, 2 * k + 1 :: 2, :W] = sigma
+        u.raw[t, k:, :W] = raw
+        u.xh[t, 2, :W] = draw_z(mu[0], sigma[0], u.eps[t, :W])
     else:
-        z = np.full(G, 0.5)
-    u.xh[t, :G, 2] = z
-    h = h[:G]
-    if not first:
-        h, c, gates = lstm(p.lstm_W, p.lstm_b, u.xh[t, :G], u.c[t, :G])
-        u.xh[t + 1, :G, 3:] = h
-        u.xq[t + 1, :G, 2:] = h
-        u.c[t + 1, :G] = c
-        u.gates[t, :G] = gates
-    a, lg = heads(p, z, h)
-    u.ah[t, :G, 0] = a
-    u.ah[t, :G, 1] = lg
+        u.xh[t, 2, :W] = 0.5
+    gates = u.dp[t, P2:, :W]
+    if first:
+        gates[...] = 0.0  # no LSTM at the pre-data step, and no adjoint through it
+        u.xh[t + 1, 3:, :W], u.c[t + 1, :, :W] = h, u.c[t, :, :W]
+    else:
+        gates += w.W[P2:, 2:] @ u.xh[t, 2:, :W]
+        lstm(gates, u.c[t, :, :W], u.xh[t + 1, 3:, :W], u.c[t + 1, :, :W])
 
 
-def pack_bwd(p):
-    """The weights cell_bwd reads, packed once per segment: the LSTM's z
-    column, both second MLP layers as one block matrix, and every weight
-    that reads the state stacked as one (2P + 4H, H) matrix."""
-    P = p.prior_b1.shape[0]
-    W2 = np.zeros((4, 2 * P))
-    W2[:2, :P] = p.post_W2
-    W2[2:, P:] = p.prior_W2
-    Wh = np.concatenate([p.post_W1[:, 2:], p.prior_W1, p.lstm_W[:, 3:]], axis=0)
-    return p.lstm_W[:, 2], W2, Wh
-
-
-def cell_bwd(w, u, t, A, dh, dc):
-    """Adjoint of step t for rows [:A].  dh, dc (rows, H) hold the adjoint of
-    the state after the step and receive that of the state before it; the
-    preactivation adjoints go to u.dp and u.do2 for Unroll.grads."""
-    wz, W2, Wh = w
-    P2 = u.hid.shape[2]
-    H = dh.shape[1]
-    dht = dh[:A] + u.dhh[t, :A]
-    dct = dc[:A] + dht * u.dch[t, :A]
-    dp = u.dp[t, :A]
-    dp[:, P2 : P2 + 2 * H] *= np.tile(dct, 2)
-    dp[:, P2 + 2 * H : P2 + 3 * H] *= dht
-    dp[:, P2 + 3 * H :] *= dct
-    dc[:A] = dct * u.gf[t, :A]
-    dg = (u.dzh[t, :A] + dp[:, P2:] @ wz) * u.zz[t, :A]
-    do2 = u.do2[t, :A]
-    np.multiply(u.eq[t, :A], dg[:, None], out=do2)
-    do2 += u.ko2[t, :A]
-    np.multiply(do2 @ W2, u.hh[t, :A], out=dp[:, :P2])
-    dh[:A] = dp @ Wh
+def cell_bwd(w, u, t, W, dh, dc):
+    """Adjoint of step t on its first W columns.  dh, dc (H, rows) hold the
+    adjoint of the state after the step and receive that of the state
+    before it; the preactivation adjoints go to u.dp and u.do2 for
+    Unroll.grads."""
+    P2 = u.hid.shape[1]
+    H = dh.shape[0]
+    dht = dh[:, :W] + u.dhh[t, :, :W]
+    dct = dc[:, :W] + dht * u.dch[t, :, :W]
+    dp = u.dp[t, :, :W]
+    g = dp[P2:].reshape(4, H, W)
+    g[:2] *= dct
+    g[2] *= dht
+    g[3] *= dct
+    np.multiply(dct, u.gf[t, :, :W], out=dc[:, :W])
+    dg = (u.dzh[t, :W] + w.W[P2:, 2] @ dp[P2:]) * u.zz[t, :W]
+    do2 = u.do2[t, :, :W]
+    np.multiply(u.eq[t, :, :W], dg, out=do2)
+    do2 += u.ko2[t, :, :W]
+    np.multiply(w.W2.T @ do2, u.hh[t, :, :W], out=dp[:P2])
+    np.matmul(w.W[:, 3:].T, dp, out=dh[:, :W])

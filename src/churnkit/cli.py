@@ -28,7 +28,7 @@ from .eventlog import (
     split_users,
     write_sessions,
 )
-from .evalharness import BASELINE_KINDS, compare, fit_baseline
+from .evalharness import BASELINE_KINDS, compare, fit_baseline, fit_baselines
 from .inference import AlarmPolicy, churn_alarm, rolling_evaluate_many, user_history_stats
 from .model import LATENT_MODES, WT_MODES
 from .simulate import KINDS, GeneratorSpec, generate
@@ -204,11 +204,8 @@ def _cmd_evaluate(args):
     if not method_names or not seeds:
         raise ValueError("evaluate: need at least one method and one seed")
     # only the ablation takes a seed, so the other baselines are fitted once
-    fitted = {
-        name: params if name == "model" else fit_baseline(name, train_seqs)
-        for name in method_names
-        if name != "ablation_rnn"
-    }
+    baselines = fit_baselines([m for m in method_names if m not in ("model", "ablation_rnn")], train_seqs)
+    fitted = {m: params if m == "model" else baselines[m] for m in method_names if m != "ablation_rnn"}
     per_seed = {}
     for seed in seeds:
         methods = dict(fitted)

@@ -94,40 +94,43 @@ def fit_baseline(kind, train_sequences, config=None):
     fallback; ablation_rnn trains the full pipeline with the latent clamped
     to 0.5 and the KL dropped (config: a TrainConfig).
     """
-    if kind not in BASELINE_KINDS:
-        raise ValueError(f"fit_baseline: unknown kind {kind!r}")
+    if kind != "ablation_rnn":
+        return fit_baselines([kind], train_sequences)[kind]
     if not train_sequences:
         raise DataError("fit_baseline: no training sequences")
+    if config is None:
+        raise ValueError("fit_baseline: ablation_rnn needs a TrainConfig")
+    from dataclasses import replace
 
-    if kind == "ablation_rnn":
-        if config is None:
-            raise ValueError("fit_baseline: ablation_rnn needs a TrainConfig")
-        from dataclasses import replace
+    from .train import train
 
-        from .train import train
+    params, _ = train(train_sequences, replace(config, latent_mode="fixed"))
+    return BaselinePredictor(kind=kind, params=params)
 
-        params, _ = train(train_sequences, replace(config, latent_mode="fixed"))
-        return BaselinePredictor(kind=kind, params=params)
 
+def fit_baselines(kinds, train_sequences):
+    """{kind: fitted baseline} for kinds other than ablation_rnn, as
+    fit_baseline fits them, from statistics computed once: the global means,
+    and the per-user means only if a kind reads them."""
+    if bad := [kind for kind in kinds if kind not in BASELINE_KINDS or kind == "ablation_rnn"]:
+        raise ValueError(f"fit_baseline: unknown kind {bad[0]!r}")
+    if not train_sequences:
+        raise DataError("fit_baseline: no training sequences")
     all_gaps = [g for s in train_sequences for g in s.gaps()]
     all_durs = [d for s in train_sequences for d in s.durations()]
     if not all_gaps:
         raise DataError("fit_baseline: training data has no observed gaps")
     global_gap = float(np.mean(all_gaps))
     global_dur = float(np.mean(all_durs))
-    user_gap = {}
-    user_dur = {}
-    for s in train_sequences:
-        gaps = s.gaps()
-        user_gap[s.user_id] = float(np.mean(gaps)) if gaps else global_gap
-        user_dur[s.user_id] = float(np.mean(s.durations()))
-    return BaselinePredictor(
-        kind=kind,
-        global_gap=global_gap,
-        global_dur=global_dur,
-        user_gap=user_gap,
-        user_dur=user_dur,
-    )
+    user_gap = user_dur = None
+    if {"per_user_mean", "hom_poisson"} & set(kinds):
+        user_gap = {}
+        user_dur = {}
+        for s in train_sequences:
+            gaps = s.gaps()
+            user_gap[s.user_id] = float(np.mean(gaps)) if gaps else global_gap
+            user_dur[s.user_id] = float(np.mean(s.durations()))
+    return {kind: BaselinePredictor(kind, global_gap, global_dur, user_gap, user_dur) for kind in kinds}
 
 
 def _baseline_records(predictor, sequences):

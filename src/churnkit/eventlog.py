@@ -167,23 +167,28 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
     per_user = {}
     with opened as stream:
         if fmt == "csv":
-            header = next(csv.reader(stream), None)
-            if header is None:
-                raise DataError("empty event file")
-            cols = [c.strip() for c in header]
-            if "user_id" not in cols or "timestamp" not in cols:
-                raise DataError(f"line 1: expected header with user_id,timestamp, got {header}")
-            ui, ti = cols.index("user_id"), cols.index("timestamp")
-            per_user, rows, start = _csv_blocks(stream, len(cols), ui, ti, time_unit)
-            for lineno, rec in enumerate(rows, start=start):
-                if not rec:
-                    continue
-                if len(rec) <= max(ui, ti):
-                    raise DataError(f"line {lineno}: expected {len(cols)} fields, got {len(rec)}")
-                user = rec[ui].strip()
-                if not user:
-                    raise DataError(f"line {lineno}: empty user_id")
-                per_user.setdefault(user, set()).add(_parse_timestamp(rec[ti], time_unit, lineno))
+            lineno = 0  # of the last record read
+            try:
+                header = next(csv.reader(stream), None)
+                if header is None:
+                    raise DataError("empty event file")
+                cols = [c.strip() for c in header]
+                if "user_id" not in cols or "timestamp" not in cols:
+                    raise DataError(f"line 1: expected header with user_id,timestamp, got {header}")
+                ui, ti = cols.index("user_id"), cols.index("timestamp")
+                per_user, rows, start = _csv_blocks(stream, len(cols), ui, ti, time_unit)
+                lineno = start - 1
+                for lineno, rec in enumerate(rows, start=start):
+                    if not rec:
+                        continue
+                    if len(rec) <= max(ui, ti):
+                        raise DataError(f"line {lineno}: expected {len(cols)} fields, got {len(rec)}")
+                    user = rec[ui].strip()
+                    if not user:
+                        raise DataError(f"line {lineno}: empty user_id")
+                    per_user.setdefault(user, set()).add(_parse_timestamp(rec[ti], time_unit, lineno))
+            except csv.Error as exc:  # e.g. a field over the csv module's size limit
+                raise DataError(f"line {lineno + 1}: {exc}") from None
         else:
             for lineno, raw in enumerate(stream, start=1):
                 raw = raw.strip()
@@ -191,8 +196,8 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                     continue
                 try:
                     obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"line {lineno}: bad JSON ({exc.msg})") from None
+                except ValueError as exc:  # also an integer over the digit limit
+                    raise DataError(f"line {lineno}: bad JSON ({getattr(exc, 'msg', exc)})") from None
                 if not isinstance(obj, dict) or "user_id" not in obj or "timestamp" not in obj:
                     raise DataError(f"line {lineno}: need user_id and timestamp fields")
                 user = obj["user_id"]
@@ -306,8 +311,8 @@ def read_sessions(path):
                 continue
             try:
                 obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: bad JSON ({exc.msg})") from None
+            except ValueError as exc:  # also an integer over the digit limit
+                raise DataError(f"line {lineno}: bad JSON ({getattr(exc, 'msg', exc)})") from None
             try:
                 sessions = [Session(t=float(s["t"]), g=float(s["g"]), d=_count(s["d"])) for s in obj["sessions"]]
                 sequences.append(SessionSequence(user_id=str(obj["user_id"]), sessions=sessions))

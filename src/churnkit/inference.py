@@ -3,12 +3,13 @@
 Filtering consumes observed sessions with deterministic posterior-mean
 latents, which makes evaluation reproducible and causal.  It runs the
 training step ``_kernels.cell_fwd`` at eps = 0 on packs of users, longest
-first, of at most PACK_CELLS steps x rows each.  At the frontier of step s
-the latent is drawn S times from the prior at the filtered state, with row
-s - 1 of one normal stream per (seed, user) whose rows are drawn in step
-order, and the point prediction is the sample mean of the model-implied
-next gap and duration.  The mean next gap is exact for every intensity slope
-(tppmath.expected_gap); a pack's frontiers are one (records, samples) array.
+first, of at most PACK_CELLS steps x rows each, as (features, rows) blocks.
+At the frontier of step s the latent is drawn S times from the prior at the
+filtered state, with row s - 1 of one normal stream per (seed, user) whose
+rows are drawn in step order, and the point prediction is the sample mean
+of the model-implied next gap and duration.  The mean next gap is exact for
+every intensity slope (tppmath.expected_gap); a pack's frontiers are one
+(records, samples) array.
 """
 
 from __future__ import annotations
@@ -75,42 +76,45 @@ def _packs(seqs):
     yield pack
 
 
-def _filtered(params, rows):
-    """Filter the packed rows: the training step ``_kernels.cell_fwd`` at
-    eps = 0, so z is the posterior mean (the prior mean at step 0), and with
-    every running row scored, so step n also advances the state to the
-    frontier.  Yields (first step, Unroll) per span of at most PACK_CELLS
-    steps x rows; the state after step i is (u.xh[i + 1, :, 3:], u.c[i + 1])
-    and (a, log gamma) at it is u.ah[i]."""
-    full = params.latent_mode == "full"
-    h = c = np.zeros((len(rows.n), params.hidden))
-    span = max(1, PACK_CELLS // len(rows.n))
+def _filtered(w, rows):
+    """Filter the packed rows with the weights w: the training step
+    ``_kernels.cell_fwd`` at eps = 0, so z is the posterior mean (the prior
+    mean at step 0), and with every running row scored, so step n also
+    advances the state to the frontier.  Yields (first step, Unroll, run)
+    per span of at most PACK_CELLS steps x rows; where run (steps, rows) is
+    set, the state after step i is (u.xh[i + 1, 3:], u.c[i + 1]) and (a,
+    log gamma) at it is u.ah[i]."""
+    R = len(rows.n)
+    h = c = np.zeros((R, w.Wo.shape[1]))
+    span = max(1, PACK_CELLS // R)
     for lo in range(0, len(rows.feat), span):
-        u = K.Unroll(rows.feat[lo : lo + span], h, c, rows.eps[lo : lo + span], params.mlp_hidden)
+        u = K.Unroll(w, rows.feat[lo : lo + span], h, c, rows.eps[lo : lo + span])
+        run = rows.n >= np.arange(lo, lo + len(u.eps))[:, None]
         with np.errstate(all="ignore"):  # a diverged row runs on until the check
-            for t in range(len(u.ah)):
-                A = int(np.count_nonzero(rows.n >= lo + t))
-                K.cell_fwd(params, u, t, A, A, lo + t == 0, full)
-        # heads in range and a finite state, written so that NaN fails too
-        state = np.concatenate([u.xh[1:, :, 3:], u.c[1:]], axis=2)
-        ok = (np.abs(u.ah) <= K.EXP_ARG_MAX).all(axis=2) & np.isfinite(state).all(axis=2)
-        if not ok.all():
-            t, j = np.argwhere(~ok)[0]
+            for t, A in enumerate(np.count_nonzero(run, axis=1).tolist()):
+                K.cell_fwd(w, u, t, K.width(A, R), lo + t == 0)
+            u.outputs(w)
+        # heads in range and a finite state where a row runs, written so that NaN fails too
+        ok = (np.abs(u.ah) <= K.EXP_ARG_MAX).all(axis=1) & np.isfinite(u.xh[1:, 3:]).all(axis=1)
+        ok &= np.isfinite(u.c[1:]).all(axis=1)
+        if not (ok | ~run).all():
+            t, j = np.argwhere(~ok & run)[0]
             raise NumericalError(f"filter: step {lo + t} of {rows.labels[rows.order[j]]!r} diverged")
-        yield lo, u
-        h, c = u.xh[-1, :, 3:], u.c[-1]
+        yield lo, u, run
+        h, c = u.xh[-1, 3:].T, u.c[-1].T
 
 
-def _predict(params, hs, eps):
-    """Posterior-predictive means of (next gap, next duration) at each row of
-    the states hs (records, H): the heads averaged over the prior draws of z
-    with the standard normals eps (records, samples)."""
-    if params.latent_mode == "full":
-        mu, sigma, _, _ = K.mlp2(params.prior_W1, params.prior_b1, params.prior_W2, params.prior_b2, hs)
-        z = K.draw_z(mu[:, None], sigma[:, None], eps)
+def _predict(params, w, hs, eps):
+    """Posterior-predictive means of (next gap, next duration) at each column
+    of the states hs (H, records): the heads averaged over the prior draws
+    of z with the standard normals eps (records, samples)."""
+    if w.full:
+        pre = params.prior_W1 @ hs + params.prior_b1[:, None]
+        mu, sigma, _, _ = K.mlp2(params.prior_W2, params.prior_b2, pre)
+        z = K.draw_z(mu.T, sigma.T, eps)
     else:
         z = np.full(eps.shape, 0.5)
-    a, lg = K.heads(params, z, hs[:, None])
+    a, lg = np.moveaxis(K.heads(w, z.T[:, None], hs), 0, 2).copy()
     # written so that NaN fails the check too
     if not (np.all(np.abs(a) <= K.EXP_ARG_MAX) and np.all(np.abs(lg) <= K.EXP_ARG_MAX)):
         raise NumericalError("predict: head values diverged or are not finite")
@@ -129,16 +133,17 @@ def _evaluate(params, seqs, n_samples, seed, rolling):
     every other operation is by row, so a record is the same whichever
     records share its pack.
     """
-    full = params.latent_mode == "full"
+    w = K.Cell(params)
+    full = w.full
     out = [[] for _ in seqs]
     for pack in _packs(seqs):
         items = [(_sequence_arrays(seqs[k]), np.zeros(len(seqs[k]))) for k in pack]
         rows = _pack(items, [seqs[k].user_id for k in pack])
         rngs = [np.random.default_rng(derive_seed(seed, "pred", rows.labels[j])) for j in rows.order if full]
-        for lo, u in _filtered(params, rows):
+        for lo, u, run in _filtered(w, rows):
             i = np.arange(lo, lo + len(u.ah))
             n = rows.n[:, None]
-            drawn = (i >= 1) & (i <= n)  # steps 1..n own rows 0..n-1 of their user's stream
+            drawn = (i >= 1) & run.T  # steps 1..n own rows 0..n-1 of their user's stream
             record = drawn & ((i < n) if rolling else (i == n))
             # a span draws the rows of all its steps, used or not, to keep the streams in step
             eps = [rng.standard_normal((m, n_samples)) for rng, m in zip(rngs, drawn.sum(axis=1))]
@@ -147,8 +152,8 @@ def _evaluate(params, seqs, n_samples, seed, rolling):
             if not r.size:
                 continue
             at = [(pack[rows.order[j]], s) for j, s in zip(r.tolist(), (lo + t).tolist())]
-            preds = _predict(params, u.xh[t + 1, r, 3:], eps)
-            for (k, s), gap, dur, (a, lg) in zip(at, *preds, u.ah[t, r].tolist()):
+            preds = _predict(params, w, u.xh[t + 1, 3:, r].T, eps)
+            for (k, s), gap, dur, (a, lg) in zip(at, *preds, u.ah[t, :, r].tolist()):
                 obs = (seqs[k].sessions[s].g, seqs[k].sessions[s].d) if rolling else (None, None)
                 out[k].append(PredictionRecord(seqs[k].user_id, s, gap, dur, *obs, a, math.exp(lg)))
     return out

@@ -8,14 +8,13 @@ log rate of the Poisson duration model for the next session.  Prior and
 approximate-posterior parameters of logit(z) come from two one-hidden-layer
 MLPs shared across time-steps.
 
-``step`` and ``initial_step`` run one step at a time, as a batch of one
-row, for generation (churnkit.simulate) and as the reference the tests
-check the batched step against.  Training (churnkit.train) and filtering
-(churnkit.inference) run the batched step ``_kernels.cell_fwd`` on rows
-packed by ``_pack``, longest first.  Both are composed of the row kernels
-of churnkit._kernels, where every formula of the cell is defined once: the
-latent MLP (mlp2), the clamped reparameterized draw (draw_z), the LSTM
-(lstm), the heads, softplus and the constants.  The recurrent state is a
+``step`` and ``initial_step`` run the step ``_kernels.cell_fwd`` on one
+column, for generation (churnkit.simulate) and as the reference the tests
+check.  Training (churnkit.train) and filtering (churnkit.inference) run
+the same step on many columns, rows packed by ``_pack``, longest first.
+Every formula of the cell is defined once, in churnkit._kernels: the latent
+MLPs (mlp2), the clamped reparameterized draw (draw_z), the LSTM (lstm),
+the heads, softplus and the constants.  The recurrent state is a
 (2, H) array (row 0 = h, row 1 = c).  The parameters are declared once, by
 name and shape, in ``expected_shapes``, and live in one vector with a named
 view per parameter (``ModelParams``).
@@ -171,7 +170,8 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
 
 def prior_params(params, h):
     """Prior (mu0, sigma0) of logit(z) given the previous hidden state."""
-    mu, sigma, _, _ = K.mlp2(params.prior_W1, params.prior_b1, params.prior_W2, params.prior_b2, h)
+    pre = params.prior_W1 @ h[:, None] + params.prior_b1[:, None]
+    mu, sigma, _, _ = K.mlp2(params.prior_W2, params.prior_b2, pre)
     return GaussianParams(mu=mu.item(), sigma=sigma.item())
 
 
@@ -206,10 +206,14 @@ class _Rows:
 
 def _sequence_arrays(seq):
     """(input features, gaps, durations, lgamma(durations + 1)) of a sequence."""
-    feat = np.array([input_features(s.g, s.d) for s in seq.sessions])
-    g = np.array([float(s.g) for s in seq.sessions])
-    d = np.array([float(s.d) for s in seq.sessions])
-    return feat, g, d, np.array([math.lgamma(x + 1.0) for x in d])
+    gs = [s.g for s in seq.sessions]
+    ds = [float(s.d) for s in seq.sessions]
+    g, d = np.array(gs, float), np.array(ds)
+    if g.min() < 0.0 or d.min() < 1.0:
+        k = int(np.argmax((g < 0.0) | (d < 1.0)))
+        input_features(gs[k], seq.sessions[k].d)  # raises its error
+    feat = np.fromiter(map(math.log1p, gs + ds), float, 2 * len(gs)).reshape(2, -1).T
+    return feat, g, d, np.array([math.lgamma(x + 1.0) for x in ds])
 
 
 def _pack(items, labels):
@@ -234,30 +238,41 @@ def _pack(items, labels):
 
 def posterior_params(params, g, d, h):
     """Approximate posterior (mu_q, sigma_q) given (g_i, d_i, h_{i-1})."""
-    x = np.concatenate((input_features(g, d), h))
-    mu, sigma, _, _ = K.mlp2(params.post_W1, params.post_b1, params.post_W2, params.post_b2, x)
+    pre = params.post_W1 @ np.concatenate((input_features(g, d), h))[:, None] + params.post_b1[:, None]
+    mu, sigma, _, _ = K.mlp2(params.post_W2, params.post_b2, pre)
     return GaussianParams(mu=mu.item(), sigma=sigma.item())
 
 
-def heads(params, z, h):
-    """Intensity base a and duration rate gamma evaluated at (z, h)."""
-    a, lg = (v.item() for v in K.heads(params, z, h))
+def _checked(a, lg):
     if not (abs(a) <= K.EXP_ARG_MAX and abs(lg) <= K.EXP_ARG_MAX):  # NaN fails too
         raise NumericalError(f"heads: diverged (a={a:.3g}, log gamma={lg:.3g})")
     return a, math.exp(lg)
 
 
+def heads(params, z, h):
+    """Intensity base a and duration rate gamma evaluated at (z, h)."""
+    return _checked(*K.heads(K.Cell(params), z, np.reshape(h, (-1, 1)))[:, 0].tolist())
+
+
+def _column(params, state, feat, eps, first=False, generate=False):
+    """The step ``_kernels.cell_fwd`` on one column from the (2, H) state."""
+    w = K.Cell(params)
+    u = K.Unroll(w, np.array([[feat]], float), state[:1], state[1:], np.array([[eps]], float))
+    K.cell_fwd(w, u, 0, 1, first, generate)
+    u.outputs(w)
+    state = np.array([u.xh[1, 3:, 0], u.c[1, :, 0]])
+    if not np.isfinite(state).all():
+        raise NumericalError("step: non-finite hidden state")
+    muq, sq, mup, sp = u.law[0, :, 0].tolist()
+    prior = GaussianParams(mup, sp) if w.full else None
+    posterior = prior if first or not w.full else None if generate else GaussianParams(muq, sq)
+    return StepOutput(state, prior, posterior, u.xh[0, 2, 0].item(), *_checked(*u.ah[0, :, 0].tolist()))
+
+
 def initial_step(params, eps=0.0):
     """Step-0 convention: state is zero, z comes from the prior at that state,
     the heads at (z0, 0) govern the first observed session's duration."""
-    state = np.zeros((2, params.hidden))
-    prior = None
-    z = 0.5
-    if params.latent_mode == "full":
-        prior = prior_params(params, state[0])
-        z = K.draw_z(prior.mu, prior.sigma, eps)
-    a, gamma = heads(params, z, state[:1])
-    return StepOutput(state=state, prior=prior, posterior=prior, z=float(z), a=a, gamma=gamma)
+    return _column(params, np.zeros((2, params.hidden)), (0.0, 0.0), eps, first=True)
 
 
 def step(params, prev, g, d, mode, eps=0.0):
@@ -265,24 +280,10 @@ def step(params, prev, g, d, mode, eps=0.0):
 
     infer: z from the reparameterized posterior draw; generate: z from the
     prior draw, without computing the posterior.  The returned (a, gamma)
-    govern the NEXT session's gap and duration.  The step runs the kernels
-    of the batched training step (``_kernels.cell_fwd``) on one row; at
-    eps = 0 infer mode is the filter of churnkit.inference.
+    govern the NEXT session's gap and duration.  This is the batched step
+    ``_kernels.cell_fwd`` on one column; at eps = 0 infer mode is the filter
+    of churnkit.inference.
     """
     if mode not in MODES:
         raise ValueError(f"step: unknown mode {mode!r}")
-    prior = posterior = None
-    z = 0.5
-    if params.latent_mode == "full":
-        prior = prior_params(params, prev[0])
-        if mode == "infer":
-            posterior = posterior_params(params, g, d, prev[0])
-        law = prior if mode == "generate" else posterior
-        z = K.draw_z(law.mu, law.sigma, eps)
-    xh = np.concatenate((input_features(g, d), [z], prev[0]))
-    state = np.stack(K.lstm(params.lstm_W, params.lstm_b, xh, prev[1])[:2])
-    if not np.isfinite(state).all():
-        raise NumericalError("step: non-finite hidden state")
-    # the heads read h as a batch of one row, the layout of the training step
-    a, gamma = heads(params, z, state[:1])
-    return StepOutput(state=state, prior=prior, posterior=posterior, z=float(z), a=a, gamma=gamma)
+    return _column(params, prev, input_features(g, d), eps, generate=mode == "generate")

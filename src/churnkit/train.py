@@ -11,17 +11,19 @@ reproducible bit for bit.
 
 Gradients come from truncated backpropagation through time written out by
 hand, run on all rows of an optimizer batch at once: its users times their
-L latent trajectories, sorted by length, so the rows a step runs shrink as
-sequences end (the packed-sequence form).  A forward loop calls the batched
-step ``_kernels.cell_fwd`` and keeps its caches in one ``_kernels.Unroll``
-per truncation segment; the pre-data step 0 and the KL-only step n are the
-same step with parts masked off.  The likelihood terms, the KL and every
-step-local factor of the adjoint are then evaluated for the whole segment at
-once, a reverse loop calls ``_kernels.cell_bwd``, and the parameter
-gradients are reduced as matrix products over the segment's steps and rows
-into the layout of the parameter vector (a ``ModelParams``).  Summing the
-segments, scaling by the batch, the finiteness check, clipping and Adam are
-each one operation on that one vector.
+L latent trajectories, sorted by length (the packed-sequence form).  A
+forward loop calls the batched step ``_kernels.cell_fwd`` and keeps its
+caches in one feature-major ``_kernels.Unroll`` per truncation segment; a
+step runs every row until 16 are idle, then the active prefix, and the
+entries of rows that do not run it are zeroed after the loop.  The pre-data
+step 0 and the KL-only step n are the same step with parts masked off.  The
+likelihood terms, the KL and every step-local factor of the adjoint are
+then evaluated for the whole segment at once, a reverse loop calls
+``_kernels.cell_bwd``, and the parameter gradients are reduced as matrix
+products over the segment's steps and rows into the layout of the parameter
+vector (a ``ModelParams``).  Summing the segments, scaling by the batch, the
+finiteness check, clipping and Adam are each one operation on that one
+vector.
 The cuts fall at the same step indices on every row: the recurrent state
 value is carried across a cut but its gradient is not.  ``elbo_and_grads``
 is the one-user call of the same engine, and ``gradcheck_elbo`` checks it
@@ -170,48 +172,51 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
     """Forward and reverse pass over steps lo..hi-1 of every row, from the
     state (h0, c0).  (dh, dc) is the adjoint of the state after the last
     step: zero (None) where truncation cuts the gradient."""
-    full = params.latent_mode == "full"
+    w = K.Cell(params)
+    full = w.full
     wt = float(params.head_wt)
     i = np.arange(lo, hi)[:, None]
     n = rows.n
-    A = np.count_nonzero(n >= i, axis=1).tolist()
-    G = np.count_nonzero(n > i, axis=1).tolist()
-    feat = rows.feat[lo:hi]
-    u = K.Unroll(feat, h0, c0, rows.eps[lo:hi], params.mlp_hidden)
-    for t in range(hi - lo):
-        K.cell_fwd(params, u, t, A[t], G[t], lo + t == 0, full)
-
+    R = len(n)
+    run = n >= i
     scored = n > i  # the step scores a duration, and from step 1 on a gap
+    W = [K.width(A, R) for A in np.count_nonzero(run, axis=1).tolist()]
+    u = K.Unroll(w, rows.feat[lo:hi], h0, c0, rows.eps[lo:hi])
+    for t in range(hi - lo):
+        K.cell_fwd(w, u, t, W[t], lo + t == 0)
+    u.clear(run, scored)
+    u.outputs(w)
+
     first = scored & (i == 0)
     gap = scored & (i >= 1)
     last = (n == i) & (i >= 1) & full  # step n carries only its KL
     kl_on = gap & full | last
-    a, lg = u.ah[..., 0], u.ah[..., 1]
+    a, lg = u.ah[:, 0], u.ah[:, 1]
     ll_gap, da, dwt = K.gap_loglik(a, wt, rows.g[lo:hi])
     ll_dur, dlg = K.dur_loglik(lg, rows.d[lo:hi], rows.lgd[lo:hi])
-    law = np.moveaxis(u.law, 2, 0)
+    law = u.law.transpose(1, 0, 2)
     kl = K.gaussian_kl(*law)
     term = np.where(gap, ll_gap, 0.0) + np.where(scored, ll_dur, 0.0) - np.where(kl_on, kl, 0.0)
     failures = _failures(lo, first, gap, last, full, wt, rows.g[lo:hi], a, lg, term, kl, law)
     values = term.sum(axis=0)
     if not backward or failures:
-        return _Segment(values, None, u.xh[-1, :, 3:], u.c[-1], None, None, failures)
+        return _Segment(values, None, u.xh[-1, 3:].T, u.c[-1].T, None, None, failures)
 
     da = np.where(gap, da, 0.0)
     dlg = np.where(scored, dlg, 0.0)
-    dlaw = np.where(kl_on[..., None], -np.stack(K.gaussian_kl_grad(*law), axis=2), 0.0)
-    drawn = np.stack([gap & full, first & full], axis=2)
-    u.adjoint_terms(params, da, dlg, dlaw, drawn)
-    w = K.pack_bwd(params)
-    dh = np.zeros(h0.shape) if dh is None else np.array(dh, dtype=float)
-    dc = np.zeros(c0.shape) if dc is None else np.array(dc, dtype=float)
+    dlaw = np.where(kl_on[:, None], -np.stack(K.gaussian_kl_grad(*law), axis=1), 0.0)
+    drawn = np.stack([gap & full, first & full], axis=1)
+    u.adjoint_terms(w, da, dlg, dlaw, drawn)
+    # the state's adjoints as (H, rows) blocks
+    dh = np.zeros(u.c[0].shape) if dh is None else np.array(np.transpose(dh), dtype=float, order="C")
+    dc = np.zeros(u.c[0].shape) if dc is None else np.array(np.transpose(dc), dtype=float, order="C")
     for t in reversed(range(hi - lo)):
-        K.cell_bwd(w, u, t, A[t], dh, dc)
+        K.cell_bwd(w, u, t, W[t], dh, dc)
     # a frozen slope gets the gradient 0 (written, not masked: a NaN there
     # cannot trip the checks, and Adam keeps the slope at exactly 0)
     dwt = np.where(gap, dwt, 0.0).sum() if params.wt_mode == "learned" else 0.0
     grads = params.replace(head_wt=dwt, **u.grads(da, dlg))
-    return _Segment(values, grads, u.xh[-1, :, 3:], u.c[-1], dh, dc, failures)
+    return _Segment(values, grads, u.xh[-1, 3:].T, u.c[-1].T, dh.T, dc.T, failures)
 
 
 def _unroll(params, rows, bptt_k, backward=True):

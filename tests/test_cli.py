@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from churnkit.cli import main
+from churnkit.errors import DataError
+from churnkit.eventlog import read_sessions
 from churnkit.model import init_params
 from churnkit.train import save_checkpoint
 
@@ -53,6 +55,46 @@ def test_non_finite_timestamp_is_data_error(tmp_path, fmt, text):
     src = tmp_path / f"events.{fmt}"
     src.write_text(text)
     assert main(["sessionize", "--in", str(src), "--out", str(tmp_path / "s.jsonl"), "--format", fmt]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('user_id,timestamp\nu1,1.0\n"' + "x" * 200_000 + '",2.0\n', "line 3: field larger than field limit"),
+        ('"' + "x" * 200_000 + '",timestamp\nu1,1.0\n', "line 1: field larger than field limit"),
+    ],
+    ids=["row", "header"],
+)
+def test_csv_field_over_the_size_limit_is_data_error(tmp_path, capsys, text, message):
+    # the csv module's error used to end in a traceback
+    src = tmp_path / "events.csv"
+    src.write_text(text)
+    assert main(["sessionize", "--in", str(src), "--out", str(tmp_path / "s.jsonl")]) == 2
+    assert message in capsys.readouterr().err
+
+
+# json.loads raises a plain ValueError for an integer literal over the
+# interpreter's 4,300-digit limit; it used to exit 1, as a usage error
+HUGE_INT = "1" + "0" * 5000
+
+
+def test_jsonl_integer_over_the_digit_limit_is_data_error(tmp_path, capsys):
+    src = tmp_path / "events.jsonl"
+    src.write_text('{"user_id": "u0", "timestamp": 0.5}\n{"user_id": ' + HUGE_INT + ', "timestamp": 1.0}\n')
+    assert main(["sessionize", "--in", str(src), "--out", str(tmp_path / "s.jsonl"), "--format", "jsonl"]) == 2
+    assert "line 2: bad JSON (Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
+def test_sessions_integer_over_the_digit_limit_is_data_error(tmp_path, capsys):
+    sessions = tmp_path / "sessions.jsonl"
+    record = {"user_id": "HUGE", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": 1.0, "g": 1.0, "d": 2}]}
+    sessions.write_text(json.dumps(record).replace('"HUGE"', HUGE_INT) + "\n")
+    with pytest.raises(DataError, match=r"line 1: bad JSON \(Exceeds the limit"):
+        read_sessions(sessions)
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1), model)
+    argv = ["predict", "--sessions", str(sessions), "--model", str(model), "--out", str(tmp_path / "p.csv")]
+    assert main(argv) == 2
 
 
 # the first three used to be read as the users "None", "True" and "{'x': 1}"

@@ -191,10 +191,10 @@ class TestHeads:
 
 def _filter(p, gaps, durs):
     """The pack filter of churnkit.inference on one sequence: its Unroll,
-    holding the state after step i at xh[i + 1, 0, 3:] and c[i + 1, 0]."""
+    holding the state after step i at xh[i + 1, 3:, 0] and c[i + 1, :, 0]."""
     t = np.cumsum(gaps)
     seq = SessionSequence("u", [Session(t=ti, g=g, d=d) for ti, g, d in zip(t, gaps, durs)])
-    ((_, u),) = _filtered(p, _pack([(_sequence_arrays(seq), np.zeros(len(seq)))], ["u"]))
+    ((_, u, _),) = _filtered(K.Cell(p), _pack([(_sequence_arrays(seq), np.zeros(len(seq)))], ["u"]))
     return u
 
 
@@ -255,7 +255,7 @@ class TestStep:
         perturbed[7] = 99.0
         part = _filter(p, perturbed, durs)
         for i in range(8):  # outputs up to and including step 7 consume inputs 1..7
-            np.testing.assert_array_equal(full.xh[i + 1, 0, 3:], part.xh[i + 1, 0, 3:])
+            np.testing.assert_array_equal(full.xh[i + 1, 3:, 0], part.xh[i + 1, 3:, 0])
             np.testing.assert_array_equal(full.c[i + 1], part.c[i + 1])
             assert full.ah[i, 0, 0] == part.ah[i, 0, 0]
         assert full.ah[8, 0, 0] != part.ah[8, 0, 0]
@@ -291,9 +291,9 @@ class TestStep:
     wt=st.floats(-0.5, 0.5),
 )
 def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidden, latent_mode, g, d, eps, wt):
-    """model.step and one row of the batched training step compute the same
-    cell bit for bit: state, z, a, log gamma and the laws of logit(z), at a
-    drawn eps and at eps = 0 (the filter)."""
+    """model.step and one column of the batched training step compute the
+    same cell bit for bit: state, z, a, log gamma and the laws of logit(z),
+    at a drawn eps and at eps = 0 (the filter)."""
     rng = np.random.default_rng(seed)
     p = init_params(hidden, mlp_hidden, seed=0, wt_mode="learned", latent_mode=latent_mode)
     for name in PARAM_FIELDS:
@@ -305,10 +305,12 @@ def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidde
     for e in (eps, 0.0):
         ref = step(p, state, g, d, "infer", e)
         feat = np.array([[[gf, df]]])
-        u = K.Unroll(feat, state[:1], state[1:], np.full((1, 1), e), mlp_hidden)
-        K.cell_fwd(p, u, 0, 1, 1, False, full)
-        assert np.concatenate([u.xh[1, :, 3:], u.c[1]]).tobytes() == ref.state.tobytes()
-        assert (u.xh[0, 0, 2], u.ah[0, 0, 0], math.exp(u.ah[0, 0, 1])) == (ref.z, ref.a, ref.gamma)
+        w = K.Cell(p)
+        u = K.Unroll(w, feat, state[:1], state[1:], np.full((1, 1), e))
+        K.cell_fwd(w, u, 0, 1)
+        u.outputs(w)
+        assert np.stack([u.xh[1, 3:, 0], u.c[1, :, 0]]).tobytes() == ref.state.tobytes()
+        assert (u.xh[0, 2, 0], u.ah[0, 0, 0], math.exp(u.ah[0, 1, 0])) == (ref.z, ref.a, ref.gamma)
         if full:
-            assert (u.law[0, 0, 0], u.law[0, 0, 1]) == tuple(ref.posterior)
-            assert (u.law[0, 0, 2], u.law[0, 0, 3]) == tuple(ref.prior)
+            assert (u.law[0, 0, 0], u.law[0, 1, 0]) == tuple(ref.posterior)
+            assert (u.law[0, 2, 0], u.law[0, 3, 0]) == tuple(ref.prior)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from churnkit import _kernels as K
 from churnkit.errors import (
     CheckpointShapeError,
     CheckpointVersionError,
@@ -31,6 +32,7 @@ from churnkit.simulate import GeneratorSpec, generate
 from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
 from churnkit.train import (
     TrainConfig,
+    _segment,
     _unroll,
     clip_gradients,
     elbo_and_grads,
@@ -208,6 +210,71 @@ def test_batched_unroll_equals_sum_of_single_rows(seed, lengths, mc_samples, lat
             np.testing.assert_allclose(
                 getattr(grads, name), total, rtol=1e-12, atol=1e-12 * np.max(np.abs(total)), err_msg=name
             )
+
+
+def test_steps_on_the_active_prefix_equal_single_rows():
+    """Once 16 rows are idle a step runs only the first rows, a strided
+    block; the batch still gives every row's value, and the gradient of
+    their sum, of the rows run alone."""
+    rng = np.random.default_rng(11)
+    p = init_params(4, 3, seed=4, wt_mode="learned")
+    p.head_wt[...] = -0.05
+    seqs = [_random_seq(n, rng, f"u{k:02d}") for k, n in enumerate([12, 9, 5, 3] + [2] * 17)]
+    items = [(_sequence_arrays(s), rng.standard_normal(len(s))) for s in seqs]
+    labels = [s.user_id for s in seqs]
+    rows = _pack(items, labels)
+    assert any(K.width(int((rows.n >= i).sum()), len(seqs)) < len(seqs) for i in range(len(rows.g)))
+    for bptt_k in (0, 4):
+        values, grads = _unroll(p, rows, bptt_k)
+        singles = [_unroll(p, _pack([item], [label]), bptt_k) for item, label in zip(items, labels)]
+        np.testing.assert_allclose(values, [v[0] for v, _ in singles], rtol=1e-12, atol=0)
+        total = sum(single.flat for _, single in singles)
+        np.testing.assert_allclose(grads.flat, total, rtol=1e-12, atol=1e-12 * np.max(np.abs(total)))
+
+
+@pytest.mark.parametrize("latent_mode", LATENT_MODES)
+def test_cells_a_row_does_not_run_reach_nothing(monkeypatch, latent_mode):
+    """Rows that end at step 1, at step 2 and at the last step share a
+    segment with a longer one, so a step runs columns of rows that do not
+    run it.  With those cache entries (of every step's MLPs after a row's
+    step n, and of its draw, LSTM and state from step n on) set to NaN after
+    each forward step, the values, gradients, checks and the carried state
+    of the running rows equal a clean run's bit for bit; left uncleared, the
+    NaN would reach them."""
+    p = init_params(4, 3, seed=3, wt_mode="learned", latent_mode=latent_mode)
+    p.head_wt[...] = 0.05
+    rng = np.random.default_rng(5)
+    seqs = [_random_seq(n, rng, f"u{k}") for k, n in enumerate((1, 2, 7, 9))]
+    rows = _pack([(_sequence_arrays(s), rng.standard_normal(len(s))) for s in seqs], [s.user_id for s in seqs])
+    h0 = c0 = np.zeros((len(seqs), 4))
+    S = len(rows.g)
+    assert rows.n.tolist() == [9, 7, 2, 1] and S == 10  # the last step is 9
+
+    def segment():
+        seg = _segment(p, rows, 0, S, h0, c0)
+        return seg.values, seg.grads.flat, seg.failures, seg.h[:1], seg.c[:1]
+
+    clean = segment()
+    real = K.cell_fwd
+
+    def poisoned(w, u, t, W, first=False, generate=False):
+        real(w, u, t, W, first, generate)
+        off, idle = rows.n < t, rows.n <= t  # the row's step n, and every step after it
+        P2 = u.hid.shape[1]
+        for block, cols in ((u.hid[t], off), (u.law[t], off), (u.raw[t], off), (u.dp[t, :P2], off),
+                            (u.dp[t, P2:], idle), (u.xh[t, 2:3], idle), (u.xh[t + 1, 3:], idle),
+                            (u.c[t + 1], idle)):
+            block[:, cols] = np.nan
+
+    monkeypatch.setattr(K, "cell_fwd", poisoned)
+    for got, want in zip(segment(), clean):
+        if isinstance(want, dict):
+            assert got == want == {}
+        else:
+            assert got.tobytes() == want.tobytes()
+    monkeypatch.setattr(K.Unroll, "clear", lambda *args: None)
+    values, grads, *_ = segment()
+    assert not (np.isfinite(values).all() and np.isfinite(grads).all())
 
 
 def test_divergence_names_the_first_failing_user_not_the_first_row(monkeypatch):
