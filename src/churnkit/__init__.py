@@ -37,7 +37,7 @@ from .inference import (
     rolling_evaluate_many,
     user_history_stats,
 )
-from .model import ModelParams, StepOutput, heads, init_params, initial_step, step
+from .model import ModelParams, init_params
 from .simulate import GeneratorSpec, generate
 from .tppmath import (
     GaussianParams,
@@ -79,7 +79,6 @@ __all__ = [
     "PredictionRecord",
     "Session",
     "SessionSequence",
-    "StepOutput",
     "TrainConfig",
     "TrainReport",
     "churn_alarm",
@@ -92,10 +91,8 @@ __all__ = [
     "gaussian_kl",
     "generate",
     "gradcheck_elbo",
-    "heads",
     "ingest_events",
     "init_params",
-    "initial_step",
     "load_checkpoint",
     "log_gap_density",
     "poisson_log_pmf",
@@ -110,7 +107,6 @@ __all__ = [
     "sessionize",
     "sessionize_log",
     "split_users",
-    "step",
     "train",
     "user_history_stats",
     "write_sessions",

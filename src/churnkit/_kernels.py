@@ -2,11 +2,12 @@
 
 Every kernel works feature-major: the last axis of an array indexes rows
 (the users of an optimizer batch times their latent trajectories), so one
-step's quantity is a contiguous (features, rows) block, and one column is a
-batch of one.  Training (churnkit.train) and filtering (churnkit.inference)
-unroll the cell over many rows at once, prediction runs its heads on
-(samples, records) arrays and generation (churnkit.model) on one column; the
-distribution helpers of churnkit.tppmath wrap the KL and the draw.
+step's quantity is a contiguous (features, rows) block.  Training
+(churnkit.train) and filtering (churnkit.inference) unroll the cell over
+many rows at once, generation (churnkit.simulate) runs it one step at a
+time over all its users, and prediction runs its heads on (samples,
+records) arrays; the distribution helpers of churnkit.tppmath wrap the KL
+and the draw.
 
 - constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS``, ``EXP_ARG_MAX``, the z clamp ``Z_LO``/``Z_HI``;
 - ``sigmoid`` and ``softplus``;
@@ -22,8 +23,7 @@ distribution helpers of churnkit.tppmath wrap the KL and the draw.
 
 Conventions: float64 throughout; LSTM gate order is [input, forget, output,
 candidate], each block H wide inside the stacked 4H preactivation; the
-recurrent state of one row is a (2, H) array with row 0 = h and row 1 = c,
-and a batch keeps h and c as separate (H, rows) blocks.
+recurrent state is kept as separate (H, rows) blocks of h and c.
 """
 
 from __future__ import annotations

@@ -8,14 +8,12 @@ log rate of the Poisson duration model for the next session.  Prior and
 approximate-posterior parameters of logit(z) come from two one-hidden-layer
 MLPs shared across time-steps.
 
-``step`` and ``initial_step`` run the step ``_kernels.cell_fwd`` on one
-column, for generation (churnkit.simulate) and as the reference the tests
-check.  Training (churnkit.train) and filtering (churnkit.inference) run
-the same step on many columns, rows packed by ``_pack``, longest first.
+Training (churnkit.train), filtering (churnkit.inference) and generation
+(churnkit.simulate) run the step ``_kernels.cell_fwd`` on many rows at
+once; training and filtering pack the rows with ``_pack``, longest first.
 Every formula of the cell is defined once, in churnkit._kernels: the latent
 MLPs (mlp2), the clamped reparameterized draw (draw_z), the LSTM (lstm),
-the heads, softplus and the constants.  The recurrent state is a
-(2, H) array (row 0 = h, row 1 = c).  The parameters are declared once, by
+the heads, softplus and the constants.  The parameters are declared once, by
 name and shape, in ``expected_shapes``, and live in one vector with a named
 view per parameter (``ModelParams``).
 """
@@ -30,13 +28,10 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels as K
-from .errors import NumericalError
 from .eventlog import derive_seed
-from .tppmath import GaussianParams
 
 WT_MODES = ("frozen_zero", "learned")
 LATENT_MODES = ("full", "fixed")
-MODES = ("infer", "generate")
 
 
 def expected_shapes(hidden, mlp_hidden):
@@ -120,19 +115,6 @@ for _name in PARAM_FIELDS:
     setattr(ModelParams, _name, property(lambda self, name=_name: self._views[name]))
 
 
-@dataclass
-class StepOutput:
-    """One step's results.  A law the step did not compute is None: the
-    posterior in generate mode, both in fixed latent mode."""
-
-    state: np.ndarray  # (2, H): row 0 = h, row 1 = c
-    prior: GaussianParams
-    posterior: GaussianParams
-    z: float
-    a: float
-    gamma: float
-
-
 def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="full"):
     """Fresh parameters: uniform(-1/sqrt(fan_in), +) weights, zero biases,
     forget-gate bias 1, raw-sigma bias set so sigma starts near 0.5."""
@@ -166,13 +148,6 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
         post_W2=u("post_W2", P),
         post_b2=[0.0, raw_sigma0],
     )
-
-
-def prior_params(params, h):
-    """Prior (mu0, sigma0) of logit(z) given the previous hidden state."""
-    pre = params.prior_W1 @ h[:, None] + params.prior_b1[:, None]
-    mu, sigma, _, _ = K.mlp2(params.prior_W2, params.prior_b2, pre)
-    return GaussianParams(mu=mu.item(), sigma=sigma.item())
 
 
 def input_features(g, d):
@@ -234,56 +209,3 @@ def _pack(items, labels):
         lgd[:m, j] = lg
         eps[:m, j] = e[:m]
     return _Rows(n, order, labels, feat, g, d, lgd, eps)
-
-
-def posterior_params(params, g, d, h):
-    """Approximate posterior (mu_q, sigma_q) given (g_i, d_i, h_{i-1})."""
-    pre = params.post_W1 @ np.concatenate((input_features(g, d), h))[:, None] + params.post_b1[:, None]
-    mu, sigma, _, _ = K.mlp2(params.post_W2, params.post_b2, pre)
-    return GaussianParams(mu=mu.item(), sigma=sigma.item())
-
-
-def _checked(a, lg):
-    if not (abs(a) <= K.EXP_ARG_MAX and abs(lg) <= K.EXP_ARG_MAX):  # NaN fails too
-        raise NumericalError(f"heads: diverged (a={a:.3g}, log gamma={lg:.3g})")
-    return a, math.exp(lg)
-
-
-def heads(params, z, h):
-    """Intensity base a and duration rate gamma evaluated at (z, h)."""
-    return _checked(*K.heads(K.Cell(params), z, np.reshape(h, (-1, 1)))[:, 0].tolist())
-
-
-def _column(params, state, feat, eps, first=False, generate=False):
-    """The step ``_kernels.cell_fwd`` on one column from the (2, H) state."""
-    w = K.Cell(params)
-    u = K.Unroll(w, np.array([[feat]], float), state[:1], state[1:], np.array([[eps]], float))
-    K.cell_fwd(w, u, 0, 1, first, generate)
-    u.outputs(w)
-    state = np.array([u.xh[1, 3:, 0], u.c[1, :, 0]])
-    if not np.isfinite(state).all():
-        raise NumericalError("step: non-finite hidden state")
-    muq, sq, mup, sp = u.law[0, :, 0].tolist()
-    prior = GaussianParams(mup, sp) if w.full else None
-    posterior = prior if first or not w.full else None if generate else GaussianParams(muq, sq)
-    return StepOutput(state, prior, posterior, u.xh[0, 2, 0].item(), *_checked(*u.ah[0, :, 0].tolist()))
-
-
-def initial_step(params, eps=0.0):
-    """Step-0 convention: state is zero, z comes from the prior at that state,
-    the heads at (z0, 0) govern the first observed session's duration."""
-    return _column(params, np.zeros((2, params.hidden)), (0.0, 0.0), eps, first=True)
-
-
-def step(params, prev, g, d, mode, eps=0.0):
-    """One recurrence step on observed (g, d) from the (2, H) state prev.
-
-    infer: z from the reparameterized posterior draw; generate: z from the
-    prior draw, without computing the posterior.  The returned (a, gamma)
-    govern the NEXT session's gap and duration.  This is the batched step
-    ``_kernels.cell_fwd`` on one column; at eps = 0 infer mode is the filter
-    of churnkit.inference.
-    """
-    if mode not in MODES:
-        raise ValueError(f"step: unknown mode {mode!r}")
-    return _column(params, prev, input_features(g, d), eps, generate=mode == "generate")

@@ -7,10 +7,11 @@ mismatch is intentional); "regime_switching" runs a two-state Markov chain
 over sessions, each state carrying its own (mean gap, mean duration);
 "from_model" samples ancestrally through a trained checkpoint, with durations
 drawn zero-truncated so they stay valid session sizes, and records the exact
-conditional log-likelihood of everything it generated.
+conditional log-likelihood of everything it generated.  It advances all
+users as the rows of one state, through the training step.
 
-Each user draws from an independent derived RNG stream, so output is
-deterministic under a seed and stable under parallel generation.  All users
+Each user draws from an independent derived RNG stream, so a user's data
+depends only on the seed and its id, not on the other users.  All users
 start at t = 0; the first session carries the sentinel gap 0.  A session that
 would start past the horizon is discarded, not clipped.
 """
@@ -23,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DataError
+from . import _kernels as K
+from .errors import NumericalError
 from .eventlog import Session, SessionSequence, derive_seed
-from .model import initial_step, step
 from .tppmath import (
     IntensitySpec,
     log_gap_density,
@@ -61,6 +62,9 @@ class GeneratorSpec:
             raise ValueError(f"GeneratorSpec: horizon must be finite and positive, got {self.horizon}")
         if self.max_sessions < 1:
             raise ValueError("GeneratorSpec: max_sessions must be >= 1")
+        if (self.kind == "from_model") != (self.model_path is not None or self.model_params is not None):
+            raise ValueError("GeneratorSpec: kind 'from_model' needs model_path or model_params, "
+                             f"and no other kind takes them (kind {self.kind!r})")
         if self.kind == "stationary":
             _check_state(self.mean_gap, self.mean_duration)
         elif self.kind == "regime_switching":
@@ -69,9 +73,6 @@ class GeneratorSpec:
             m = np.asarray(self.switch, dtype=np.float64)
             if m.shape != (2, 2) or not (np.all(m >= 0.0) and np.all(np.abs(m.sum(axis=1) - 1.0) <= 1e-9)):
                 raise ValueError(f"GeneratorSpec: switching matrix rows must be probabilities, got {self.switch}")
-        else:
-            if self.model_path is None and self.model_params is None:
-                raise ValueError("GeneratorSpec: from_model needs model_path or model_params")
 
 
 def _check_state(mean_gap, mean_duration):
@@ -86,20 +87,20 @@ def _user_ids(n):
     return [f"u{i:0{width}d}" for i in range(n)]
 
 
-def _stationary_user(uid, rng, mean_gap, mean_duration, horizon, cap):
-    extra = mean_duration - 1.0
+def _stationary_user(rng, spec):
+    extra = spec.mean_duration - 1.0
     sessions = [Session(t=0.0, g=0.0, d=1 + int(rng.poisson(extra)))]
     t = 0.0
-    while len(sessions) < cap:
-        gap = rng.exponential(mean_gap)
-        if t + gap > horizon:
+    while len(sessions) < spec.max_sessions:
+        gap = rng.exponential(spec.mean_gap)
+        if t + gap > spec.horizon:
             break
         t += gap
         sessions.append(Session(t=t, g=gap, d=1 + int(rng.poisson(extra))))
-    return SessionSequence(user_id=uid, sessions=sessions)
+    return sessions, {}
 
 
-def _regime_user(uid, rng, spec):
+def _regime_user(rng, spec):
     m = np.asarray(spec.switch, dtype=np.float64)
     # start from the chain's stationary distribution so the session mixture
     # matches it from the first session on
@@ -119,66 +120,88 @@ def _regime_user(uid, rng, spec):
         t += gap
         sessions.append(Session(t=t, g=gap, d=1 + int(rng.poisson(extra[r]))))
         regimes.append(r)
-    return SessionSequence(user_id=uid, sessions=sessions), regimes
+    return sessions, {"regimes": regimes}
 
 
-def _model_user(uid, rng, params, horizon, cap):
-    """Ancestral sampling through the model in generate mode.
+def _model_users(uids, rngs, params, horizon, cap):
+    """Ancestral sampling through the model, every user a row of one state.
 
-    Returns (sequence, exact conditional log-likelihood, churned flag).  The
-    log-likelihood scores exactly what was sampled: gap densities from the
-    second session on, zero-truncated Poisson durations for every session.
+    Step i runs the training step ``_kernels.cell_fwd`` in generate mode on
+    the users still running, as the columns of one one-step Unroll: step 0
+    is the pre-data step, step i > 0 consumes session i - 1, and the heads
+    of step i give the law of session i.  A user stops when it churns (an
+    infinite gap), when its next session would start past the horizon, or
+    at cap sessions.  Each user draws from its own rng, in the order eps,
+    d1, eps, then (gap, duration, eps) per session.
+
+    Returns per user (sessions, {"loglik", "churned"}): the exact
+    conditional log-likelihood of what was sampled, gap densities from the
+    second session on and zero-truncated Poisson durations for every session.
     """
+    w = K.Cell(params)
     wt = float(params.head_wt)
-    cur = initial_step(params, eps=float(rng.standard_normal()))
-    d1 = sample_zt_poisson(cur.gamma, rng)
-    sessions = [Session(t=0.0, g=0.0, d=d1)]
-    loglik = zt_poisson_log_pmf(cur.gamma, d1)
-    cur = step(params, cur.state, 0.0, d1, "generate", eps=float(rng.standard_normal()))
-    t = 0.0
-    churned = False
-    while len(sessions) < cap:
-        spec_i = IntensitySpec(cur.a, wt)
-        gap = sample_gap(spec_i, rng)
-        if math.isinf(gap):
-            churned = True
-            break
-        if t + gap > horizon:
-            break
-        d = sample_zt_poisson(cur.gamma, rng)
-        loglik += log_gap_density(spec_i, gap) + zt_poisson_log_pmf(cur.gamma, d)
-        t += gap
-        sessions.append(Session(t=t, g=gap, d=d))
-        cur = step(params, cur.state, gap, d, "generate", eps=float(rng.standard_normal()))
-    return SessionSequence(user_id=uid, sessions=sessions), loglik, churned
+    sessions = [[] for _ in uids]
+    truth = [{"loglik": 0.0, "churned": False} for _ in uids]
+    live = list(range(len(uids)))  # the users the next step runs, as its columns
+    feat = [(0.0, 0.0)] * len(uids)
+    h = c = np.zeros((params.hidden, len(uids)))
+    i = 0
+    while live:
+        u = K.Unroll(w, np.array([feat]), h.T, c.T, np.array([[rngs[r].standard_normal() for r in live]]))
+        K.cell_fwd(w, u, 0, len(live), first=i == 0, generate=True)
+        u.outputs(w)
+        # heads in range and a finite state, written so that NaN fails too
+        ok = (np.abs(u.ah[0]) <= K.EXP_ARG_MAX).all(axis=0) & np.isfinite(u.xh[1, 3:]).all(axis=0)
+        ok &= np.isfinite(u.c[1]).all(axis=0)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            a, lg = u.ah[0, :, j]
+            raise NumericalError(f"generate: user {uids[live[j]]} diverged at step {i} "
+                                 f"(a={a:.3g}, log gamma={lg:.3g})")
+        keep, feat = [], []
+        for j, (r, a, lg) in enumerate(zip(live, *u.ah[0].tolist())):
+            rng, seq, gamma = rngs[r], sessions[r], math.exp(lg)
+            if i == 0:
+                gap = t = 0.0
+            else:
+                spec = IntensitySpec(a, wt)
+                gap = sample_gap(spec, rng)
+                if math.isinf(gap):
+                    truth[r]["churned"] = True
+                    continue
+                t = seq[-1].t + gap
+                if t > horizon:
+                    continue
+            d = sample_zt_poisson(gamma, rng)
+            ll = zt_poisson_log_pmf(gamma, d)
+            truth[r]["loglik"] += ll if i == 0 else log_gap_density(spec, gap) + ll
+            seq.append(Session(t=t, g=gap, d=d))
+            if len(seq) < cap:
+                keep.append(j)
+                feat.append((math.log1p(gap), math.log1p(float(d))))
+        live = [live[j] for j in keep]
+        h, c = u.xh[1, 3:][:, keep], u.c[1][:, keep]
+        i += 1
+    return list(zip(sessions, truth))
 
 
 def generate(spec, seed):
     """Generate per-user session sequences plus a ground-truth sidecar dict."""
-    params = None
+    uids = _user_ids(spec.users)
+    rngs = [np.random.default_rng(derive_seed(seed, "gen", uid)) for uid in uids]
     if spec.kind == "from_model":
-        if spec.model_params is not None:
-            params = spec.model_params
-        else:
+        params = spec.model_params
+        if params is None:
             from .train import load_checkpoint
 
             params, _ = load_checkpoint(spec.model_path)
+        users = _model_users(uids, rngs, params, spec.horizon, spec.max_sessions)
+    else:
+        user = _stationary_user if spec.kind == "stationary" else _regime_user
+        users = [user(rng, spec) for rng in rngs]
 
-    sequences = []
-    users_truth = {}
-    for uid in _user_ids(spec.users):
-        rng = np.random.default_rng(derive_seed(seed, "gen", uid))
-        if spec.kind == "stationary":
-            seq = _stationary_user(uid, rng, spec.mean_gap, spec.mean_duration, spec.horizon, spec.max_sessions)
-            users_truth[uid] = {"events": len(seq)}
-        elif spec.kind == "regime_switching":
-            seq, regimes = _regime_user(uid, rng, spec)
-            users_truth[uid] = {"events": len(seq), "regimes": regimes}
-        else:
-            seq, loglik, churned = _model_user(uid, rng, params, spec.horizon, spec.max_sessions)
-            users_truth[uid] = {"events": len(seq), "loglik": loglik, "churned": churned}
-        sequences.append(seq)
-
+    sequences = [SessionSequence(user_id=uid, sessions=s) for uid, (s, _) in zip(uids, users)]
+    users_truth = {uid: {"events": len(s), **extra} for uid, (s, extra) in zip(uids, users)}
     truth = {
         "kind": spec.kind,
         "seed": seed,
@@ -199,6 +222,4 @@ def generate(spec, seed):
         total_ll = sum(u["loglik"] for u in users_truth.values())
         total_ev = sum(u["events"] for u in users_truth.values())
         truth["loglik_per_event"] = total_ll / total_ev
-    if not sequences:
-        raise DataError("generate: produced no sequences")
     return sequences, truth

@@ -552,17 +552,21 @@ def load_checkpoint(path):
         )
     try:
         config = payload["config"]
-        hidden = int(config["H"])
-        mlp_hidden = int(config["H_p"])
+        hidden, mlp_hidden = config["H"], config["H_p"]
         wt_mode = str(config["w_t_mode"])
         latent_mode = str(config.get("latent_mode", "full"))
         raw = payload["params"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptCheckpointError(f"checkpoint config malformed: {exc}") from None
+    for key, size in (("H", hidden), ("H_p", mlp_hidden)):
+        if type(size) is not int or size < 1:
+            raise CorruptCheckpointError(f"checkpoint size {key} must be an integer >= 1, got {size!r}")
     if wt_mode not in WT_MODES:
         raise CorruptCheckpointError(f"checkpoint has unknown w_t_mode {wt_mode!r}")
     if latent_mode not in LATENT_MODES:
         raise CorruptCheckpointError(f"checkpoint has unknown latent_mode {latent_mode!r}")
+    if not isinstance(raw, dict):
+        raise CorruptCheckpointError("checkpoint params is not an object")
 
     shapes = expected_shapes(hidden, mlp_hidden)
     arrays = {}
@@ -570,6 +574,8 @@ def load_checkpoint(path):
         if name not in raw:
             raise CorruptCheckpointError(f"checkpoint missing parameter {name!r}")
         entry = raw[name]
+        if not isinstance(entry, dict) or not isinstance(entry.get("shape", []), list):
+            raise CorruptCheckpointError(f"parameter {name!r} is not an object with a list shape")
         shape = tuple(entry.get("shape", ()))
         data = entry.get("data")
         if shape != shapes[name]:
@@ -582,7 +588,7 @@ def load_checkpoint(path):
                 f"values for shape {shape}"
             )
         try:
-            arrays[name] = np.asarray(data, dtype=np.float64).reshape(shape)
+            arrays[name] = np.asarray(data, dtype=np.float64).reshape(shapes[name])
         except (TypeError, ValueError) as exc:
             raise CorruptCheckpointError(f"parameter {name!r} is not numeric: {exc}") from None
         if not np.all(np.isfinite(arrays[name])):

@@ -342,6 +342,52 @@ def test_non_finite_head_is_numerical_error(tmp_path):
     assert _predict_exit_code(tmp_path, params) == 3
 
 
+def _simulate_from(tmp_path, model, kind="from_model"):
+    out = tmp_path / "gen.jsonl"
+    return main(["simulate", "--kind", kind, "--from-model", str(model), "--users", "5",
+                 "--horizon", "30", "--seed", "2", "--out", str(out)]), out
+
+
+def test_simulate_from_trained_checkpoint(tmp_path):
+    sessions = tmp_path / "sessions.jsonl"
+    model = tmp_path / "model.json"
+    main(["simulate", "--kind", "stationary", "--users", "6", "--horizon", "40",
+          "--seed", "2", "--out", str(sessions)])
+    assert main(["train", "--sessions", str(sessions), "--out", str(model), "--epochs", "1",
+                 "--hidden", "4", "--mlp-hidden", "3", "--seed", "1", "--train-frac", "0.67"]) == 0
+    code, out = _simulate_from(tmp_path, model)
+    assert code == 0
+    truth = json.loads((tmp_path / "gen.jsonl.truth.json").read_text())
+    assert math.isfinite(truth["loglik_per_event"])
+    assert truth["spec"]["model_path"] == str(model)
+    assert sorted(truth["users"]) == sorted(s.user_id for s in read_sessions(out))
+
+
+def test_simulate_from_diverging_checkpoint_is_numerical_error(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1).replace(head_bt=800.0), model)
+    assert _simulate_from(tmp_path, model)[0] == 3
+    assert "user u0000 diverged at step 0" in capsys.readouterr().err
+
+
+def test_simulate_from_malformed_checkpoint_is_data_error(tmp_path):
+    # a parameter entry that is a list used to end in an AttributeError traceback
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1), model)
+    payload = json.loads(model.read_text())
+    payload["params"]["lstm_b"] = [0.0] * 16
+    model.write_text(json.dumps(payload))
+    assert _simulate_from(tmp_path, model)[0] == 2
+
+
+def test_simulate_model_with_another_kind_is_usage_error(tmp_path):
+    # the model used to be ignored, and still listed in the manifest and truth
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1), model)
+    code, out = _simulate_from(tmp_path, model, kind="stationary")
+    assert code == 1 and not out.exists()
+
+
 def _sessions_exit_code(tmp_path, subcommand, sessions_records, pred_samples=2):
     """Exit code of `predict` or `evaluate` on a hand-written sessions file."""
     sessions = tmp_path / "sessions.jsonl"

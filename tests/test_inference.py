@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from churnkit import inference
-
 from churnkit.errors import DataError
 from churnkit.eventlog import Session, SessionSequence
 from churnkit.inference import (
@@ -21,7 +21,7 @@ from churnkit.inference import (
     rolling_evaluate_many,
     user_history_stats,
 )
-from churnkit.model import LATENT_MODES, PARAM_FIELDS, init_params, initial_step, prior_params, step
+from churnkit.model import LATENT_MODES, PARAM_FIELDS, init_params
 from churnkit.tppmath import sample_logit_normal
 
 
@@ -79,11 +79,11 @@ class TestPredictNext:
         from churnkit.eventlog import derive_seed
 
         # the filter is the one-row reference step in infer mode at eps = 0
-        state = initial_step(p).state
+        out = ref.initial(p)
         for s in SEQ.sessions:
-            state = step(p, state, s.g, s.d, "infer").state
-        h = state[0]
-        prior = prior_params(p, h)
+            out = ref.step(p, out.h, out.c, 0.0, "infer", s.g, s.d)
+        h = out.h
+        prior = ref.prior(p, h)
         # the record at step s takes row s - 1 of the user's one stream
         rng = np.random.default_rng(derive_seed(7, "pred", SEQ.user_id))
         eps = rng.standard_normal((len(SEQ), 64))[len(SEQ) - 1]

@@ -1,5 +1,7 @@
-"""Network pieces: initialization, MLP heads, the recurrence step, and its
-structural properties (causality, determinism, positivity)."""
+"""Network pieces: initialization, the parameter layout, the one-row
+reference step of tests/_reference.py and its structural properties
+(causality, determinism, positivity), and one column of the batched
+training step against that reference."""
 
 import math
 import pickle
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from churnkit import _kernels as K
-from churnkit.errors import NumericalError
 from churnkit.inference import _filtered
 from churnkit.model import (
     LATENT_MODES,
@@ -18,16 +20,11 @@ from churnkit.model import (
     _pack,
     _sequence_arrays,
     expected_shapes,
-    heads,
     init_params,
-    initial_step,
     input_features,
-    posterior_params,
-    prior_params,
-    step,
 )
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.tppmath import IntensitySpec, expected_gap, gaussian_kl
+from churnkit.tppmath import IntensitySpec, expected_gap, gaussian_kl, sample_logit_normal
 from churnkit.train import _segment, grad_check, load_checkpoint, save_checkpoint
 
 SOFTPLUS_HALF = math.log(2.0) + 1e-4  # softplus(0) plus the sigma floor
@@ -70,7 +67,7 @@ class TestInit:
 
     def test_initial_sigma_near_half(self):
         p = init_params(8, 8, seed=9)
-        prior = prior_params(p, np.zeros(8))
+        prior = ref.prior(p, np.zeros(8))
         assert abs(prior.sigma - 0.5) < 0.2
 
     def test_size_validation(self):
@@ -119,23 +116,23 @@ class TestLayout:
 class TestPriorPosterior:
     def test_zero_weights_give_standard_values(self):
         p = _zeroed()
-        prior = prior_params(p, np.zeros(4))
+        prior = ref.prior(p, np.zeros(4))
         assert prior.mu == pytest.approx(0.0)
         assert prior.sigma == pytest.approx(SOFTPLUS_HALF, rel=1e-12)
-        post = posterior_params(p, 2.0, 3, np.zeros(4))
+        post = ref.posterior(p, 2.0, 3, np.zeros(4))
         assert post.mu == pytest.approx(0.0)
         assert post.sigma == pytest.approx(SOFTPLUS_HALF, rel=1e-12)
 
     def test_deterministic(self):
         p = init_params(4, 4, seed=5)
         h = np.random.default_rng(0).normal(size=4)
-        assert prior_params(p, h) == prior_params(p, h)
-        assert posterior_params(p, 1.0, 2, h) == posterior_params(p, 1.0, 2, h)
+        assert ref.prior(p, h) == ref.prior(p, h)
+        assert ref.posterior(p, 1.0, 2, h) == ref.posterior(p, 1.0, 2, h)
 
     def test_prior_gradients_match_finite_differences(self):
         """The latent MLP's hand-written adjoint, in the batched training
         step, against central differences of the KL assembled from the
-        model's own prior_params and posterior_params (both heads of each)."""
+        reference prior and posterior (both heads of each)."""
         p = init_params(3, 3, seed=6)
         rng = np.random.default_rng(1)
         state = rng.normal(size=(2, 3)) * 0.5
@@ -145,7 +142,7 @@ class TestPriorPosterior:
 
         def loss(v):
             q = p.replace(**v)
-            return -gaussian_kl(posterior_params(q, 1.7, 3, state[0]), prior_params(q, state[0]))
+            return -gaussian_kl(ref.posterior(q, 1.7, 3, state[0]), ref.prior(q, state[0]))
 
         # step n = 2 of the sequence carries only the KL after session 1
         rows = _pack([(_sequence_arrays(seq), np.zeros(2))], ["u"])
@@ -154,39 +151,33 @@ class TestPriorPosterior:
         assert report.passed, report.summary()
 
     def test_posterior_input_validation(self):
-        p = init_params(3, 3, seed=0)
+        # the posterior's inputs are the session features, checked here
         with pytest.raises(ValueError):
-            posterior_params(p, -1.0, 2, np.zeros(3))
+            input_features(-1.0, 2)
         with pytest.raises(ValueError):
-            posterior_params(p, 1.0, 0, np.zeros(3))
+            input_features(1.0, 0)
 
 
 class TestHeads:
     def test_zero_weights(self):
         p = _zeroed()
-        a, gamma = heads(p, 0.3, np.zeros(4))
-        assert a == 0.0 and gamma == 1.0
+        a, lg = ref.heads(p, 0.3, np.zeros(4))
+        assert a == 0.0 and math.exp(lg) == 1.0
 
     def test_intensity_base_example(self):
         p = _zeroed()
         p.head_wz[...] = 1.0
-        a, _ = heads(p, 0.5, np.zeros(4))
+        a, _ = ref.heads(p, 0.5, np.zeros(4))
         assert a == pytest.approx(0.5)
         assert math.exp(a) == pytest.approx(1.6487, abs=5e-5)
 
     def test_gamma_monotone_in_bias(self):
         p = init_params(4, 4, seed=7)
         h = np.random.default_rng(2).normal(size=4)
-        _, g1 = heads(p, 0.4, h)
+        _, lg1 = ref.heads(p, 0.4, h)
         p.dur_b[...] = float(p.dur_b) + 0.7
-        _, g2 = heads(p, 0.4, h)
-        assert g2 == pytest.approx(g1 * math.exp(0.7), rel=1e-12)
-
-    def test_overflow_signals_divergence(self):
-        p = _zeroed()
-        p.head_bt[...] = 800.0
-        with pytest.raises(NumericalError):
-            heads(p, 0.5, np.zeros(4))
+        _, lg2 = ref.heads(p, 0.4, h)
+        assert math.exp(lg2) == pytest.approx(math.exp(lg1) * math.exp(0.7), rel=1e-12)
 
 
 def _filter(p, gaps, durs):
@@ -201,9 +192,9 @@ def _filter(p, gaps, durs):
 class TestStep:
     def test_zero_weight_step_keeps_zero_state(self):
         p = _zeroed()
-        out = step(p, np.zeros((2, 4)), 2.0, 3, "infer", eps=0.0)
-        np.testing.assert_allclose(out.state, np.zeros((2, 4)))
-        assert out.a == 0.0 and out.gamma == 1.0
+        out = ref.step(p, np.zeros(4), np.zeros(4), 0.0, "infer", 2.0, 3)
+        np.testing.assert_allclose([out.h, out.c], np.zeros((2, 4)))
+        assert out.a == 0.0 and math.exp(out.lg) == 1.0
         assert out.z == pytest.approx(0.5)
 
     def test_filter_mode_is_deterministic_and_consumes_no_rng(self):
@@ -217,32 +208,24 @@ class TestStep:
 
     def test_modes_draw_from_the_right_distribution(self):
         p = init_params(6, 4, seed=9)
-        prev = np.zeros((2, 6))
+        h = c = np.zeros(6)
         eps = 0.83
-        inf = step(p, prev, 1.5, 4, "infer", eps=eps)
-        gen = step(p, prev, 1.5, 4, "generate", eps=eps)
-        from churnkit.tppmath import sample_logit_normal
-
+        inf = ref.step(p, h, c, eps, "infer", 1.5, 4)
+        gen = ref.step(p, h, c, eps, "generate", 1.5, 4)
         assert inf.z == pytest.approx(sample_logit_normal(inf.posterior, eps))
         assert gen.z == pytest.approx(sample_logit_normal(gen.prior, eps))
+        assert gen.posterior is None
 
     def test_positivity_invariants(self):
         rng = np.random.default_rng(10)
         p = init_params(5, 4, seed=11)
-        state = np.zeros((2, 5))
+        out = ref.initial(p)
         for _ in range(60):
-            out = step(
-                p,
-                state,
-                float(rng.exponential(2.0)),
-                int(1 + rng.poisson(3.0)),
-                "infer",
-                eps=float(rng.standard_normal()),
-            )
+            g, d = float(rng.exponential(2.0)), int(1 + rng.poisson(3.0))
+            out = ref.step(p, out.h, out.c, float(rng.standard_normal()), "infer", g, d)
             assert 0.0 < out.z < 1.0
-            assert out.gamma > 0.0
+            assert math.exp(out.lg) > 0.0
             assert out.prior.sigma > 0.0 and out.posterior.sigma > 0.0
-            state = out.state
 
     def test_causality_prefix_outputs_bit_identical(self):
         p = init_params(4, 4, seed=12)
@@ -262,21 +245,30 @@ class TestStep:
 
     def test_generative_consistency_with_expected_gap(self):
         p = init_params(4, 4, seed=14)
-        out = step(p, np.zeros((2, 4)), 1.0, 2, "infer", eps=0.0)
+        out = ref.step(p, np.zeros(4), np.zeros(4), 0.0, "infer", 1.0, 2)
         assert expected_gap(IntensitySpec(out.a, 0.0)) == pytest.approx(
             math.exp(-out.a), rel=1e-12
         )
 
     def test_initial_step_conventions(self):
         p = init_params(4, 4, seed=15)
-        first = initial_step(p)
-        np.testing.assert_array_equal(first.state, np.zeros((2, 4)))
-        assert first.prior == first.posterior
+        # the pre-data step keeps the zero state and draws z from the prior
+        first = ref.initial(p, eps=0.4)
+        np.testing.assert_array_equal([first.h, first.c], np.zeros((2, 4)))
+        assert first.posterior is None
+        assert first.z == pytest.approx(sample_logit_normal(first.prior, 0.4))
+        assert (first.a, first.lg) == ref.heads(p, first.z, np.zeros(4))
 
     def test_fixed_latent_mode_clamps_z(self):
         p = init_params(4, 4, seed=16, latent_mode="fixed")
-        out = step(p, np.zeros((2, 4)), 1.0, 2, "infer", eps=1.7)
-        assert out.z == 0.5
+        out = ref.step(p, np.zeros(4), np.zeros(4), 1.7, "infer", 1.0, 2)
+        assert out.z == 0.5 and out.prior is None
+
+
+def _close(actual, expected, tol=1e-12):
+    """Equal to tol relative, with a floor at tol of the largest expected entry."""
+    expected = np.atleast_1d(np.asarray(expected, float))
+    np.testing.assert_allclose(actual, expected, rtol=tol, atol=tol * np.abs(expected).max())
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,26 +283,26 @@ class TestStep:
     wt=st.floats(-0.5, 0.5),
 )
 def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidden, latent_mode, g, d, eps, wt):
-    """model.step and one column of the batched training step compute the
-    same cell bit for bit: state, z, a, log gamma and the laws of logit(z),
-    at a drawn eps and at eps = 0 (the filter)."""
+    """One column of the batched training step and the plain-numpy reference
+    step compute the same cell to 1e-12 relative: state, z, a, log gamma and
+    the laws of logit(z), inferring at a drawn eps and at eps = 0 (the
+    filter), generating, and at the pre-data step."""
     rng = np.random.default_rng(seed)
     p = init_params(hidden, mlp_hidden, seed=0, wt_mode="learned", latent_mode=latent_mode)
     for name in PARAM_FIELDS:
         getattr(p, name)[...] = rng.normal(0.0, 0.5, getattr(p, name).shape)
     p.head_wt[...] = wt
     state = rng.normal(0.0, 0.5, (2, hidden))
-    full = latent_mode == "full"
-    gf, df = input_features(g, d)
-    for e in (eps, 0.0):
-        ref = step(p, state, g, d, "infer", e)
-        feat = np.array([[[gf, df]]])
-        w = K.Cell(p)
-        u = K.Unroll(w, feat, state[:1], state[1:], np.full((1, 1), e))
-        K.cell_fwd(w, u, 0, 1)
+    w = K.Cell(p)
+    for mode, e in (("infer", eps), ("infer", 0.0), ("generate", eps), ("first", eps)):
+        expected = ref.step(p, state[0], state[1], e, mode, g, d)
+        u = K.Unroll(w, np.array([[input_features(g, d)]]), state[:1], state[1:], np.full((1, 1), e))
+        K.cell_fwd(w, u, 0, 1, first=mode == "first", generate=mode == "generate")
         u.outputs(w)
-        assert np.stack([u.xh[1, 3:, 0], u.c[1, :, 0]]).tobytes() == ref.state.tobytes()
-        assert (u.xh[0, 2, 0], u.ah[0, 0, 0], math.exp(u.ah[0, 1, 0])) == (ref.z, ref.a, ref.gamma)
-        if full:
-            assert (u.law[0, 0, 0], u.law[0, 1, 0]) == tuple(ref.posterior)
-            assert (u.law[0, 2, 0], u.law[0, 3, 0]) == tuple(ref.prior)
+        _close(np.concatenate([u.xh[1, 3:, 0], u.c[1, :, 0]]), np.concatenate([expected.h, expected.c]))
+        _close(u.xh[0, 2, 0], expected.z)
+        _close(u.ah[0, :, 0], [expected.a, expected.lg])
+        if expected.prior is not None:
+            _close(u.law[0, 2:, 0], expected.prior)
+        if expected.posterior is not None:
+            _close(u.law[0, :2, 0], expected.posterior)

@@ -1,5 +1,6 @@
-"""Synthetic generators: sampling-law checks and self-consistency of the
-from-model sampler with its own density evaluation."""
+"""Synthetic generators: sampling-law checks, self-consistency of the
+from-model sampler with its own density evaluation, and the from-model
+sampler on rows against a one-row sampler built on the reference step."""
 
 import math
 
@@ -7,9 +8,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import _reference as ref
+from churnkit.errors import NumericalError
 from churnkit.eventlog import derive_seed
 from churnkit.model import PARAM_FIELDS, init_params
 from churnkit.simulate import GeneratorSpec, generate
+from churnkit.tppmath import (
+    IntensitySpec,
+    log_gap_density,
+    sample_gap,
+    sample_zt_poisson,
+    zt_poisson_log_pmf,
+)
 
 
 def _all_gaps(seqs):
@@ -62,9 +72,14 @@ class TestStationary:
             dict(kind="regime_switching", regime_gaps=(1.0, math.nan)),
             dict(kind="regime_switching", regime_durations=(math.nan, 8.0)),
             dict(kind="regime_switching", switch=((math.nan, math.nan), (0.1, 0.9))),
+            dict(kind="from_model"),
+            # a model used to be ignored by the other kinds, and still listed in the truth
+            dict(kind="stationary", model_path="model.json"),
+            dict(kind="regime_switching", model_params=init_params(2, 2, seed=0)),
         ],
         ids=["unknown-kind", "duration-below-one", "switch-not-stochastic", "horizon-nan", "horizon-inf",
-             "mean-gap-nan", "mean-duration-nan", "regime-gap-nan", "regime-duration-nan", "switch-nan"],
+             "mean-gap-nan", "mean-duration-nan", "regime-gap-nan", "regime-duration-nan", "switch-nan",
+             "from-model-without-model", "stationary-with-model-path", "regime-with-model-params"],
     )
     def test_spec_validation(self, kw):
         with pytest.raises(ValueError):
@@ -146,6 +161,13 @@ class TestFromModel:
         mb, sb = stats_of(truth_b)
         assert abs(ma - mb) < 4.0 * math.hypot(sa, sb)
 
+    def test_overflow_signals_divergence(self):
+        params = init_params(4, 4, seed=0)
+        params.head_bt[...] = 800.0
+        spec = GeneratorSpec(kind="from_model", users=3, horizon=50.0, model_params=params)
+        with pytest.raises(NumericalError, match="user u0000 diverged at step 0"):
+            generate(spec, seed=0)
+
     def test_loglik_per_event_reported(self):
         params = init_params(4, 4, seed=12)
         spec = GeneratorSpec(kind="from_model", users=10, horizon=60.0, model_params=params)
@@ -163,6 +185,72 @@ def test_user_streams_are_independent_of_user_set():
     for sa, sb in zip(a, b[:3]):
         assert sa.user_id == sb.user_id
         assert [(x.t, x.g, x.d) for x in sa.sessions] == [(x.t, x.g, x.d) for x in sb.sessions]
+
+    # a from-model user is one column of a step over all users: alone, with 2
+    # others and with 6 others it draws the same sessions, up to the last
+    # bits of the matmuls, which take another path for one column
+    params = init_params(6, 4, seed=15)
+    alone, *cohorts = (
+        generate(GeneratorSpec(kind="from_model", users=n, horizon=60.0, model_params=params), seed=16)
+        for n in (1, 3, 7)
+    )
+    (seq,), truth = alone
+    assert len(seq) > 20
+    for seqs, other in cohorts:
+        assert seqs[0].user_id == seq.user_id
+        assert seqs[0].durations() == seq.durations()
+        for x in ("t", "g"):
+            np.testing.assert_allclose([getattr(s, x) for s in seqs[0].sessions],
+                                       [getattr(s, x) for s in seq.sessions], rtol=1e-12, atol=0.0)
+        u, v = truth["users"][seq.user_id], other["users"][seq.user_id]
+        assert (u["events"], u["churned"]) == (v["events"], v["churned"])
+        assert v["loglik"] == pytest.approx(u["loglik"], rel=1e-12)
+
+
+def _reference_model_user(uid, params, seed, horizon, cap):
+    """A user sampled one row at a time through the reference step, with
+    one rng drawn in the order eps, d1, eps, then (gap, duration, eps) per
+    session: (sessions as (t, g, d), log-likelihood, churned)."""
+    rng = np.random.default_rng(derive_seed(seed, "gen", uid))
+    out = ref.initial(params, float(rng.standard_normal()))
+    d = sample_zt_poisson(math.exp(out.lg), rng)
+    sessions, loglik, t, gap = [(0.0, 0.0, d)], zt_poisson_log_pmf(math.exp(out.lg), d), 0.0, 0.0
+    while len(sessions) < cap:
+        out = ref.step(params, out.h, out.c, float(rng.standard_normal()), "generate", gap, d)
+        spec = IntensitySpec(out.a, float(params.head_wt))
+        gap = sample_gap(spec, rng)
+        if math.isinf(gap):
+            return sessions, loglik, True
+        if t + gap > horizon:
+            break
+        d = sample_zt_poisson(math.exp(out.lg), rng)
+        loglik += log_gap_density(spec, gap) + zt_poisson_log_pmf(math.exp(out.lg), d)
+        t += gap
+        sessions.append((t, gap, d))
+    return sessions, loglik, False
+
+
+@pytest.mark.parametrize("latent_mode", ["full", "fixed"])
+def test_model_rows_equal_the_one_row_reference_sampler(latent_mode):
+    """generate's users, advanced as the rows of one state, equal one-row
+    sampling through the reference step: the same draws in the same order,
+    users stopping at the horizon, at max_sessions and by churning (a
+    falling intensity, wt < 0)."""
+    params = init_params(5, 3, seed=17, wt_mode="learned", latent_mode=latent_mode)
+    params.head_wt[...] = -0.2
+    spec = GeneratorSpec(kind="from_model", users=24, horizon=40.0, model_params=params, max_sessions=30)
+    seqs, truth = generate(spec, seed=18)
+    ends = {"churned": 0, "cap": 0, "horizon": 0}
+    for seq in seqs:
+        sessions, loglik, churned = _reference_model_user(seq.user_id, params, 18, 40.0, 30)
+        assert [s.d for s in seq.sessions] == [d for _, _, d in sessions]
+        np.testing.assert_allclose([(s.t, s.g) for s in seq.sessions], [(t, g) for t, g, _ in sessions],
+                                   rtol=1e-12, atol=0.0)
+        u = truth["users"][seq.user_id]
+        assert u["churned"] == churned
+        assert u["loglik"] == pytest.approx(loglik, rel=1e-12)
+        ends["churned" if churned else "cap" if len(seq) == 30 else "horizon"] += 1
+    assert min(ends.values()) >= 2, ends
 
 
 def test_derive_seed_is_stable():

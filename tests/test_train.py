@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from churnkit import _kernels as K
 from churnkit.errors import (
     CheckpointShapeError,
@@ -25,8 +26,6 @@ from churnkit.model import (
     _pack,
     _sequence_arrays,
     init_params,
-    initial_step,
-    step,
 )
 from churnkit.simulate import GeneratorSpec, generate
 from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
@@ -64,19 +63,19 @@ def _zero_params(hidden=4, mlp=4):
 
 def _reference_terms(p, seq, eps_row):
     """(log-likelihood, KL) of one latent trajectory, assembled from the
-    filtering/generation step and the tppmath densities."""
-    out = initial_step(p, float(eps_row[0]))
-    ll = poisson_log_pmf(out.gamma, seq.sessions[0].d)
+    plain-numpy reference step and the tppmath densities."""
+    out = ref.initial(p, float(eps_row[0]))
+    ll = poisson_log_pmf(math.exp(out.lg), seq.sessions[0].d)
     kl = 0.0
     n = len(seq)
     for i in range(1, n + 1):
         prev = seq.sessions[i - 1]
-        out = step(p, out.state, prev.g, prev.d, "infer", float(eps_row[i]) if i < n else 0.0)
+        out = ref.step(p, out.h, out.c, float(eps_row[i]) if i < n else 0.0, "infer", prev.g, prev.d)
         kl += gaussian_kl(out.posterior, out.prior)
         if i < n:
             s = seq.sessions[i]
             ll += log_gap_density(IntensitySpec(out.a, float(p.head_wt)), s.g)
-            ll += poisson_log_pmf(out.gamma, s.d)
+            ll += poisson_log_pmf(math.exp(out.lg), s.d)
     return ll, kl
 
 
@@ -448,6 +447,31 @@ class TestCheckpoints:
         blob["format_version"] = 99
         path.write_text(json.dumps(blob))
         with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda blob: blob["params"].update(lstm_b=[1.0, 2.0]),  # used to raise AttributeError
+            lambda blob: blob["params"]["lstm_b"].update(shape=12),  # used to raise TypeError
+            lambda blob: blob.update(params=5),  # used to raise TypeError
+            lambda blob: blob["config"].update(H=2.7),  # used to load as H = 2
+            lambda blob: blob["config"].update(H=0),
+            lambda blob: blob["config"].update(H_p=-3),
+            lambda blob: blob["config"].update(H="3"),
+            lambda blob: blob["config"].update(H_p=True),
+        ],
+        ids=["entry-list", "shape-not-list", "params-not-object", "size-float", "size-zero",
+             "size-negative", "size-string", "size-bool"],
+    )
+    def test_malformed_checkpoint_is_corrupt(self, tmp_path, edit):
+        p = init_params(3, 3, seed=38)
+        path = tmp_path / "model.json"
+        save_checkpoint(p, path)
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(CorruptCheckpointError):
             load_checkpoint(path)
 
     def test_shape_corruption_detected(self, tmp_path):
