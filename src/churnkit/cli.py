@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import inspect
 import json
 import logging
 import platform
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
@@ -102,14 +103,44 @@ def write_manifest(out_path, subcommand, config, inputs, outputs, seed):
 # on their own, and the entries that select the command and its logging
 _NOT_CONFIG = {"func", "subcommand", "verbose", "seed", "infile", "out", "sessions", "model"}
 
-# every TrainConfig field but the per-epoch MAE's is a train flag
-_TRAIN_FIELDS = [f for f in fields(TrainConfig) if not f.name.startswith("report_mae_")]
-_TRAIN_CHOICES = {"wt_mode": WT_MODES, "latent_mode": LATENT_MODES}
-
 
 def _config(args):
     """The parsed options of a run, for its manifest."""
     return {k: v for k, v in vars(args).items() if k not in _NOT_CONFIG}
+
+
+def _add_options(p, target, skip=(), **extra):
+    """Add a --flag for each parameter of target, a dataclass or a function,
+    that is not in skip: of its default's type and with that default, or
+    required where it has none.  extra gives more add_argument keywords by
+    parameter name."""
+    for name, param in inspect.signature(target).parameters.items():
+        if name not in skip:
+            empty = param.default is param.empty
+            opts = {"required": True} if empty else {"type": type(param.default), "default": param.default}
+            p.add_argument("--" + name.replace("_", "-"), **opts | extra.get(name, {}))
+
+
+def _options(args, target):
+    """The parsed options that are parameters of target, as its keywords."""
+    names = inspect.signature(target).parameters
+    return {k: v for k, v in vars(args).items() if k in names}
+
+
+def _pair(text):
+    """argparse type of a pair flag: two comma-separated numbers."""
+    try:
+        a, b = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs two comma-separated numbers, got {text!r}") from None
+    return a, b
+
+
+def _stay(text):
+    """argparse type of --regime-stay: the chance of each regime to stay, as
+    the switching matrix."""
+    a, b = _pair(text)
+    return (a, 1.0 - a), (1.0 - b, b)
 
 
 def _split(sequences, args):
@@ -135,7 +166,7 @@ def _cmd_sessionize(args):
 def _cmd_train(args):
     sequences = read_sessions(args.sessions)
     train_seqs, test_seqs = _split(sequences, args)
-    config = TrainConfig(**{f.name: getattr(args, f.name) for f in _TRAIN_FIELDS})
+    config = TrainConfig(**_options(args, TrainConfig))
     params, report = train(train_seqs, config)
     save_checkpoint(params, args.out)
     report_path = args.report or (args.out + ".report.csv")
@@ -157,12 +188,7 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
-    policy = AlarmPolicy(
-        mode=args.alarm_mode,
-        theta_g=args.theta_g,
-        theta_d=args.theta_d,
-        expected_dur_cmp=args.expected_dur_cmp,
-    )
+    policy = AlarmPolicy(mode=args.alarm_mode, **_options(args, AlarmPolicy))
     sequences = read_sessions(args.sessions)
     params, _ = load_checkpoint(args.model)
     # --split all needs no split, so it also takes a single user
@@ -247,28 +273,8 @@ def _cmd_evaluate(args):
     return 0
 
 
-def _parse_pair(text, name, cast=float):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"simulate: {name} needs two comma-separated values, got {text!r}")
-    return (cast(parts[0]), cast(parts[1]))
-
-
 def _cmd_simulate(args):
-    stay = _parse_pair(args.regime_stay, "--regime-stay")
-    spec = GeneratorSpec(
-        kind=args.kind,
-        users=args.users,
-        horizon=args.horizon,
-        mean_gap=args.mean_gap,
-        mean_duration=args.mean_duration,
-        regime_gaps=_parse_pair(args.regime_gaps, "--regime-gaps"),
-        regime_durations=_parse_pair(args.regime_durations, "--regime-durations"),
-        switch=((stay[0], 1.0 - stay[0]), (1.0 - stay[1], stay[1])),
-        model_path=args.from_model,
-        max_sessions=args.max_sessions,
-    )
-    sequences, truth = generate(spec, args.seed)
+    sequences, truth = generate(GeneratorSpec(**_options(args, GeneratorSpec)), args.seed)
     write_sessions(sequences, args.out)
     truth_path = args.out + ".truth.json"
     with open(truth_path, "w", encoding="utf-8") as fh:
@@ -280,7 +286,7 @@ def _cmd_simulate(args):
         args.out,
         "simulate",
         config,
-        {} if args.from_model is None else {"model": args.from_model},
+        {} if args.model_path is None else {"model": args.model_path},
         {"sessions": args.out, "truth": truth_path},
         args.seed,
     )
@@ -289,15 +295,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_gradcheck(args):
-    report = gradcheck_elbo(
-        hidden=args.hidden,
-        mlp_hidden=args.mlp_hidden,
-        steps=args.steps,
-        seed=args.seed,
-        wt_mode=args.wt_mode,
-        h=args.step_size,
-        tol=args.tol,
-    )
+    report = gradcheck_elbo(**_options(args, gradcheck_elbo))
     for name in sorted(report.per_param):
         print(f"  {name:12s} rel err {report.per_param[name]:.3e}")
     print(f"gradcheck: {report.summary()}")
@@ -306,14 +304,7 @@ def _cmd_gradcheck(args):
             fh.write("param,rel_err\n")
             for name in sorted(report.per_param):
                 fh.write(f"{name},{_fmt(report.per_param[name])}\n")
-        write_manifest(
-            args.out,
-            "gradcheck",
-            _config(args),
-            {},
-            {"report": args.out},
-            args.seed,
-        )
+        write_manifest(args.out, "gradcheck", _config(args), {}, {"report": args.out}, args.seed)
     if not report.passed:
         raise NumericalError(f"gradient check failed: {report.summary()}")
     return 0
@@ -341,71 +332,56 @@ def build_parser():
     p.add_argument("--gap-mode", choices=GAP_MODES, default="start-to-start")
     p.set_defaults(func=_cmd_sessionize)
 
-    p = sub.add_parser("train", help="fit the model on sessionized data")
+    # train, predict and evaluate must split the users alike
+    split = argparse.ArgumentParser(add_help=False)
+    split.add_argument("--train-frac", type=float, default=0.8)
+
+    p = sub.add_parser("train", parents=[split], help="fit the model on sessionized data")
     p.add_argument("--sessions", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
-    for f in _TRAIN_FIELDS:
-        flag = "--" + f.name.replace("_", "-")
-        p.add_argument(flag, type=type(f.default), default=f.default, choices=_TRAIN_CHOICES.get(f.name))
-    p.add_argument("--train-frac", type=float, default=0.8)
+    _add_options(p, TrainConfig, skip=("report_mae_users", "report_mae_samples"),
+                 wt_mode={"choices": WT_MODES}, latent_mode={"choices": LATENT_MODES})
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("predict", help="rolling next-gap/duration predictions and alarms")
-    p.add_argument("--sessions", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--split", choices=("test", "train", "all"), default="test")
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pred-samples", type=int, default=32)
-    p.add_argument("--alarm-mode", choices=("fixed", "expected"), default="fixed")
-    p.add_argument("--theta-g", type=float, default=168.0, help="absence threshold, hours")
-    p.add_argument("--theta-d", type=float, default=2.0, help="duration threshold, events")
-    p.add_argument("--expected-dur-cmp", choices=("less", "greater"), default="less")
+    # the flags that predict and evaluate share
+    held_out = argparse.ArgumentParser(add_help=False, parents=[split])
+    held_out.add_argument("--sessions", required=True)
+    held_out.add_argument("--model", required=True)
+    held_out.add_argument("--out", required=True)
+    held_out.add_argument("--split", choices=("test", "train", "all"), default="test")
+    held_out.add_argument("--seed", type=int, default=0)
+    held_out.add_argument("--pred-samples", type=int, default=32)
+
+    p = sub.add_parser("predict", parents=[held_out], help="rolling next-gap/duration predictions and alarms")
+    p.add_argument("--alarm-mode", choices=("fixed", "expected"), default=AlarmPolicy.mode)
+    _add_options(p, AlarmPolicy, skip=("mode",), expected_dur_cmp={"choices": ("less", "greater")},
+                 theta_g={"help": "absence threshold, hours"}, theta_d={"help": "duration threshold, events"})
     p.set_defaults(func=_cmd_predict)
 
-    p = sub.add_parser("evaluate", help="compare the model against baselines")
-    p.add_argument("--sessions", required=True)
-    p.add_argument("--model", required=True)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("evaluate", parents=[held_out], help="compare the model against baselines")
     p.add_argument(
         "--methods",
         default="model,per_user_mean,global_mean,last_value,hom_poisson",
         help="comma list from: model," + ",".join(BASELINE_KINDS),
     )
     p.add_argument("--seeds", default="0", help="comma list of evaluation seeds")
-    p.add_argument("--split", choices=("test", "train", "all"), default="test")
-    p.add_argument("--train-frac", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pred-samples", type=int, default=32)
     p.add_argument("--ablation-epochs", type=int, default=20)
     p.add_argument("--ablation-lr", type=float, default=0.01)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="generate synthetic session data")
-    p.add_argument("--kind", choices=KINDS, required=True)
-    p.add_argument("--users", type=int, default=100)
-    p.add_argument("--horizon", type=float, default=500.0)
+    _add_options(p, GeneratorSpec, skip=("switch", "model_path", "model_params"),
+                 kind={"choices": KINDS}, regime_gaps={"type": _pair}, regime_durations={"type": _pair})
+    p.add_argument("--regime-stay", dest="switch", metavar="REGIME_STAY", type=_stay,
+                   default=GeneratorSpec.switch)
+    p.add_argument("--from-model", dest="model_path", metavar="FROM_MODEL", default=GeneratorSpec.model_path)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--mean-gap", type=float, default=2.0)
-    p.add_argument("--mean-duration", type=float, default=5.0)
-    p.add_argument("--regime-gaps", default="1,10")
-    p.add_argument("--regime-durations", default="3,8")
-    p.add_argument("--regime-stay", default="0.95,0.95")
-    p.add_argument("--from-model", default=None)
-    p.add_argument("--max-sessions", type=int, default=100_000)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full objective")
-    p.add_argument("--hidden", type=int, default=4)
-    p.add_argument("--mlp-hidden", type=int, default=4)
-    p.add_argument("--steps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--wt-mode", choices=WT_MODES, default="learned")
-    p.add_argument("--step-size", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=1e-4)
+    _add_options(p, gradcheck_elbo, wt_mode={"choices": WT_MODES})
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gradcheck)
 

@@ -104,7 +104,9 @@ def _parse_timestamp(raw, time_unit, lineno):
 def _csv_columns(block, ncols, ui, ti, time_unit, codes, lineno):
     """(user codes, hours) of a block of whole CSV lines from line ``lineno``
     on, or None if the block needs the row loop.  A user new to ``codes`` gets
-    the number of its first line, so codes rise in order of first appearance."""
+    the number of its first line, so codes rise in order of first appearance.
+    A CRLF line ends as an LF one; a lone carriage return needs the row loop."""
+    block = block.replace("\r\n", "\n")
     block += "" if block.endswith("\n") else "\n"
     lines, fields = block.count("\n"), block.replace("\n", ",\n,").split(",")
     # a line ends at its (ncols + 1)-th token: no short, long or blank line

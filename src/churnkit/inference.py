@@ -46,8 +46,8 @@ class AlarmPolicy:
     'less') against the user's mean duration."""
 
     mode: str = "fixed"
-    theta_g: float = 0.0
-    theta_d: float = 0.0
+    theta_g: float = 168.0  # hours
+    theta_d: float = 2.0  # events
     expected_dur_cmp: str = "less"
 
     def __post_init__(self):

@@ -150,14 +150,6 @@ def init_params(hidden, mlp_hidden, seed, wt_mode="frozen_zero", latent_mode="fu
     )
 
 
-def input_features(g, d):
-    if g < 0.0:
-        raise ValueError(f"gap must be >= 0, got {g}")
-    if d < 1:
-        raise ValueError(f"duration must be >= 1, got {d}")
-    return math.log1p(g), math.log1p(float(d))
-
-
 @dataclass
 class _Rows:
     """The rows of one unroll, step-major and sorted by session count,
@@ -183,12 +175,8 @@ def _sequence_arrays(seq):
     """(input features, gaps, durations, lgamma(durations + 1)) of a sequence."""
     gs = [s.g for s in seq.sessions]
     ds = [float(s.d) for s in seq.sessions]
-    g, d = np.array(gs, float), np.array(ds)
-    if g.min() < 0.0 or d.min() < 1.0:
-        k = int(np.argmax((g < 0.0) | (d < 1.0)))
-        input_features(gs[k], seq.sessions[k].d)  # raises its error
     feat = np.fromiter(map(math.log1p, gs + ds), float, 2 * len(gs)).reshape(2, -1).T
-    return feat, g, d, np.array([math.lgamma(x + 1.0) for x in ds])
+    return feat, np.array(gs, float), np.array(ds), np.array([math.lgamma(x + 1.0) for x in ds])
 
 
 def _pack(items, labels):

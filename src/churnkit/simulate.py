@@ -19,7 +19,7 @@ would start past the horizon is discarded, not clipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -41,13 +41,14 @@ KINDS = ("stationary", "regime_switching", "from_model")
 @dataclass
 class GeneratorSpec:
     kind: str
-    users: int
-    horizon: float
+    users: int = 100
+    horizon: float = 500.0
     mean_gap: float = 2.0
     mean_duration: float = 5.0
     regime_gaps: tuple = (1.0, 10.0)
     regime_durations: tuple = (3.0, 8.0)
-    switch: tuple = ((0.95, 0.05), (0.05, 0.95))  # row r: P(next regime | r)
+    # row r: P(next regime | r), each regime staying with probability 0.95
+    switch: tuple = ((0.95, 1.0 - 0.95), (1.0 - 0.95, 0.95))
     model_path: Optional[str] = None
     model_params: Optional[object] = None  # pre-loaded ModelParams
     max_sessions: int = 100_000
@@ -205,17 +206,8 @@ def generate(spec, seed):
     truth = {
         "kind": spec.kind,
         "seed": seed,
-        "spec": {
-            "users": spec.users,
-            "horizon": spec.horizon,
-            "mean_gap": spec.mean_gap,
-            "mean_duration": spec.mean_duration,
-            "regime_gaps": list(spec.regime_gaps),
-            "regime_durations": list(spec.regime_durations),
-            "switch": [list(r) for r in np.asarray(spec.switch, dtype=float)],
-            "model_path": spec.model_path,
-            "max_sessions": spec.max_sessions,
-        },
+        "spec": {f.name: getattr(spec, f.name) for f in fields(spec) if f.name not in ("kind", "model_params")}
+        | {"switch": np.asarray(spec.switch, dtype=float).tolist()},
         "users": users_truth,
     }
     if spec.kind == "from_model":

@@ -144,18 +144,18 @@ def _failures(lo, first, gap, last, full, wt, g, a, lg, term, kl, law):
     steps n."""
     sq, sp = law[1], law[3]
     checks = (
-        (first & ~np.isfinite(lg), lambda s, r: "zh_affine: non-finite head value"),
+        (first & ~np.isfinite(lg), lambda s, r: "non-finite duration head value"),
         (first & (np.abs(lg) > K.EXP_ARG_MAX),
-         lambda s, r: f"pois_loglik: rate exponent {lg[s, r]:.3g} out of range"),
+         lambda s, r: f"head value outside the exp range: log gamma {lg[s, r]:.3g}"),
         (gap & ((np.abs(a) > K.EXP_ARG_MAX) | (np.abs(lg) > K.EXP_ARG_MAX)),
-         lambda s, r: f"elbo_step: head overflow: |exp argument| > {K.EXP_ARG_MAX:g}"),
+         lambda s, r: f"head value outside the exp range: |a| or |log gamma| > {K.EXP_ARG_MAX:g}"),
         (gap & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > K.EXP_ARG_MAX),
-         lambda s, r: "elbo_step: cumulative intensity overflow"),
-        (gap & ~np.isfinite(term), lambda s, r: "elbo_step: non-finite ELBO term"),
-        (gap & full & (kl < -1e-12), lambda s, r: f"elbo_step: negative KL {kl[s, r]:.3e}"),
+         lambda s, r: "cumulative intensity overflow"),
+        (gap & ~np.isfinite(term), lambda s, r: "non-finite ELBO term"),
+        (gap & full & (kl < -1e-12), lambda s, r: f"negative KL {kl[s, r]:.3e}"),
         (last & ((sq <= 0.0) | (sp <= 0.0)),
-         lambda s, r: f"gaussian_kl: non-positive std ({sq[s, r]:.3g}, {sp[s, r]:.3g})"),
-        (last & ~np.isfinite(kl), lambda s, r: "gaussian_kl: non-finite value"),
+         lambda s, r: f"non-positive std (posterior {sq[s, r]:.3g}, prior {sp[s, r]:.3g})"),
+        (last & ~np.isfinite(kl), lambda s, r: "non-finite KL"),
         (last & (kl < -1e-12), lambda s, r: f"negative KL {kl[s, r]:.3e}"),
     )
     bad = np.stack([np.broadcast_to(mask, term.shape) for mask, _ in checks])
@@ -480,12 +480,12 @@ def grad_check(loss, values, grads, h=1e-5, tol=1e-4):
     return report
 
 
-def gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned", h=1e-5, tol=1e-4):
+def gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned", step_size=1e-5, tol=1e-4):
     """Finite-difference check of the full multi-step objective.
 
     Builds a short random sequence, freezes the latent draws, and compares
-    the BPTT gradient of the sequence ELBO against central differences for
-    every trainable parameter.
+    the BPTT gradient of the sequence ELBO against central differences of
+    step step_size for every trainable parameter.
     """
     from .eventlog import Session, SessionSequence
 
@@ -505,7 +505,7 @@ def gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned", h
     _, grads = elbo_and_grads(params, seq, eps)
     values = {name: getattr(params, name) for name in params.trainable_names()}
     return grad_check(
-        lambda bumped: _elbo_value(params.replace(**bumped), seq, eps), values, grads, h=h, tol=tol
+        lambda bumped: _elbo_value(params.replace(**bumped), seq, eps), values, grads, h=step_size, tol=tol
     )
 
 

@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: exit-code taxonomy, manifests, and a small
 pipeline run through every subcommand."""
 
+import argparse
+import inspect
 import json
 import math
 import platform
@@ -8,11 +10,13 @@ import platform
 import numpy as np
 import pytest
 
-from churnkit.cli import main
+from churnkit.cli import _options, build_parser, main
 from churnkit.errors import DataError
 from churnkit.eventlog import read_sessions
+from churnkit.inference import AlarmPolicy
 from churnkit.model import init_params
-from churnkit.train import save_checkpoint
+from churnkit.simulate import GeneratorSpec
+from churnkit.train import gradcheck_elbo, save_checkpoint
 
 
 def test_version_exits_zero(capsys):
@@ -28,6 +32,119 @@ def test_unknown_flag_suggests_close_match(capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "--hidden" in err
+
+
+# each subcommand's flags as (default, choices, required), as they were when
+# they were written out by hand; the pair flags' defaults, then the strings
+# "1,10", "3,8" and "0.95,0.95" parsed by the command, are given parsed
+_FLAGS = {
+    "sessionize": {
+        "--format": ("csv", ("csv", "jsonl"), False),
+        "--gap-mode": ("start-to-start", ("start-to-start", "end-to-start"), False),
+        "--in": (None, None, True),
+        "--out": (None, None, True),
+        "--session-threshold-hours": (1.0, None, False),
+        "--time-unit": ("hours", ("hours", "seconds"), False),
+    },
+    "train": {
+        "--batch-size": (16, None, False),
+        "--bptt-k": (200, None, False),
+        "--clip-norm": (5.0, None, False),
+        "--epochs": (70, None, False),
+        "--hidden": (64, None, False),
+        "--latent-mode": ("full", ("full", "fixed"), False),
+        "--lr": (0.001, None, False),
+        "--mc-samples": (1, None, False),
+        "--mlp-hidden": (32, None, False),
+        "--out": (None, None, True),
+        "--report": (None, None, False),
+        "--seed": (0, None, False),
+        "--sessions": (None, None, True),
+        "--train-frac": (0.8, None, False),
+        "--wt-mode": ("frozen_zero", ("frozen_zero", "learned"), False),
+    },
+    "predict": {
+        "--alarm-mode": ("fixed", ("fixed", "expected"), False),
+        "--expected-dur-cmp": ("less", ("less", "greater"), False),
+        "--model": (None, None, True),
+        "--out": (None, None, True),
+        "--pred-samples": (32, None, False),
+        "--seed": (0, None, False),
+        "--sessions": (None, None, True),
+        "--split": ("test", ("test", "train", "all"), False),
+        "--theta-d": (2.0, None, False),
+        "--theta-g": (168.0, None, False),
+        "--train-frac": (0.8, None, False),
+    },
+    "evaluate": {
+        "--ablation-epochs": (20, None, False),
+        "--ablation-lr": (0.01, None, False),
+        "--methods": ("model,per_user_mean,global_mean,last_value,hom_poisson", None, False),
+        "--model": (None, None, True),
+        "--out": (None, None, True),
+        "--pred-samples": (32, None, False),
+        "--seed": (0, None, False),
+        "--seeds": ("0", None, False),
+        "--sessions": (None, None, True),
+        "--split": ("test", ("test", "train", "all"), False),
+        "--train-frac": (0.8, None, False),
+    },
+    "simulate": {
+        "--from-model": (None, None, False),
+        "--horizon": (500.0, None, False),
+        "--kind": (None, ("stationary", "regime_switching", "from_model"), True),
+        "--max-sessions": (100000, None, False),
+        "--mean-duration": (5.0, None, False),
+        "--mean-gap": (2.0, None, False),
+        "--out": (None, None, True),
+        "--regime-durations": ((3.0, 8.0), None, False),
+        "--regime-gaps": ((1.0, 10.0), None, False),
+        "--regime-stay": (((0.95, 0.050000000000000044), (0.050000000000000044, 0.95)), None, False),
+        "--seed": (0, None, False),
+        "--users": (100, None, False),
+    },
+    "gradcheck": {
+        "--hidden": (4, None, False),
+        "--mlp-hidden": (4, None, False),
+        "--out": (None, None, False),
+        "--seed": (1, None, False),
+        "--step-size": (1e-05, None, False),
+        "--steps": (5, None, False),
+        "--tol": (0.0001, None, False),
+        "--wt-mode": ("learned", ("frozen_zero", "learned"), False),
+    },
+}
+
+
+def _subparsers():
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_flag_table():
+    # flags derived from a dataclass or a function must not drop, rename or
+    # move a flag, or change its default, choices or whether it is required
+    got = {
+        name: {
+            " ".join(a.option_strings): (a.default, tuple(a.choices) if a.choices else None, a.required)
+            for a in p._actions
+            if a.dest != "help"
+        }
+        for name, p in _subparsers().items()
+    }
+    assert got == _FLAGS
+
+
+def test_library_defaults_are_the_flag_defaults():
+    parse = build_parser().parse_args
+    args = parse(["predict", "--sessions", "s", "--model", "m", "--out", "o"])
+    policy = AlarmPolicy()  # usable as it stands
+    assert policy == AlarmPolicy(mode=args.alarm_mode, theta_g=args.theta_g, theta_d=args.theta_d,
+                                 expected_dur_cmp=args.expected_dur_cmp)
+    for kind, extra in (("stationary", {}), ("regime_switching", {}), ("from_model", {"model_path": "m"})):
+        argv = ["simulate", "--kind", kind, "--out", "o"] + (["--from-model", "m"] if extra else [])
+        assert GeneratorSpec(kind=kind, **extra) == GeneratorSpec(**_options(parse(argv), GeneratorSpec))
+    defaults = {k: v.default for k, v in inspect.signature(gradcheck_elbo).parameters.items()}
+    assert _options(parse(["gradcheck"]), gradcheck_elbo) == defaults
 
 
 def test_missing_input_file_is_data_error(tmp_path):
@@ -142,10 +259,11 @@ def test_jsonl_and_csv_strip_user_ids_alike(tmp_path):
         # both used to exit 0 and write NaN into the manifest
         ("simulate", ["--kind", "regime_switching", "--regime-stay", "nan,0.9"]),
         ("simulate", ["--kind", "stationary", "--horizon", "nan", "--max-sessions", "50"]),
+        ("simulate", ["--kind", "regime_switching", "--regime-gaps", "1,2,3"]),
     ],
     ids=["sessionize-threshold-negative", "sessionize-threshold-nan", "train-clip-norm-nan", "train-lr-nan",
          "train-bptt-k-negative", "predict-thetas-nan", "simulate-stay-nan",
-         "simulate-horizon-nan"],
+         "simulate-horizon-nan", "simulate-gaps-not-a-pair"],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, subcommand, flags):
     ev = tmp_path / "events.csv"

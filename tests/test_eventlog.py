@@ -124,8 +124,10 @@ class TestIngest:
         text=_clean_csv(),
         time_unit=st.sampled_from(["hours", "seconds"]),
         block=st.sampled_from([8, 64, 1 << 20]),
+        newline=st.sampled_from(["\n", "\r\n"]),
     )
-    def test_column_parse_equals_row_loop(self, text, time_unit, block):
+    def test_column_parse_equals_row_loop(self, text, time_unit, block, newline):
+        text = text.replace("\n", newline)  # CRLF lines stay on the column parse too
         results = []
         with mock.patch.object(eventlog, "BLOCK_CHARS", block), _spy_columns(results):
             got = ingest_events(_csv(text), time_unit=time_unit)
@@ -163,13 +165,14 @@ _HEAD = "user_id,timestamp\n" + "".join(f"u{i % 3},{i}.5\n" for i in range(12))
         ("u1\n", "line 14: expected 2 fields, got 1"),
         ("\n", None),
         ('"u,1",2.0\n', None),
-        ("u1,3.0\r\nu2,4.0\r\n", None),
+        ('"u,1",3.0\r\nu2,4.0\r\n', None),
+        ("u1,3.0\ru2,4.0\n", None),
         ("u1,nan\n", "line 14: non-finite timestamp"),
         ("u1,-inf\n", "line 14: non-finite timestamp"),
         ("u1,1970-01-01T03:00:00Z\n", None),
         (" ,1.0\n", "line 14: empty user_id"),
     ],
-    ids=["bad-value", "short-row", "blank-line", "quoted", "crlf", "nan", "inf", "iso", "empty-user"],
+    ids=["bad-value", "short-row", "blank-line", "quoted", "crlf", "lone-cr", "nan", "inf", "iso", "empty-user"],
 )
 def test_row_loop_takes_over_in_a_later_block(tmp_path, capsys, tail, message):
     # the same events, or the same message, line and exit code, as the row loop alone

@@ -21,7 +21,6 @@ from churnkit.model import (
     _sequence_arrays,
     expected_shapes,
     init_params,
-    input_features,
 )
 from churnkit.eventlog import Session, SessionSequence
 from churnkit.tppmath import IntensitySpec, expected_gap, gaussian_kl, sample_logit_normal
@@ -149,13 +148,6 @@ class TestPriorPosterior:
         seg = _segment(p, rows, 2, 3, state[:1], state[1:])
         report = grad_check(loss, values, {name: getattr(seg.grads, name) for name in names}, h=1e-5, tol=1e-5)
         assert report.passed, report.summary()
-
-    def test_posterior_input_validation(self):
-        # the posterior's inputs are the session features, checked here
-        with pytest.raises(ValueError):
-            input_features(-1.0, 2)
-        with pytest.raises(ValueError):
-            input_features(1.0, 0)
 
 
 class TestHeads:
@@ -296,7 +288,7 @@ def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidde
     w = K.Cell(p)
     for mode, e in (("infer", eps), ("infer", 0.0), ("generate", eps), ("first", eps)):
         expected = ref.step(p, state[0], state[1], e, mode, g, d)
-        u = K.Unroll(w, np.array([[input_features(g, d)]]), state[:1], state[1:], np.full((1, 1), e))
+        u = K.Unroll(w, np.array([[[math.log1p(g), math.log1p(d)]]]), state[:1], state[1:], np.full((1, 1), e))
         K.cell_fwd(w, u, 0, 1, first=mode == "first", generate=mode == "generate")
         u.outputs(w)
         _close(np.concatenate([u.xh[1, 3:, 0], u.c[1, :, 0]]), np.concatenate([expected.h, expected.c]))

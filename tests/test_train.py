@@ -296,7 +296,7 @@ def test_divergence_names_the_first_failing_user_not_the_first_row(monkeypatch):
                       report_mae_users=1)
     with pytest.raises(NumericalError) as info:
         train(seqs, cfg)
-    assert str(info.value) == "diverged at epoch 1, batch 0: step 3 of 'u1': elbo_step: cumulative intensity overflow"
+    assert str(info.value) == "diverged at epoch 1, batch 0: step 3 of 'u1': cumulative intensity overflow"
 
 
 class TestGradcheckElbo:
