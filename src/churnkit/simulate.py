@@ -8,10 +8,14 @@ over sessions, each state carrying its own (mean gap, mean duration);
 "from_model" samples ancestrally through a trained checkpoint, with durations
 drawn zero-truncated so they stay valid session sizes, and records the exact
 conditional log-likelihood of everything it generated.  It advances all
-users as the rows of one state, through the training step.
+users as the rows of one state, through the training step, and samples
+and scores each step's rows as arrays.
 
 Each user draws from an independent derived RNG stream, so a user's data
-depends only on the seed and its id, not on the other users.  All users
+depends only on the seed and its id, not on the other users.  A from-model
+user draws, per step, its eps and then one (gap, duration) pair of
+uniforms (the duration alone at the pre-data step); a user that stops has
+drawn a duration uniform it does not use.  All users
 start at t = 0; the first session carries the sentinel gap 0.  A session that
 would start past the horizon is discarded, not clipped.
 """
@@ -23,17 +27,12 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
+from scipy import special
 
 from . import _kernels as K
 from .errors import NumericalError
 from .eventlog import Session, SessionSequence, derive_seed
-from .tppmath import (
-    IntensitySpec,
-    log_gap_density,
-    sample_gap,
-    sample_zt_poisson,
-    zt_poisson_log_pmf,
-)
+from .tppmath import WALK_RATE_MAX, gap_at, zt_poisson_at
 
 KINDS = ("stationary", "regime_switching", "from_model")
 
@@ -132,8 +131,9 @@ def _model_users(uids, rngs, params, horizon, cap):
     is the pre-data step, step i > 0 consumes session i - 1, and the heads
     of step i give the law of session i.  A user stops when it churns (an
     infinite gap), when its next session would start past the horizon, or
-    at cap sessions.  Each user draws from its own rng, in the order eps,
-    d1, eps, then (gap, duration, eps) per session.
+    at cap sessions.  The step's rows draw their uniforms from their own
+    rngs, in the order the module docstring gives, and are then sampled at
+    once by gap_at and zt_poisson_at and scored by the cell's log-likelihoods.
 
     Returns per user (sessions, {"loglik", "churned"}): the exact
     conditional log-likelihood of what was sampled, gap densities from the
@@ -141,49 +141,48 @@ def _model_users(uids, rngs, params, horizon, cap):
     """
     w = K.Cell(params)
     wt = float(params.head_wt)
-    sessions = [[] for _ in uids]
-    truth = [{"loglik": 0.0, "churned": False} for _ in uids]
-    live = list(range(len(uids)))  # the users the next step runs, as its columns
-    feat = [(0.0, 0.0)] * len(uids)
-    h = c = np.zeros((params.hidden, len(uids)))
-    i = 0
-    while live:
-        u = K.Unroll(w, np.array([feat]), h.T, c.T, np.array([[rngs[r].standard_normal() for r in live]]))
-        K.cell_fwd(w, u, 0, len(live), first=i == 0, generate=True)
+    loglik, churned, t = np.zeros(len(uids)), np.zeros(len(uids), dtype=bool), np.zeros(len(uids))
+    live, kept = np.arange(len(uids)), []  # the next step's columns; each step's (users, t, g, d)
+    feat, h = np.zeros((1, len(uids), 2)), np.zeros((len(uids), params.hidden))
+    c = h  # the state as (rows, H), as Unroll takes it
+
+    def check(bad, why):  # bad: the failing columns of the step
+        if bad.size:
+            raise NumericalError(f"generate: user {uids[live[bad[0]]]} {why(bad[0])}")
+
+    for i in range(cap):
+        gens = [rngs[r] for r in live]
+        u = K.Unroll(w, feat, h, c, np.array([[x.standard_normal() for x in gens]]))
+        uni = np.array([x.random(2) if i else (0.0, x.random()) for x in gens])
+        K.cell_fwd(w, u, 0, live.size, first=i == 0, generate=True)
         u.outputs(w)
+        a, lg = u.ah[0]
         # heads in range and a finite state, written so that NaN fails too
         ok = (np.abs(u.ah[0]) <= K.EXP_ARG_MAX).all(axis=0) & np.isfinite(u.xh[1, 3:]).all(axis=0)
         ok &= np.isfinite(u.c[1]).all(axis=0)
-        if not ok.all():
-            j = int(np.argmin(ok))
-            a, lg = u.ah[0, :, j]
-            raise NumericalError(f"generate: user {uids[live[j]]} diverged at step {i} "
-                                 f"(a={a:.3g}, log gamma={lg:.3g})")
-        keep, feat = [], []
-        for j, (r, a, lg) in enumerate(zip(live, *u.ah[0].tolist())):
-            rng, seq, gamma = rngs[r], sessions[r], math.exp(lg)
-            if i == 0:
-                gap = t = 0.0
-            else:
-                spec = IntensitySpec(a, wt)
-                gap = sample_gap(spec, rng)
-                if math.isinf(gap):
-                    truth[r]["churned"] = True
-                    continue
-                t = seq[-1].t + gap
-                if t > horizon:
-                    continue
-            d = sample_zt_poisson(gamma, rng)
-            ll = zt_poisson_log_pmf(gamma, d)
-            truth[r]["loglik"] += ll if i == 0 else log_gap_density(spec, gap) + ll
-            seq.append(Session(t=t, g=gap, d=d))
-            if len(seq) < cap:
-                keep.append(j)
-                feat.append((math.log1p(gap), math.log1p(float(d))))
-        live = [live[j] for j in keep]
-        h, c = u.xh[1, 3:][:, keep], u.c[1][:, keep]
-        i += 1
-    return list(zip(sessions, truth))
+        check(np.flatnonzero(~ok), lambda j: f"diverged at step {i} (a={a[j]:.3g}, log gamma={lg[j]:.3g})")
+        g = gap_at(a, wt, -np.log1p(-uni[:, 0])) if i else np.zeros(live.size)
+        churned[live[np.isinf(g)]] = True
+        go = ~np.isinf(g) & ~(t + g > horizon)  # a NaN gap goes on, to fail below
+        live, t, g, a, lg, uni = live[go], t[go] + g[go], g[go], a[go], lg[go], uni[go]
+        gamma = np.exp(lg)
+        check(np.flatnonzero(gamma > WALK_RATE_MAX),
+              lambda j: f"failed at step {i}: duration rate {gamma[j]:.3g} too large for a CDF walk")
+        d = zt_poisson_at(gamma, uni[:, 1])
+        ll = K.dur_loglik(lg, d, special.gammaln(d + 1.0))[0] - np.log(-np.expm1(-gamma))
+        if i:
+            ll = K.gap_loglik(a, wt, g)[0] + ll
+        check(np.flatnonzero(~np.isfinite(ll)), lambda j: f"failed at step {i}: non-finite log-likelihood")
+        loglik[live] += ll
+        kept.append((live, t, g, d))
+        feat, h, c = np.log1p([g, d]).T[None], u.xh[1, 3:][:, go].T, u.c[1][:, go].T
+        if not live.size:
+            break
+
+    sessions = [[] for _ in uids]  # built once, in step order
+    for r, *x in zip(*(np.concatenate(col).tolist() for col in zip(*kept))):
+        sessions[r].append(Session(*x))
+    return [(s, {"loglik": ll, "churned": ch}) for s, ll, ch in zip(sessions, loglik.tolist(), churned.tolist())]
 
 
 def generate(spec, seed):

@@ -3,9 +3,12 @@
 The gap model is an exponential-affine intensity lam(g) = exp(a + wt * g)
 over the elapsed absence gap g >= 0.  For wt < 0 the gap distribution is
 defective: total mass 1 - exp(-exp(a)/|wt|), the remainder being "never
-returns".  Samplers use exact inverse-CDF inversion; there is no thinning.
-The Gaussian KL and the logit-normal draw wrap the cell's own formulas in
-churnkit._kernels with argument checks.
+returns".  Sampling is exact inverse-CDF inversion, with no thinning, by
+one array inverse per law: ``gap_at`` and ``zt_poisson_at``.  Generation
+runs them on a step's rows, each row drawing from its own stream its eps,
+then one (gap, duration) pair of uniforms.  The Gaussian KL and the
+logit-normal draw wrap the cell's own formulas in churnkit._kernels with
+argument checks.
 """
 
 from __future__ import annotations
@@ -132,13 +135,22 @@ def _closed_mean(a, wt):
     return mean
 
 
-def _gap_quantile(spec, prob):
-    """Gap g with P(next gap <= g) = prob (prob below total_mass(spec))."""
-    a, wt = spec
-    y = -math.log1p(-prob)  # cumulative intensity reached at that gap
+def gap_at(a, wt, y):
+    """Gap at which the cumulative intensity of exp(a + wt * g) reaches y >= 0,
+    elementwise over arrays of a and y with a scalar wt.  It is inf where a
+    defective law never reaches y: the log1p argument is clipped at -1,
+    where log1p is -inf, and wt < 0 turns that into +inf.
+    """
     if abs(wt) < WT_ZERO_EPS:
-        return y * math.exp(-a)
-    return math.log1p(y * wt * math.exp(-a)) / wt
+        return y * np.exp(-a)
+    with np.errstate(divide="ignore"):
+        return np.log1p(np.maximum(y * wt * np.exp(-a), -1.0)) / wt
+
+
+def _gap_quantile(spec, prob):
+    """Gap g with P(next gap <= g) = prob; inf from prob = total_mass(spec) on."""
+    a, wt = spec
+    return float(gap_at(a, wt, -np.log1p(-prob)))
 
 
 # conditional probabilities splitting [0, inf) for the quadrature reference
@@ -191,21 +203,9 @@ def expected_gap(spec):
 
 
 def sample_gap(spec, rng):
-    """Inverse-CDF draw of the next gap; returns math.inf for "never returns".
-
-    Solves cumulative_intensity(g) = -log(u) with u uniform on (0, 1].  When
-    wt < 0 the inversion has no solution with probability exp(-exp(a)/|wt|)
-    and the caller gets math.inf, a distinct value it must handle.
-    """
-    a, wt = spec
-    u = 1.0 - rng.random()  # in (0, 1]; u == 1 maps to g == 0
-    e = -math.log(u)
-    if abs(wt) < WT_ZERO_EPS:
-        return e * math.exp(-a)
-    arg = 1.0 + e * wt * math.exp(-a)
-    if arg <= 0.0:
-        return math.inf
-    return math.log(arg) / wt
+    """Inverse-CDF draw of the next gap at one rng.random(); when wt < 0 it
+    is math.inf, "never returns", with probability exp(-exp(a)/|wt|)."""
+    return _gap_quantile(spec, rng.random())
 
 
 def poisson_log_pmf(rate, k):
@@ -225,40 +225,40 @@ def zt_poisson_log_pmf(rate, k):
 
 
 _LOG_WALK_START_MIN = math.log(sys.float_info.min)  # pmf(1) stays a normal float
-_WALK_RATE_MAX = 1e12  # a walk from the mode takes about sqrt(rate) steps
+WALK_RATE_MAX = 1e12  # a walk from the mode takes about sqrt(rate) steps
 
 
-def sample_zt_poisson(rate, rng):
-    """Inverse-CDF draw from a zero-truncated Poisson.
-
-    The CDF walk starts at k = 1 while pmf(1) is a normal float (rate up to
-    about 715).  Above that pmf(1) is subnormal or zero, so the walk starts
-    at the mode with the CDF there from scipy and steps down or up.
+def zt_poisson_at(rate, u):
+    """Smallest k >= 1 whose zero-truncated Poisson CDF reaches u in [0, 1),
+    elementwise over arrays of rate > 0 and u: the inverse-CDF draw.  All
+    elements walk from k = 1 in lock step, each ending where its CDF reaches
+    u or stops growing (it can top out just below 1); where pmf(1) is not a
+    normal float (rate above about 715) the walk starts at the mode.
     """
-    if rate <= 0.0:
-        raise ValueError(f"sample_zt_poisson: rate must be positive, got {rate}")
-    u = rng.random()
-    log_norm = math.log(-math.expm1(-rate))
-    log_pmf1 = math.log(rate) - rate - log_norm
-    if log_pmf1 < _LOG_WALK_START_MIN:
-        return _walk_from_mode(rate, u)
-    # walk the truncated CDF starting at k = 1
-    k = 1
-    pmf = math.exp(log_pmf1)
-    cdf = pmf
-    while cdf < u:
-        k += 1
-        pmf *= rate / k
-        cdf += pmf
-        if k > 10_000_000:
-            raise NumericalError("sample_zt_poisson: runaway CDF walk")
-    return k
+    rate, u = np.broadcast_arrays(np.asarray(rate, dtype=np.float64), u)
+    shape, rate, u = rate.shape, rate.ravel(), u.ravel()
+    if not np.all(rate > 0.0):
+        raise ValueError("zt_poisson_at: rates must be positive")
+    log_pmf1 = np.log(rate) - rate - np.log(-np.expm1(-rate))
+    k, pmf = np.ones(rate.size, dtype=np.int64), np.exp(log_pmf1)
+    mode = np.flatnonzero(log_pmf1 < _LOG_WALK_START_MIN)
+    k[mode] = [_walk_from_mode(float(rate[j]), float(u[j])) for j in mode]
+    run = np.flatnonzero((log_pmf1 >= _LOG_WALK_START_MIN) & (pmf < u))
+    r, pmf, cdf, u, step = rate[run], pmf[run], pmf[run], u[run], 1
+    while run.size:
+        step += 1
+        k[run] = step
+        pmf = pmf * (r / step)
+        grown = cdf + pmf
+        go = (grown < u) & (grown != cdf)
+        run, r, pmf, cdf, u = run[go], r[go], pmf[go], grown[go], u[go]
+    return k.reshape(shape)
 
 
 def _walk_from_mode(rate, u):
     """Smallest k >= 1 with truncated CDF(k) >= u, searched from the mode."""
-    if rate > _WALK_RATE_MAX:
-        raise NumericalError(f"sample_zt_poisson: rate {rate:.3g} too large for a CDF walk")
+    if rate > WALK_RATE_MAX:
+        raise NumericalError(f"zt_poisson_at: rate {rate:.3g} too large for a CDF walk")
     k = math.floor(rate)
     pmf = math.exp(zt_poisson_log_pmf(rate, k))
     cdf = (special.pdtr(k, rate) - math.exp(-rate)) / -math.expm1(-rate)

@@ -488,6 +488,14 @@ def test_simulate_from_diverging_checkpoint_is_numerical_error(tmp_path, capsys)
     assert "user u0000 diverged at step 0" in capsys.readouterr().err
 
 
+def test_simulate_from_checkpoint_with_huge_duration_rate_is_numerical_error(tmp_path, capsys):
+    # it used to exit 3 with a message naming the sampler, not the user and step
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1).replace(dur_b=30.0), model)
+    assert _simulate_from(tmp_path, model)[0] == 3
+    assert "generate: user u0000 failed at step 0: duration rate" in capsys.readouterr().err
+
+
 def test_simulate_from_malformed_checkpoint_is_data_error(tmp_path):
     # a parameter entry that is a list used to end in an AttributeError traceback
     model = tmp_path / "model.json"

@@ -17,7 +17,7 @@ from churnkit.tppmath import (
     IntensitySpec,
     log_gap_density,
     sample_gap,
-    sample_zt_poisson,
+    zt_poisson_at,
     zt_poisson_log_pmf,
 )
 
@@ -168,6 +168,21 @@ class TestFromModel:
         with pytest.raises(NumericalError, match="user u0000 diverged at step 0"):
             generate(spec, seed=0)
 
+    def test_duration_rate_too_large_names_user_and_step(self):
+        # a rate near 1e13 used to fail inside the sampler, naming neither
+        params = init_params(4, 4, seed=0).replace(dur_b=30.0)
+        spec = GeneratorSpec(kind="from_model", users=3, horizon=50.0, model_params=params)
+        with pytest.raises(NumericalError, match=r"user u0000 failed at step 0: duration rate \S+ too large"):
+            generate(spec, seed=0)
+
+    def test_non_finite_loglik_names_user_and_step(self):
+        # a NaN slope gives NaN gaps, which pass the churn and horizon tests
+        params = init_params(4, 4, seed=0, wt_mode="learned")
+        params.head_wt[...] = np.nan
+        spec = GeneratorSpec(kind="from_model", users=3, horizon=50.0, model_params=params)
+        with pytest.raises(NumericalError, match="user u0000 failed at step 1: non-finite log-likelihood"):
+            generate(spec, seed=0)
+
     def test_loglik_per_event_reported(self):
         params = init_params(4, 4, seed=12)
         spec = GeneratorSpec(kind="from_model", users=10, horizon=60.0, model_params=params)
@@ -213,7 +228,7 @@ def _reference_model_user(uid, params, seed, horizon, cap):
     session: (sessions as (t, g, d), log-likelihood, churned)."""
     rng = np.random.default_rng(derive_seed(seed, "gen", uid))
     out = ref.initial(params, float(rng.standard_normal()))
-    d = sample_zt_poisson(math.exp(out.lg), rng)
+    d = int(zt_poisson_at(math.exp(out.lg), rng.random()))
     sessions, loglik, t, gap = [(0.0, 0.0, d)], zt_poisson_log_pmf(math.exp(out.lg), d), 0.0, 0.0
     while len(sessions) < cap:
         out = ref.step(params, out.h, out.c, float(rng.standard_normal()), "generate", gap, d)
@@ -223,7 +238,7 @@ def _reference_model_user(uid, params, seed, horizon, cap):
             return sessions, loglik, True
         if t + gap > horizon:
             break
-        d = sample_zt_poisson(math.exp(out.lg), rng)
+        d = int(zt_poisson_at(math.exp(out.lg), rng.random()))
         loglik += log_gap_density(spec, gap) + zt_poisson_log_pmf(math.exp(out.lg), d)
         t += gap
         sessions.append((t, gap, d))

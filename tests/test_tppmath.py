@@ -21,17 +21,24 @@ from churnkit.tppmath import (
     IntensitySpec,
     _gap_quantile,
     _quadrature_mean,
+    _walk_from_mode,
     cumulative_intensity,
     expected_gap,
+    gap_at,
     gaussian_kl,
     log_gap_density,
     poisson_log_pmf,
     sample_gap,
     sample_logit_normal,
-    sample_zt_poisson,
     total_mass,
+    zt_poisson_at,
     zt_poisson_log_pmf,
 )
+
+
+def _draw_gaps(spec, rng, n):
+    """n draws of sample_gap(spec, rng) as one array call on the same uniforms."""
+    return gap_at(spec.a, spec.wt, -np.log1p(-rng.random(n)))
 
 
 class TestCumulativeIntensity:
@@ -102,14 +109,14 @@ class TestExpectedGap:
     def test_quadrature_matches_monte_carlo(self):
         spec = IntensitySpec(0.0, 0.5)
         rng = np.random.default_rng(11)
-        samples = np.array([sample_gap(spec, rng) for _ in range(1_000_000)])
+        samples = _draw_gaps(spec, rng, 1_000_000)
         mc = samples.mean()
         assert expected_gap(spec) == pytest.approx(mc, rel=5e-3)
 
     def test_defective_mean_is_conditional_on_return(self):
         spec = IntensitySpec(0.0, -0.5)
         rng = np.random.default_rng(12)
-        draws = np.array([sample_gap(spec, rng) for _ in range(200_000)])
+        draws = _draw_gaps(spec, rng, 200_000)
         returned = draws[np.isfinite(draws)]
         assert len(returned) / len(draws) == pytest.approx(total_mass(spec), abs=5e-3)
         assert expected_gap(spec) == pytest.approx(returned.mean(), rel=1e-2)
@@ -184,6 +191,14 @@ class TestSampleGap:
         stat = stats.kstest(draws, cdf).statistic
         assert stat < 0.01
 
+    @pytest.mark.parametrize("wt", [-2.0, 0.0, 0.4])
+    def test_array_draws_equal_sample_gap(self, wt):
+        # the Monte-Carlo tests draw gaps as arrays on the same uniforms
+        spec = IntensitySpec(-1.0, wt)
+        rng = np.random.default_rng(3)
+        draws = [sample_gap(spec, rng) for _ in range(2000)]
+        assert _draw_gaps(spec, np.random.default_rng(3), 2000).tolist() == draws
+
     def test_u_equal_one_maps_to_zero_gap(self):
         class _Stub:
             def random(self):
@@ -212,6 +227,19 @@ class TestSampleGap:
         checks = [(np.count_nonzero(draws <= _gap_quantile(spec, p * mass)), p * mass) for p in (0.1, 0.5, 0.9)]
         for count, share in checks + [(np.count_nonzero(draws == math.inf), 1.0 - mass)]:
             assert abs(count / n - share) <= 4.0 * math.sqrt(share * (1.0 - share) / n)
+
+
+@pytest.mark.parametrize("wt", [-0.5, -WT_ZERO_EPS * 0.5, 0.0, 0.4])
+def test_gap_at_is_elementwise_over_arrays(wt):
+    # cumulative intensities past the defective law's total exp(a)/|wt| give inf
+    a, y = np.meshgrid(np.linspace(-3.0, 3.0, 7), [0.0, 0.01, 0.5, 2.0, 10.0, 50.0])
+    gaps = gap_at(a, wt, y)
+    assert gaps.shape == a.shape
+    assert np.array_equal(gaps, [[gap_at(a[i, j], wt, y[i, j]) for j in range(7)] for i in range(6)])
+    assert np.isinf(gaps).any() == (wt == -0.5)
+    finite = np.isfinite(gaps)
+    assert all(cumulative_intensity(IntensitySpec(a[i, j], wt), gaps[i, j]) == pytest.approx(y[i, j], rel=1e-12)
+               for i, j in zip(*np.nonzero(finite)))
 
 
 def total_mass_rate(spec):
@@ -244,15 +272,48 @@ class TestPoissonLogPmf:
             poisson_log_pmf(1.0, 1.5)
 
 
+def _reference_zt_poisson(rate, u):
+    """The scalar inverse-CDF walk that zt_poisson_at runs in lock step:
+    from k = 1 while pmf(1) is a normal float, ending where the CDF reaches
+    u or where adding a pmf leaves it unchanged; else from the mode.
+    pmf(1) is numpy's: math's log and exp differ in the last bit, and that
+    moves where the rounded CDF stops growing."""
+    log_pmf1 = float(np.log(rate) - rate - np.log(-np.expm1(-rate)))
+    if log_pmf1 < math.log(sys.float_info.min):
+        return _walk_from_mode(rate, u)
+    k = 1
+    pmf = cdf = float(np.exp(log_pmf1))
+    while cdf < u:
+        k += 1
+        pmf *= rate / k
+        if cdf + pmf == cdf:
+            break
+        cdf += pmf
+    return k
+
+
 class TestZeroTruncatedPoisson:
     def test_pmf_normalizes_over_support(self):
         total = sum(math.exp(zt_poisson_log_pmf(1.7, k)) for k in range(1, 60))
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_equals_the_scalar_walk(self):
+        rates = np.concatenate([np.geomspace(1e-2, 2000.0, 41), [700.0, 730.0]])
+        us = np.array([0.0, 1e-12, 0.1, 0.5, 0.9, 0.999999, 1.0 - 2.0**-53])
+        draws = zt_poisson_at(rates[:, None], us)
+        assert draws.shape == (len(rates), len(us))
+        assert draws.tolist() == [[_reference_zt_poisson(float(r), float(u)) for u in us] for r in rates]
+
+    def test_walk_ends_where_the_cdf_stops_growing(self):
+        # the rounded CDF tops out below u = 1 - 2^-53 at these rates; the
+        # walk used to run on for 10 million steps and raise
+        rates = [20.0, 100.0, 300.0, 700.0]
+        assert zt_poisson_at(rates, 1.0 - 2.0**-53).tolist() == [68, 193, 453, 927]
+
     def test_sampler_matches_pmf(self):
         rng = np.random.default_rng(13)
         rate = 1.3
-        draws = np.array([sample_zt_poisson(rate, rng) for _ in range(100_000)])
+        draws = zt_poisson_at(rate, rng.random(100_000))
         assert draws.min() >= 1
         for k in (1, 2, 3, 5):
             frac = np.mean(draws == k)
@@ -262,7 +323,7 @@ class TestZeroTruncatedPoisson:
         # pmf(1) underflows to zero here, so the walk cannot start at k = 1
         rng = np.random.default_rng(17)
         rate = 1000.0
-        draws = np.array([sample_zt_poisson(rate, rng) for _ in range(20_000)])
+        draws = zt_poisson_at(rate, rng.random(20_000))
         assert abs(draws.mean() - rate) < 4.0 * math.sqrt(rate / len(draws))
         assert draws.var() == pytest.approx(rate, rel=0.05)
         for k in (950, 1000, 1050):
@@ -280,7 +341,7 @@ class TestZeroTruncatedPoisson:
         rate = 10.0**log10_rate
         n = 5_000
         rng = np.random.default_rng(19)
-        draws = np.array([sample_zt_poisson(rate, rng) for _ in range(n)])
+        draws = zt_poisson_at(rate, rng.random(n))
         for q in (0.1, 0.5, 0.9):
             k = max(1, int(stats.poisson.ppf(q, rate)))
             share = (stats.poisson.cdf(k, rate) - stats.poisson.pmf(0, rate)) / stats.poisson.sf(0, rate)
