@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from . import __version__
+from . import __version__, eventlog
 from .errors import ChurnkitError, DataError, NumericalError
 from .eventlog import (
     GAP_MODES,
@@ -121,6 +121,11 @@ def _add_options(p, target, skip=(), **extra):
             p.add_argument("--" + name.replace("_", "-"), **opts | extra.get(name, {}))
 
 
+def _default(target, name):
+    """The default of parameter name of target, a dataclass or a function."""
+    return inspect.signature(target).parameters[name].default
+
+
 def _options(args, target):
     """The parsed options that are parameters of target, as its keywords."""
     names = inspect.signature(target).parameters
@@ -149,6 +154,23 @@ def _split(sequences, args):
     if args.train_frac >= 1.0:
         return sequences, []
     return split_users(sequences, args.train_frac, args.seed)
+
+
+def _held_out(args, train_users=True):
+    """(model, training users, --split users) of predict and evaluate, from
+    the --sessions and --model files.  Unless train_users asks for the
+    training users, --split all skips the split, so it also takes a single
+    user; the training users are then None."""
+    sequences = read_sessions(args.sessions)
+    params, _ = load_checkpoint(args.model)
+    if args.split == "all" and not train_users:
+        train_seqs, selected = None, sequences
+    else:
+        train_seqs, test_seqs = _split(sequences, args)
+        selected = {"all": sequences, "train": train_seqs, "test": test_seqs}[args.split]
+    if not selected:
+        raise DataError(f"{args.subcommand}: no held-out users when --train-frac >= 1")
+    return params, train_seqs, selected
 
 
 # ------------------------------------------------------------- subcommands
@@ -189,12 +211,7 @@ def _cmd_train(args):
 
 def _cmd_predict(args):
     policy = AlarmPolicy(mode=args.alarm_mode, **_options(args, AlarmPolicy))
-    sequences = read_sessions(args.sessions)
-    params, _ = load_checkpoint(args.model)
-    # --split all needs no split, so it also takes a single user
-    selected = sequences if args.split == "all" else _split(sequences, args)[args.split == "test"]
-    if not selected:
-        raise DataError("predict: no held-out users when --train-frac >= 1")
+    params, _, selected = _held_out(args, train_users=False)
     records = rolling_evaluate_many(params, selected, args.pred_samples, args.seed)
     stats = {s.user_id: user_history_stats(s) for s in selected}
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -218,12 +235,8 @@ def _cmd_predict(args):
 
 
 def _cmd_evaluate(args):
-    sequences = read_sessions(args.sessions)
-    params, _ = load_checkpoint(args.model)
-    train_seqs, test_seqs = _split(sequences, args)
-    eval_seqs = {"all": sequences, "train": train_seqs, "test": test_seqs}[args.split]
-    if not eval_seqs:
-        raise DataError("evaluate: no held-out users when --train-frac >= 1")
+    # the baselines are fitted on the training users, whatever --split is
+    params, train_seqs, eval_seqs = _held_out(args)
 
     method_names = [m.strip() for m in args.methods.split(",") if m.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -326,10 +339,13 @@ def build_parser():
     p = sub.add_parser("sessionize", help="segment raw event logs into sessions")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--time-unit", choices=("hours", "seconds"), default="hours")
+    # defaults read through the module: perfbench's tracer replaces the names
+    # imported here with wrappers that take (*args, **kwargs)
+    ingest, sessionize = eventlog.ingest_events, eventlog.sessionize_log
+    p.add_argument("--format", choices=("csv", "jsonl"), default=_default(ingest, "fmt"))
+    p.add_argument("--time-unit", choices=("hours", "seconds"), default=_default(ingest, "time_unit"))
     p.add_argument("--session-threshold-hours", type=float, default=1.0)
-    p.add_argument("--gap-mode", choices=GAP_MODES, default="start-to-start")
+    p.add_argument("--gap-mode", choices=GAP_MODES, default=_default(sessionize, "gap_mode"))
     p.set_defaults(func=_cmd_sessionize)
 
     # train, predict and evaluate must split the users alike

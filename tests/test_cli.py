@@ -134,6 +134,19 @@ def test_flag_table():
     assert got == _FLAGS
 
 
+def test_flag_table_with_wrapped_functions(monkeypatch):
+    # perfbench's tracer replaces the functions cli imports by name with
+    # wrappers that take (*args, **kwargs), so the parser must not read the
+    # defaults from those names
+    import churnkit.cli as cli
+
+    for name in ("ingest_events", "sessionize_log", "read_sessions", "write_sessions", "load_checkpoint",
+                 "save_checkpoint", "train", "compare", "fit_baseline", "rolling_evaluate_many"):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
+    test_flag_table()
+
+
 def test_library_defaults_are_the_flag_defaults():
     parse = build_parser().parse_args
     args = parse(["predict", "--sessions", "s", "--model", "m", "--out", "o"])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 import churnkit
 from churnkit.errors import NumericalError
@@ -39,6 +39,28 @@ from churnkit.tppmath import (
 def _draw_gaps(spec, rng, n):
     """n draws of sample_gap(spec, rng) as one array call on the same uniforms."""
     return gap_at(spec.a, spec.wt, -np.log1p(-rng.random(n)))
+
+
+def _scipy_mean(a, wt):
+    """The mean gap from scipy's expi and exp1, as _closed_mean computed it
+    for 1 <= c <= 200 before its Chebyshev table: the table's reference."""
+    b = abs(wt)
+    c = np.exp(a) / b
+    if wt > 0.0:
+        return np.exp(c) * special.exp1(c) / wt
+    ein_c = (special.expi(c) - np.euler_gamma - np.log(c)) / c
+    return np.exp(-c) * ein_c / (b * special.exprel(-c))
+
+
+def _spec_at(c, sign):
+    """An IntensitySpec of the given slope sign whose c = exp(a)/|wt| is c
+    exactly: a slope next to exp(a)/c, for one of a few a in [0, 1)."""
+    for a in np.linspace(0.0, 1.0, 16, endpoint=False):
+        b0 = np.exp(a) / c
+        for b in (b0, np.nextafter(b0, 0.0), np.nextafter(b0, 1.0)):
+            if np.exp(a) / b == c:
+                return IntensitySpec(float(a), sign * float(b))
+    raise AssertionError(f"no slope gives c = {c!r}")
 
 
 class TestCumulativeIntensity:
@@ -164,6 +186,28 @@ class TestExpectedGap:
         means = expected_gap(IntensitySpec(a, wt))
         assert means.shape == a.shape
         assert all(means[i, j] == expected_gap(IntensitySpec(a[i, j], wt)) for i, j in np.ndindex(a.shape))
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_table_matches_scipy_on_a_log_grid(self, sign):
+        wt = sign * 0.04
+        a = np.log(np.geomspace(1.0, 200.0, 20_001) * 0.04)
+        np.testing.assert_allclose(expected_gap(IntensitySpec(a, wt)), _scipy_mean(a, wt), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_table_matches_scipy_at_piece_edges_and_branch_switches(self, sign):
+        # the powers of two and quarter points start the table's pieces; below
+        # c = 1 a series or exp1 takes over, and above c = 200 the asymptotic
+        # series; each edge is checked with its two float neighbours
+        edges = [2.0**j * (1.0 + q / 4.0) for j in range(8) for q in range(4)] + [200.0]
+        specs = [
+            _spec_at(c, sign)
+            for edge in edges
+            if edge <= 200.0
+            for c in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf))
+        ]
+        got = [expected_gap(spec) for spec in specs]
+        want = [float(_scipy_mean(spec.a, spec.wt)) for spec in specs]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_closed_form_rejects_non_finite_input(self):
         with pytest.raises(NumericalError):
