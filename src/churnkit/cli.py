@@ -1,7 +1,8 @@
 """Command-line pipeline: sessionize -> train -> predict -> evaluate, plus
 simulate and gradcheck.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error (an output that cannot be
+written and an input that is not UTF-8 among them), 3 numerical failure.
 Every run writes a ``<output>.manifest.json`` next to its primary output with
 the fully resolved configuration, so a run can be reproduced exactly.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import difflib
 import inspect
-import json
 import logging
 import platform
 import sys
@@ -27,7 +27,9 @@ from .eventlog import (
     read_sessions,
     sessionize_log,
     split_users,
+    write_json,
     write_sessions,
+    write_table,
 )
 from .evalharness import BASELINE_KINDS, compare, fit_baseline, fit_baselines
 from .inference import AlarmPolicy, churn_alarm, rolling_evaluate_many, user_history_stats
@@ -74,29 +76,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_manifest(out_path, subcommand, config, inputs, outputs, seed):
+def write_manifest(args, config, inputs, outputs):
+    """Write ``<--out>.manifest.json`` for the run of args."""
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "config": config,
         "inputs": inputs,
         "outputs": outputs,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),  # sessionize draws nothing
         "version": __version__,
         "checkpoint_format": CHECKPOINT_VERSION,
         "numpy": np.__version__,
         "python": platform.python_version(),
     }
-    path = str(out_path) + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    return path
+    write_json(args.out + ".manifest.json", manifest, indent=1)
 
 
 # kept out of a manifest's config: the seed and the files, which it records
@@ -180,7 +173,7 @@ def _cmd_sessionize(args):
     per_user = ingest_events(args.infile, fmt=args.format, time_unit=args.time_unit)
     sequences = sessionize_log(per_user, args.session_threshold_hours, args.gap_mode)
     write_sessions(sequences, args.out)
-    write_manifest(args.out, "sessionize", _config(args), {"events": args.infile}, {"sessions": args.out}, None)
+    write_manifest(args, _config(args), {"events": args.infile}, {"sessions": args.out})
     print(f"sessionize: {len(sequences)} users -> {args.out}")
     return 0
 
@@ -193,14 +186,8 @@ def _cmd_train(args):
     save_checkpoint(params, args.out)
     report_path = args.report or (args.out + ".report.csv")
     report.to_csv(report_path)
-    write_manifest(
-        args.out,
-        "train",
-        asdict(config) | {"train_frac": args.train_frac},
-        {"sessions": args.sessions},
-        {"model": args.out, "report": report_path},
-        args.seed,
-    )
+    write_manifest(args, asdict(config) | {"train_frac": args.train_frac}, {"sessions": args.sessions},
+                   {"model": args.out, "report": report_path})
     final = report.epochs[-1]
     print(
         f"train: {len(train_seqs)} users ({len(test_seqs)} held out), "
@@ -214,22 +201,11 @@ def _cmd_predict(args):
     params, _, selected = _held_out(args, train_users=False)
     records = rolling_evaluate_many(params, selected, args.pred_samples, args.seed)
     stats = {s.user_id: user_history_stats(s) for s in selected}
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("user_id,step,pred_gap,obs_gap,pred_dur,obs_dur,alarm\n")
-        for r in records:
-            alarm = churn_alarm(r, policy, stats[r.user_id])
-            fh.write(
-                f"{r.user_id},{r.step},{_fmt(r.pred_gap)},{_fmt(r.obs_gap)},"
-                f"{_fmt(r.pred_dur)},{r.obs_dur},{int(alarm)}\n"
-            )
-    write_manifest(
-        args.out,
-        "predict",
-        _config(args),
-        {"sessions": args.sessions, "model": args.model},
-        {"predictions": args.out},
-        args.seed,
-    )
+    alarms = [int(churn_alarm(r, policy, stats[r.user_id])) for r in records]
+    rows = [(r.user_id, r.step, r.pred_gap, r.obs_gap, r.pred_dur, r.obs_dur, a) for r, a in zip(records, alarms)]
+    write_table(args.out, ("user_id", "step", "pred_gap", "obs_gap", "pred_dur", "obs_dur", "alarm"), rows)
+    write_manifest(args, _config(args), {"sessions": args.sessions, "model": args.model},
+                   {"predictions": args.out})
     print(f"predict: {len(records)} records for {len(selected)} users -> {args.out}")
     return 0
 
@@ -260,28 +236,16 @@ def _cmd_evaluate(args):
         per_seed[seed] = compare(methods, eval_seqs, args.pred_samples, seed)
 
     metric_fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("method,mae_gap,mre_gap,mae_duration,mre_duration,count\n")
-        for name in method_names:
-            rows = [per_seed[s][name] for s in seeds]
-            means = [float(np.mean([getattr(r, f) for r in rows])) for f in metric_fields]
-            fh.write(f"{name}," + ",".join(_fmt(v) for v in means) + f",{rows[0].count}\n")
+    write_table(args.out, ("method", *metric_fields, "count"), (
+        [m, *(float(np.mean([getattr(per_seed[s][m], f) for s in seeds])) for f in metric_fields),
+         per_seed[seeds[0]][m].count] for m in method_names
+    ))
     long_path = args.out + ".long.csv"
-    with open(long_path, "w", encoding="utf-8") as fh:
-        fh.write("method,seed,metric,value\n")
-        for name in method_names:
-            for seed in seeds:
-                summary = per_seed[seed][name]
-                for f in metric_fields:
-                    fh.write(f"{name},{seed},{f},{_fmt(getattr(summary, f))}\n")
-    write_manifest(
-        args.out,
-        "evaluate",
-        _config(args) | {"methods": method_names, "seeds": seeds},
-        {"sessions": args.sessions, "model": args.model},
-        {"summary": args.out, "long": long_path},
-        args.seed,
-    )
+    write_table(long_path, ("method", "seed", "metric", "value"), (
+        (m, s, f, getattr(per_seed[s][m], f)) for m in method_names for s in seeds for f in metric_fields
+    ))
+    write_manifest(args, _config(args) | {"methods": method_names, "seeds": seeds},
+                   {"sessions": args.sessions, "model": args.model}, {"summary": args.out, "long": long_path})
     print(f"evaluate: {len(method_names)} method(s) x {len(seeds)} seed(s) -> {args.out}")
     return 0
 
@@ -290,19 +254,10 @@ def _cmd_simulate(args):
     sequences, truth = generate(GeneratorSpec(**_options(args, GeneratorSpec)), args.seed)
     write_sessions(sequences, args.out)
     truth_path = args.out + ".truth.json"
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(truth_path, truth)
     total = sum(len(s) for s in sequences)
-    config = dict(truth["spec"], kind=args.kind)
-    write_manifest(
-        args.out,
-        "simulate",
-        config,
-        {} if args.model_path is None else {"model": args.model_path},
-        {"sessions": args.out, "truth": truth_path},
-        args.seed,
-    )
+    inputs = {} if args.model_path is None else {"model": args.model_path}
+    write_manifest(args, dict(truth["spec"], kind=args.kind), inputs, {"sessions": args.out, "truth": truth_path})
     print(f"simulate: {len(sequences)} users, {total} sessions -> {args.out}")
     return 0
 
@@ -313,11 +268,8 @@ def _cmd_gradcheck(args):
         print(f"  {name:12s} rel err {report.per_param[name]:.3e}")
     print(f"gradcheck: {report.summary()}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("param,rel_err\n")
-            for name in sorted(report.per_param):
-                fh.write(f"{name},{_fmt(report.per_param[name])}\n")
-        write_manifest(args.out, "gradcheck", _config(args), {}, {"report": args.out}, args.seed)
+        write_table(args.out, ("param", "rel_err"), sorted(report.per_param.items()))
+        write_manifest(args, _config(args), {}, {"report": args.out})
     if not report.passed:
         raise NumericalError(f"gradient check failed: {report.summary()}")
     return 0
@@ -418,18 +370,15 @@ def main(argv=None):
     )
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"churnkit {args.subcommand}: usage error: {exc}", file=sys.stderr)
-        return 1
     except NumericalError as exc:
         print(f"churnkit {args.subcommand}: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except DataError as exc:
+    except (ChurnkitError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError is a ValueError
         print(f"churnkit {args.subcommand}: data error: {exc}", file=sys.stderr)
         return 2
-    except ChurnkitError as exc:
-        print(f"churnkit {args.subcommand}: error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        print(f"churnkit {args.subcommand}: usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entrypoint():

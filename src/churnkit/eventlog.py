@@ -15,6 +15,11 @@ strictly below the threshold; a gap exactly equal to the threshold starts a
 new session.  The stored gap of session i is start-to-start by default
 (t_i - t_{i-1}); ``gap_mode="end-to-start"`` measures from the previous
 session's last event instead.  The first session carries the sentinel gap 0.
+
+Files are read through ``open_input`` and written through ``write_table`` (CSV,
+quoted only where needed), ``write_json`` and ``write_sessions``; a file that
+cannot be opened or written is a DataError.  A sessions file's user id is a
+string or an integer that is not blank, and is kept as written.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import io
 import itertools
 import json
 import math
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -101,6 +106,15 @@ def _parse_timestamp(raw, time_unit, lineno):
     return value
 
 
+def _user_id(value, lineno):
+    """The text of a JSON user id, a string or an integer that is not blank."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise DataError(f"line {lineno}: user_id must be a string or an integer, got {value!r}")
+    if not str(value).strip():
+        raise DataError(f"line {lineno}: empty user_id")
+    return str(value)
+
+
 def _csv_columns(block, ncols, ui, ti, time_unit, codes, lineno):
     """(user codes, hours) of a block of whole CSV lines from line ``lineno``
     on, or None if the block needs the row loop.  A user new to ``codes`` gets
@@ -160,11 +174,8 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
         raise ValueError(f"ingest_events: unknown time_unit {time_unit!r}")
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"ingest_events: unknown format {fmt!r}")
-    try:
-        is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-        opened = open(source, "r", encoding="utf-8", newline="") if is_path else nullcontext(source)
-    except OSError as exc:
-        raise DataError(f"cannot open event file: {exc}") from None
+    is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    opened = open_input(source, "event file") if is_path else nullcontext(source)
 
     per_user = {}
     with opened as stream:
@@ -202,12 +213,7 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                     raise DataError(f"line {lineno}: bad JSON ({getattr(exc, 'msg', exc)})") from None
                 if not isinstance(obj, dict) or "user_id" not in obj or "timestamp" not in obj:
                     raise DataError(f"line {lineno}: need user_id and timestamp fields")
-                user = obj["user_id"]
-                if isinstance(user, bool) or not isinstance(user, (str, int)):
-                    raise DataError(f"line {lineno}: user_id must be a string or an integer, got {user!r}")
-                user = str(user).strip()  # as in a CSV
-                if not user:
-                    raise DataError(f"line {lineno}: empty user_id")
+                user = _user_id(obj["user_id"], lineno).strip()  # as in a CSV
                 per_user.setdefault(user, set()).add(_parse_timestamp(obj["timestamp"], time_unit, lineno))
 
     if not per_user:
@@ -275,15 +281,54 @@ def split_users(sequences, train_fraction, seed):
     return [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
 
 
+def open_input(path, kind):
+    """A text file to read, or a DataError that names the kind of file."""
+    try:
+        return open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot open {kind}: {exc}") from None
+
+
+@contextmanager
+def _open_output(path):
+    """A text file to write; an OSError on it is a DataError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _field(text):
+    """A CSV field, quoted (RFC 4180) if it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def write_table(path, header, rows):
+    """Write a CSV table with "\\n" line ends, each field as its str (a
+    float's is its repr), quoted only where it needs quotes."""
+    rows = [header, *rows]
+    text = "".join([",".join(map(str, row)) + "\n" for row in rows])
+    # unless every comma and line end is a separator, some field needs quotes
+    if ('"' in text or "\r" in text or text.count("\n") != len(rows)
+            or text.count(",") != sum(map(len, rows)) - len(rows)):
+        text = "".join([",".join([_field(str(v)) for v in row]) + "\n" for row in rows])
+    with _open_output(path) as fh:
+        fh.write(text)
+
+
+def write_json(path, obj, indent=None):
+    """Write obj as one JSON document with sorted keys and a final newline."""
+    with _open_output(path) as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
+
+
 def write_sessions(sequences, path):
     """Write sequences as JSONL {"user_id", "sessions": [{"t","g","d"}]}."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         for seq in sequences:
-            obj = {
-                "user_id": seq.user_id,
-                "sessions": [{"t": float(s.t), "g": float(s.g), "d": int(s.d)} for s in seq.sessions],
-            }
-            fh.write(json.dumps(obj) + "\n")
+            sessions = [{"t": float(s.t), "g": float(s.g), "d": int(s.d)} for s in seq.sessions]
+            fh.write(json.dumps({"user_id": seq.user_id, "sessions": sessions}) + "\n")
 
 
 def _count(value):
@@ -302,11 +347,7 @@ def read_sessions(path):
     """
     sequences = []
     seen = set()
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot open sessions file: {exc}") from None
-    with fh:
+    with open_input(path, "sessions file") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
@@ -317,9 +358,10 @@ def read_sessions(path):
                 raise DataError(f"line {lineno}: bad JSON ({getattr(exc, 'msg', exc)})") from None
             try:
                 sessions = [Session(t=float(s["t"]), g=float(s["g"]), d=_count(s["d"])) for s in obj["sessions"]]
-                sequences.append(SessionSequence(user_id=str(obj["user_id"]), sessions=sessions))
+                user = obj["user_id"]
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"line {lineno}: bad session record ({exc})") from None
+            sequences.append(SessionSequence(user_id=_user_id(user, lineno), sessions=sessions))
             if sessions[0].g != 0.0:
                 raise DataError(f"line {lineno}: the first session's gap must be the sentinel 0")
             for a, b in zip(sessions, sessions[1:]):

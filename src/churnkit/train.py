@@ -48,7 +48,7 @@ from .errors import (
     DataError,
     NumericalError,
 )
-from .eventlog import derive_seed
+from .eventlog import Session, SessionSequence, derive_seed, open_input, write_json, write_table
 from .inference import rolling_evaluate_many
 from .model import (
     LATENT_MODES,
@@ -111,16 +111,11 @@ class EpochStats:
 class TrainReport:
     epochs: list = field(default_factory=list)
 
-    CSV_HEADER = "epoch,neg_elbo_per_event,mae_gap,mae_duration,seconds"
-
     def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.CSV_HEADER + "\n")
-            for e in self.epochs:
-                fh.write(
-                    f"{e.epoch},{float(e.neg_elbo_per_event)!r},{float(e.mae_gap)!r},"
-                    f"{float(e.mae_duration)!r},{e.seconds:.3f}\n"
-                )
+        write_table(path, ("epoch", "neg_elbo_per_event", "mae_gap", "mae_duration", "seconds"), (
+            (e.epoch, float(e.neg_elbo_per_event), float(e.mae_gap), float(e.mae_duration), f"{e.seconds:.3f}")
+            for e in self.epochs
+        ))
 
 
 # ------------------------------------------------------------ ELBO and BPTT
@@ -487,10 +482,10 @@ def gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned", s
     the BPTT gradient of the sequence ELBO against central differences of
     step step_size for every trainable parameter.
     """
-    from .eventlog import Session, SessionSequence
-
     if steps < 2:
         raise ValueError(f"gradcheck_elbo: need >= 2 steps, got {steps}")
+    if not (0.0 < step_size < math.inf and 0.0 < tol < math.inf):  # NaN fails too
+        raise ValueError(f"gradcheck_elbo: step_size and tol must be finite and > 0, got {step_size}, {tol}")
     params = init_params(hidden, mlp_hidden, seed, wt_mode=wt_mode)
     rng = np.random.default_rng(derive_seed(seed, "gradcheck"))
     sessions = []
@@ -529,21 +524,17 @@ def save_checkpoint(params, path):
             for name in PARAM_FIELDS
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, config dict).  Config keys
     other than the sizes and modes are ignored, as older checkpoints hold more."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, "checkpoint") as fh:
+        try:
             payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot open checkpoint: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CorruptCheckpointError(f"checkpoint is not valid JSON: {exc.msg}") from None
+        except ValueError as exc:  # also an integer over the digit limit, or a byte that is not UTF-8
+            raise CorruptCheckpointError(f"checkpoint is not valid JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise CorruptCheckpointError("checkpoint missing format_version")
     if payload["format_version"] != CHECKPOINT_VERSION:

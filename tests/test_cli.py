@@ -2,6 +2,7 @@
 pipeline run through every subcommand."""
 
 import argparse
+import csv
 import inspect
 import json
 import math
@@ -614,3 +615,101 @@ def test_diverging_training_is_numerical_error(tmp_path, capsys):
                  "--batch-size", "4", "--seed", "1"])
     assert code == 3
     assert "diverged at epoch 1, batch 1: step 0 of 'u0000'" in capsys.readouterr().err
+
+
+def test_predict_quotes_ids_that_need_it(tmp_path):
+    # ids with a comma or a quote used to give rows of 8 fields, and a line
+    # break split a row in two
+    ids = ["a,1", 'b"2', "c\nd", "e\rf", "plain"]
+    records = [dict(_TWO_USERS[0], user_id=u) for u in ids]
+    assert _sessions_exit_code(tmp_path, "predict", records) == 0
+    with open(tmp_path / "out.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["user_id", "step", "pred_gap", "obs_gap", "pred_dur", "obs_dur", "alarm"]
+    assert all(len(row) == 7 for row in rows)
+    assert sorted({row[0] for row in rows[1:]}) == sorted(ids)
+
+
+def _writing_argv(tmp_path, subcommand, out):
+    """The arguments of a small run of subcommand that writes out."""
+    ev = tmp_path / "events.csv"
+    ev.write_text("user_id,timestamp\nu1,1.0\nu2,3.0\n")
+    sessions = tmp_path / "sessions.jsonl"
+    sessions.write_text("".join(json.dumps(r) + "\n" for r in _TWO_USERS))
+    model = tmp_path / "model.json"
+    save_checkpoint(init_params(4, 3, seed=1), model)
+    held_out = ["--sessions", str(sessions), "--model", str(model), "--out", out, "--split", "all",
+                "--pred-samples", "2"]
+    return {
+        "sessionize": ["--in", str(ev), "--out", out],
+        "simulate": ["--kind", "stationary", "--users", "3", "--horizon", "20", "--out", out],
+        "train": ["--sessions", str(sessions), "--out", out, "--epochs", "1", "--hidden", "4",
+                  "--mlp-hidden", "3", "--train-frac", "1"],
+        "predict": held_out,
+        "evaluate": held_out + ["--methods", "model,global_mean"],
+        "gradcheck": ["--hidden", "3", "--steps", "4", "--out", out],
+    }[subcommand]
+
+
+@pytest.mark.parametrize("subcommand", ["sessionize", "simulate", "train", "predict", "evaluate", "gradcheck"])
+def test_unwritable_out_is_data_error(tmp_path, capsys, subcommand):
+    # simulate, train and predict used to end in a FileNotFoundError traceback, exit 1
+    out = str(tmp_path / "missing" / "out")
+    assert main([subcommand, *_writing_argv(tmp_path, subcommand, out)]) == 2
+    err = capsys.readouterr().err
+    assert f"churnkit {subcommand}: data error: cannot write {out}: No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_report_is_data_error(tmp_path, capsys):
+    argv = _writing_argv(tmp_path, "train", str(tmp_path / "model.json"))
+    report = str(tmp_path / "missing" / "report.csv")
+    assert main(["train", *argv, "--report", report]) == 2
+    assert f"cannot write {report}: No such file or directory" in capsys.readouterr().err
+
+
+# a byte that is not UTF-8 used to exit 1, as a usage error
+@pytest.mark.parametrize("kind", ["csv", "jsonl", "sessions", "checkpoint"])
+def test_non_utf8_input_is_data_error(tmp_path, capsys, kind):
+    bad = tmp_path / "bad"
+    text = {
+        "csv": b"user_id,timestamp\nu1,1.0\nu\xff,2.0\n",
+        "jsonl": b'{"user_id": "u1", "timestamp": 1.0}\n{"user_id": "u\xff", "timestamp": 2.0}\n',
+        "sessions": json.dumps(_TWO_USERS[0]).encode().replace(b"u1", b"u\xff") + b"\n",
+        "checkpoint": b'{"format_version": 1, "config": "\xff"}\n',
+    }[kind]
+    bad.write_bytes(text)
+    command, flag = {"csv": ("sessionize", "--in"), "jsonl": ("sessionize", "--in"),
+                     "sessions": ("predict", "--sessions"), "checkpoint": ("predict", "--model")}[kind]
+    argv = _writing_argv(tmp_path, command, str(tmp_path / "out"))
+    argv[argv.index(flag) + 1] = str(bad)
+    assert main([command, *argv, *(["--format", "jsonl"] if kind == "jsonl" else [])]) == 2
+    err = capsys.readouterr().err
+    assert f"churnkit {command}: data error:" in err and "can't decode byte 0xff" in err
+
+
+def test_checkpoint_integer_over_the_digit_limit_is_data_error(tmp_path, capsys):
+    # json raises a plain ValueError for it, which used to exit 1
+    argv = _writing_argv(tmp_path, "predict", str(tmp_path / "p.csv"))
+    model = tmp_path / "model.json"
+    model.write_text(model.read_text().replace('"format_version": ', '"format_version": ' + HUGE_INT + ", \"x\": "))
+    assert main(["predict", *argv]) == 2
+    assert "checkpoint is not valid JSON: Exceeds the limit (4300 digits)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--step-size", "0"],  # used to end in a ZeroDivisionError traceback
+        ["--step-size=-1e-5"],
+        ["--step-size", "nan"],  # these two used to exit 3 with a non-finite head value
+        ["--step-size", "inf"],
+        ["--tol", "nan"],  # used to exit 3 with a FAIL
+        ["--tol", "0"],
+        ["--tol", "inf"],
+    ],
+    ids=["step-zero", "step-negative", "step-nan", "step-inf", "tol-nan", "tol-zero", "tol-inf"],
+)
+def test_gradcheck_bad_step_size_or_tolerance_is_usage_error(capsys, flags):
+    assert main(["gradcheck", "--hidden", "3", "--steps", "4", *flags]) == 1
+    assert "step_size and tol must be finite and > 0" in capsys.readouterr().err

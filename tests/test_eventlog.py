@@ -1,8 +1,11 @@
 """Ingestion, sessionization, and splitting: worked examples plus the
 segmentation invariants checked by brute force against raw events."""
 
+import csv
 import io
 import json
+import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -21,7 +24,9 @@ from churnkit.eventlog import (
     sessionize,
     sessionize_log,
     split_users,
+    write_json,
     write_sessions,
+    write_table,
 )
 
 
@@ -356,3 +361,77 @@ class TestSessionsIO:
             Session(t=0.0, g=-1.0, d=1)
         with pytest.raises(DataError):
             SessionSequence("u", [])
+
+    # each used to be read as a user of its own: "None", "True", "{'a': 1}", "" and "  "
+    @pytest.mark.parametrize(
+        "user, message",
+        [
+            (None, "line 2: user_id must be a string or an integer, got None"),
+            (True, "line 2: user_id must be a string or an integer, got True"),
+            ({"a": 1}, "line 2: user_id must be a string or an integer, got {'a': 1}"),
+            ("", "line 2: empty user_id"),
+            ("  ", "line 2: empty user_id"),
+        ],
+        ids=["null", "bool", "object", "empty", "blank"],
+    )
+    def test_read_rejects_a_user_id_that_is_not_a_string_or_an_integer(self, tmp_path, user, message):
+        p = tmp_path / "s.jsonl"
+        p.write_text("".join(json.dumps({"user_id": u, "sessions": [{"t": 0.0, "g": 0.0, "d": 1}]}) + "\n"
+                             for u in ("u1", user)))
+        with pytest.raises(DataError, match=re.escape(message)):
+            read_sessions(p)
+
+    def test_read_keeps_valid_user_ids_as_written(self, tmp_path):
+        p = tmp_path / "s.jsonl"
+        ids = [" a ", 7, "a,1", 'b"2', "0"]
+        p.write_text("".join(json.dumps({"user_id": u, "sessions": [{"t": 0.0, "g": 0.0, "d": 1}]}) + "\n"
+                             for u in ids))
+        assert [s.user_id for s in read_sessions(p)] == [" a ", "7", "a,1", 'b"2', "0"]
+
+
+class TestWriters:
+    def test_write_table_fields(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_table(p, ("name", "x", "n", "missing"), [("u1", 0.1, 3, None), ("u2", 1e-300, -2, None)])
+        # a float is its repr, None is "None", and nothing here needs quotes
+        assert p.read_bytes() == b"name,x,n,missing\nu1,0.1,3,None\nu2,1e-300,-2,None\n"
+
+    def test_write_table_quotes_only_what_needs_it(self, tmp_path):
+        p = tmp_path / "t.csv"
+        write_table(p, ("id", "x"), [("a,1", 1.5), ('b"2', 2.5), ("c\nd", 3.5), ("e\rf", 4.5), (" g ", 5.5)])
+        assert p.read_bytes() == b'id,x\n"a,1",1.5\n"b""2",2.5\n"c\nd",3.5\n"e\rf",4.5\n g ,5.5\n'
+
+    @pytest.mark.parametrize("extra", [[], [("a,b", 1)], [('q"', 2)], [("x\ny", 3)], [("", "")]],
+                             ids=["plain", "comma", "quote", "newline", "empty"])
+    def test_write_table_agrees_with_the_csv_module(self, tmp_path, extra):
+        # tables that need no quotes and tables that do give what csv.writer gives
+        rows = [("u1", 0.1, 3, True), ("", -0.0, 10**20, float("nan")), (" s ", 1e16, -7, "t"), *extra]
+        p = tmp_path / "t.csv"
+        write_table(p, ("a", "b", "c", "d"), rows)
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows([[str(v) for v in row] for row in [("a", "b", "c", "d"), *rows]])
+        assert p.read_text() == expected.getvalue()
+
+    def test_write_json_sorts_keys_and_ends_in_a_newline(self, tmp_path):
+        p = tmp_path / "d.json"
+        write_json(p, {"b": [1, 2.5], "a": None})
+        assert p.read_text() == '{"a": null, "b": [1, 2.5]}\n'
+        write_json(p, {"b": 1, "a": 2}, indent=1)
+        assert p.read_text() == '{\n "a": 2,\n "b": 1\n}\n'
+
+    @pytest.mark.parametrize("write", [
+        lambda path: write_table(path, ("a",), [(1,)]),
+        lambda path: write_json(path, {}),
+        lambda path: write_sessions(sessionize_log({"u": [0.0]}, 1.0), path),
+    ], ids=["table", "json", "sessions"])
+    def test_an_unwritable_path_is_a_data_error_naming_it(self, tmp_path, write):
+        path = tmp_path / "missing" / "out"
+        with pytest.raises(DataError, match=re.escape(f"cannot write {path}: No such file or directory")):
+            write(path)
+        with pytest.raises(DataError, match=re.escape(f"cannot write {tmp_path}: Is a directory")):
+            write(tmp_path)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_a_failed_write_is_a_data_error(self):
+        with pytest.raises(DataError, match="cannot write /dev/full: No space left on device"):
+            write_json("/dev/full", {"a": 1})
