@@ -29,18 +29,21 @@ recurrent state is kept as separate (H, rows) blocks of h and c.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 SIGMA_FLOOR = 1e-4  # added to softplus, so every std of logit(z) is positive
 WT_ZERO_EPS = 1e-8  # |wt| below this is treated as exactly zero
 EXP_ARG_MAX = 700.0  # the largest exp argument accepted, below exp's overflow at 709.8
 Z_LO = 1e-15  # z is clamped into [Z_LO, Z_HI], strictly inside (0, 1)
 Z_HI = 0.9999999999999999  # the largest float below 1
+_EXP_FINITE_MAX = float(np.log(np.finfo(np.float64).max))  # exp of it is the largest float
 
 
 def sigmoid(v, out=None):
-    """Elementwise logistic, stable for either sign."""
-    return special.expit(v, out=out)
+    """Elementwise logistic 1 / (1 + exp(-v)), into out if given, within 2 ulp also where tiny, as z can be.
+    exp's argument is clamped below overflow, so no input warns; below v = -709.78 it stays at 5.6e-309."""
+    out = np.negative(v, out=np.empty(np.shape(v)) if out is None else out)  # 0-d stays an array
+    np.exp(np.minimum(out, _EXP_FINITE_MAX, out=out), out=out)
+    return np.reciprocal(np.add(out, 1.0, out=out), out=out)
 
 
 def softplus(v):

@@ -13,6 +13,7 @@ import argparse
 import difflib
 import inspect
 import logging
+import os
 import platform
 import sys
 from dataclasses import asdict
@@ -179,12 +180,15 @@ def _cmd_sessionize(args):
 
 
 def _cmd_train(args):
+    report_path = args.report or (args.out + ".report.csv")
+    for path in (args.out, report_path):  # fail as writing would, before a training that may be long
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: No such file or directory")
     sequences = read_sessions(args.sessions)
     train_seqs, test_seqs = _split(sequences, args)
     config = TrainConfig(**_options(args, TrainConfig))
     params, report = train(train_seqs, config)
     save_checkpoint(params, args.out)
-    report_path = args.report or (args.out + ".report.csv")
     report.to_csv(report_path)
     write_manifest(args, asdict(config) | {"train_frac": args.train_frac}, {"sessions": args.sessions},
                    {"model": args.out, "report": report_path})
@@ -373,7 +377,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"churnkit {args.subcommand}: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ChurnkitError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError is a ValueError
+    except ChurnkitError as exc:
         print(f"churnkit {args.subcommand}: data error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

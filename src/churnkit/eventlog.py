@@ -18,8 +18,9 @@ session's last event instead.  The first session carries the sentinel gap 0.
 
 Files are read through ``open_input`` and written through ``write_table`` (CSV,
 quoted only where needed), ``write_json`` and ``write_sessions``; a file that
-cannot be opened or written is a DataError.  A sessions file's user id is a
-string or an integer that is not blank, and is kept as written.
+cannot be opened or written, or an input that is not UTF-8, is a DataError.
+A sessions file's user id is a string or an integer that is not blank, and
+is kept as written.
 """
 
 from __future__ import annotations
@@ -281,12 +282,18 @@ def split_users(sequences, train_fraction, seed):
     return [ordered[i] for i in train_idx], [ordered[i] for i in test_idx]
 
 
+@contextmanager
 def open_input(path, kind):
-    """A text file to read, or a DataError that names the kind of file."""
+    """A UTF-8 text file to read; an OSError or a byte that is not UTF-8 is a DataError naming the file."""
     try:
-        return open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot open {kind}: {exc}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{kind} {path} is not UTF-8: {exc}") from None
 
 
 @contextmanager

@@ -114,7 +114,7 @@ def _predict(params, w, hs, eps):
         z = K.draw_z(mu.T, sigma.T, eps)
     else:
         z = np.full(eps.shape, 0.5)
-    a, lg = np.moveaxis(K.heads(w, z.T[:, None], hs), 0, 2).copy()
+    a, lg = (w.Wo @ hs)[..., None] + (w.oz[..., None] * z + w.ob[..., None])  # K.heads, (2, records, samples)
     # written so that NaN fails the check too
     if not (np.all(np.abs(a) <= K.EXP_ARG_MAX) and np.all(np.abs(lg) <= K.EXP_ARG_MAX)):
         raise NumericalError("predict: head values diverged or are not finite")

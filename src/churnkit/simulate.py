@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from . import _kernels as K
 from .errors import NumericalError
@@ -139,6 +138,7 @@ def _model_users(uids, rngs, params, horizon, cap):
     conditional log-likelihood of what was sampled, gap densities from the
     second session on and zero-truncated Poisson durations for every session.
     """
+    from scipy import special  # for gammaln; it is slow to import, and no other generator needs it
     w = K.Cell(params)
     wt = float(params.head_wt)
     loglik, churned, t = np.zeros(len(uids)), np.zeros(len(uids), dtype=bool), np.zeros(len(uids))

@@ -4,13 +4,14 @@ The gap model is an exponential-affine intensity lam(g) = exp(a + wt * g)
 over the elapsed absence gap g >= 0.  For wt < 0 the gap distribution is
 defective: total mass 1 - exp(-exp(a)/|wt|), the remainder being "never
 returns".  The mean gap is a scaled exponential integral of c = exp(a)/|wt|,
-read from a Chebyshev table built at import where 1 <= c <= 200 and from
-series outside it.  Sampling is exact inverse-CDF inversion, with no
-thinning, by one array inverse per law: ``gap_at`` and ``zt_poisson_at``.  Generation
-runs them on a step's rows, each row drawing from its own stream its eps,
-then one (gap, duration) pair of uniforms.  The Gaussian KL and the
+read from a Chebyshev table that numpy builds at import where 1 <= c <= 200
+and from series outside it.  Sampling is exact inverse-CDF inversion, with
+no thinning, by one array inverse per law: ``gap_at`` and ``zt_poisson_at``.
+Generation runs them on a step's rows, each row drawing from its own stream
+its eps, then one (gap, duration) pair of uniforms.  The Gaussian KL and the
 logit-normal draw wrap the cell's own formulas in churnkit._kernels with
-argument checks.
+argument checks.  scipy is imported only where it runs: by the quadrature
+reference and by a CDF walk from the mode (rates above about 715).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from . import _kernels as K
 from ._kernels import EXP_ARG_MAX, WT_ZERO_EPS
@@ -93,10 +93,20 @@ _TABLE_DEGREE = 10  # Chebyshev degree of each piece of the mid-range table
 _TABLE_PIECES = 4  # pieces per octave of c; the table spans the octaves of [1, 256)
 
 
+def _ein_over(x, terms):
+    """Ein(x) / x = sum_k x^(k-1) / (k k!) over k = 1..terms; Ein(x) = Ei(x) - euler_gamma - ln|x|."""
+    term, total = np.ones_like(x), np.zeros_like(x)  # term = x^(k-1) / k!
+    for k in range(1, terms + 1):
+        total += term / k
+        term = term * x / (k + 1)
+    return total
+
+
 def _mean_table():
     """Chebyshev coefficients of f- and f+ (see _closed_mean), shape
-    (2, pieces, degree + 1), interpolated at the Chebyshev nodes of the pieces
-    [2^j (1 + q/P), 2^j (1 + (q+1)/P)) of c in [1, 256), P = _TABLE_PIECES."""
+    (2, degree + 1, pieces), interpolated at the Chebyshev nodes of the pieces
+    [2^j (1 + q/P), 2^j (1 + (q+1)/P)) of c in [1, 256), P = _TABLE_PIECES: f-
+    from Ein's series, f+ = c / (c + 1 - 1/(c + 3 - 4/(c + 5 - ...))) from E1's."""
     n = _TABLE_DEGREE + 1
     theta = np.pi * (np.arange(n) + 0.5) / n
     to_coef = np.cos(np.outer(theta, np.arange(n))) * (2.0 / n)
@@ -105,43 +115,45 @@ def _mean_table():
     width = 2.0 ** (piece // _TABLE_PIECES) / _TABLE_PIECES
     # each piece's start plus width (1 + cos theta) / 2
     c = width[:, None] * (_TABLE_PIECES + piece[:, None] % _TABLE_PIECES + 0.5 + 0.5 * np.cos(theta))
-    ein = special.expi(c) - np.euler_gamma - np.log(c)
-    return np.stack([c * np.exp(-c) * ein, c * np.exp(c) * special.exp1(c)]) @ to_coef
+    fraction = c + 201  # E1's continued fraction to depth 100, converged within 5e-16 from c = 1
+    for k in range(100, 0, -1):
+        fraction = c + (2 * k - 1) - k * k / fraction
+    f_minus = c * np.exp(-c) * (c * _ein_over(c, 420))  # to c = 256, the omitted tail is below 1e-20
+    return np.ascontiguousarray((np.stack([f_minus, c / fraction]) @ to_coef).swapaxes(1, 2))
 
 
 _MEAN_TABLE = _mean_table()
 
 
 def _table_factor(c, rising):
-    """f+(c) if rising else f-(c) for an array of c in [1, 256), by Clenshaw's
-    recurrence on the table piece that np.frexp finds for each value."""
+    """f+(c) if rising else f-(c) for an array of c in [1, 256), by Clenshaw's recurrence, in
+    place, on the table piece that np.frexp finds for each value, a coefficient row at a time."""
     m, e = np.frexp(c)  # c = m 2^e with m in [0.5, 1)
     s = (m - 0.5) * (2 * _TABLE_PIECES)  # piece q within the octave, plus the offset in it
     q = s.astype(np.intp)
     t = 2.0 * (s - q) - 1.0  # exact, in [-1, 1)
-    coef = np.take(_MEAN_TABLE[int(rising)], (e - 1) * _TABLE_PIECES + q, axis=0)
-    t2 = t + t
-    b1, b2 = coef[:, -1].copy(), np.zeros_like(t)
+    table, piece = _MEAN_TABLE[int(rising)], (e - 1) * _TABLE_PIECES + q
+    t2, tb, coef = t + t, np.empty_like(t), np.empty_like(t)
+    b1, b2 = table[-1].take(piece), np.zeros_like(t)
     for k in range(_TABLE_DEGREE - 1, 0, -1):
-        np.subtract(t2 * b1, b2, out=b2)
-        b2 += coef[:, k]
+        np.subtract(np.multiply(t2, b1, out=tb), b2, out=b2)
+        b2 += table[k].take(piece, out=coef, mode="clip")  # clip: unbuffered, and piece is in range
         b1, b2 = b2, b1
-    return t * b1 - b2 + coef[:, 0]
+    return t * b1 - b2 + table[0].take(piece, out=coef, mode="clip")
 
 
 def _closed_mean(a, wt):
-    """Exact mean of the (returned) gap for an array of a and a scalar wt.
+    """Exact mean of the (returned) gap for an array of a and a scalar wt, by numpy alone.
 
     With c = exp(a)/|wt|, wt > 0 gives exp(-a) f+(c), f+(c) = c e^c E1(c), and
     wt < 0, conditional on returning, exp(-a) f-(c) / (1 - e^-c), where
     f-(c) = c e^-c Ein(c) and Ein(c) = Ei(c) - euler_gamma - ln c
     = sum_k c^k / (k k!).  By range of c:
 
-    - c < 1: the power series of Ein(c), where Ei(c) - ln c would cancel, or
-      scipy's exp1, where f+ is not smooth at 0;
+    - c < 1: the power series of Ein(c), where Ei(c) - ln c would cancel,
+      and E1(c) = -euler_gamma - ln c - Ein(-c), where f+ is not smooth at 0;
     - 1 <= c <= 200: _MEAN_TABLE, degree-10 Chebyshev pieces of f- and f+,
-      four to an octave of c, built at import from scipy's expi and exp1.  It
-      matches the scipy formula within 1e-14 relative;
+      four to an octave of c (see _mean_table), within 1e-14 of scipy's;
     - c > 200: the asymptotic series exp(-a) * sum_k k! x^k with
       x = -wt exp(-a), which is -1/c for wt > 0 and 1/c for wt < 0.  It takes
       over before E1(c) goes subnormal near c = 703, and e^c overflows at 709.8.
@@ -163,17 +175,14 @@ def _closed_mean(a, wt):
         mean[big] = np.exp(-a[big]) * series
 
     low = c < _SERIES_C_MAX
-    cl = c[low]
-    if wt > 0.0:
-        mean[low] = np.exp(cl) * special.exp1(cl) / wt
-    elif cl.size:
-        term = np.ones_like(cl)  # c^(k-1) / k!
-        ein_c = np.zeros_like(cl)  # Ein(c) / c
-        for k in range(1, _SERIES_TERMS + 1):
-            ein_c += term / k
-            term = term * cl / (k + 1)
-        # exprel(-c) = (1 - e^-c) / c, so nothing divides 0 / 0 as c -> 0
-        mean[low] = np.exp(-cl) * ein_c / (b * special.exprel(-cl))
+    if low.any():
+        cl = c[low]
+        if wt > 0.0:  # ln 0 is -inf, so c = 0 gives an infinite mean
+            log_c = np.log(cl, out=np.full_like(cl, -np.inf), where=cl > 0.0)
+            mean[low] = np.exp(cl) * (cl * _ein_over(-cl, _SERIES_TERMS) - np.euler_gamma - log_c) / wt
+        else:  # (1 - e^-c) / c, taken as its limit 1 at c = 0, where it would divide 0 / 0
+            exprel = np.divide(-np.expm1(-cl), cl, out=np.ones_like(cl), where=cl > 0.0)
+            mean[low] = np.exp(-cl) * _ein_over(cl, _SERIES_TERMS) / (b * exprel)
 
     mid = (c >= _SERIES_C_MAX) & (c <= _ASYMPTOTIC_C_MIN)
     cm = c[mid]
@@ -306,6 +315,7 @@ def _walk_from_mode(rate, u):
     """Smallest k >= 1 with truncated CDF(k) >= u, searched from the mode."""
     if rate > WALK_RATE_MAX:
         raise NumericalError(f"zt_poisson_at: rate {rate:.3g} too large for a CDF walk")
+    from scipy import special  # only rates above about 715 come here, and it is slow to import
     k = math.floor(rate)
     pmf = math.exp(zt_poisson_log_pmf(rate, k))
     cdf = (special.pdtr(k, rate) - math.exp(-rate)) / -math.expm1(-rate)

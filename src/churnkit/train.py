@@ -531,10 +531,11 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (ModelParams, config dict).  Config keys
     other than the sizes and modes are ignored, as older checkpoints hold more."""
     with open_input(path, "checkpoint") as fh:
-        try:
-            payload = json.load(fh)
-        except ValueError as exc:  # also an integer over the digit limit, or a byte that is not UTF-8
-            raise CorruptCheckpointError(f"checkpoint is not valid JSON: {getattr(exc, 'msg', exc)}") from None
+        text = fh.read()
+    try:
+        payload = json.loads(text)
+    except ValueError as exc:  # also an integer over the digit limit
+        raise CorruptCheckpointError(f"checkpoint is not valid JSON: {getattr(exc, 'msg', exc)}") from None
     if not isinstance(payload, dict) or "format_version" not in payload:
         raise CorruptCheckpointError("checkpoint missing format_version")
     if payload["format_version"] != CHECKPOINT_VERSION:

@@ -6,11 +6,16 @@ import csv
 import inspect
 import json
 import math
+import os
 import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import churnkit
+from churnkit import cli
 from churnkit.cli import _options, build_parser, main
 from churnkit.errors import DataError
 from churnkit.eventlog import read_sessions
@@ -668,6 +673,20 @@ def test_unwritable_report_is_data_error(tmp_path, capsys):
     assert f"cannot write {report}: No such file or directory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["out", "report"])
+def test_train_checks_its_outputs_before_training(tmp_path, capsys, monkeypatch, missing):
+    # the checkpoint used to be written, without a manifest, before the report failed
+    out = tmp_path / ("missing" if missing == "out" else "") / "m.json"
+    report = tmp_path / ("missing" if missing == "report" else "") / "r.csv"
+    argv = _writing_argv(tmp_path, "train", str(out)) + ["--report", str(report)]
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("train ran"))
+    assert main(["train", *argv]) == 2
+    bad = out if missing == "out" else report
+    assert f"churnkit train: data error: cannot write {bad}: No such file or directory" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 # a byte that is not UTF-8 used to exit 1, as a usage error
 @pytest.mark.parametrize("kind", ["csv", "jsonl", "sessions", "checkpoint"])
 def test_non_utf8_input_is_data_error(tmp_path, capsys, kind):
@@ -686,6 +705,8 @@ def test_non_utf8_input_is_data_error(tmp_path, capsys, kind):
     assert main([command, *argv, *(["--format", "jsonl"] if kind == "jsonl" else [])]) == 2
     err = capsys.readouterr().err
     assert f"churnkit {command}: data error:" in err and "can't decode byte 0xff" in err
+    name = {"csv": "event file", "jsonl": "event file", "sessions": "sessions file", "checkpoint": "checkpoint"}[kind]
+    assert f"{name} {bad} is not UTF-8" in err
 
 
 def test_checkpoint_integer_over_the_digit_limit_is_data_error(tmp_path, capsys):
@@ -713,3 +734,24 @@ def test_checkpoint_integer_over_the_digit_limit_is_data_error(tmp_path, capsys)
 def test_gradcheck_bad_step_size_or_tolerance_is_usage_error(capsys, flags):
     assert main(["gradcheck", "--hidden", "3", "--steps", "4", *flags]) == 1
     assert "step_size and tol must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wt_mode", ["learned", "frozen_zero"])
+def test_default_commands_load_no_scipy(tmp_path, wt_mode):
+    # scipy.special alone takes about 0.3 s to import, which every CLI call would pay
+    events, s, m = tmp_path / "e.csv", tmp_path / "s.jsonl", str(tmp_path / "m.json")
+    events.write_text("user_id,timestamp\nu1,1.0\nu1,5.0\nu2,3.0\nu2,9.5\n")
+    held_out = ["--sessions", str(s), "--model", m, "--pred-samples", "4"]
+    calls = [
+        ["sessionize", "--in", str(events), "--out", str(tmp_path / "es.jsonl")],
+        ["simulate", "--kind", "regime_switching", "--users", "8", "--horizon", "80", "--out", str(s)],
+        ["train", "--sessions", str(s), "--out", m, "--epochs", "1", "--hidden", "4", "--mlp-hidden", "3",
+         "--wt-mode", wt_mode],
+        ["predict", *held_out, "--out", str(tmp_path / "p.csv")],
+        ["evaluate", *held_out, "--out", str(tmp_path / "v.csv")],
+    ]
+    code = (f"import sys\nfrom churnkit.cli import main\nfor argv in {calls!r}:\n    assert main(argv) == 0, argv\n"
+            "sys.exit(str(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')) if 'scipy' in sys.modules else 0)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(churnkit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

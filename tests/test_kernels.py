@@ -1,5 +1,7 @@
 """The row kernels against independent references."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -18,3 +20,17 @@ def test_sigmoid_matches_and_is_stable(rng):
     np.testing.assert_allclose(out[:-3], 1.0 / (1.0 + np.exp(-v[:-3])), rtol=1e-14, atol=0)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     assert out[-1] == 0.5
+
+
+def test_sigmoid_raises_no_warning_and_keeps_relative_accuracy():
+    v = np.array([-np.inf, -800.0, 800.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = K.sigmoid(v)
+        np.testing.assert_array_equal(K.sigmoid(v.copy(), out=v), out)  # in place
+        assert K.sigmoid(np.float64(-800.0)) == out[1]
+    assert 0.0 <= out[0] == out[1] < 1e-300 and out[2] == out[3] == 1.0
+    # where sigmoid(v) is tiny, as a z draw can be, it keeps its relative accuracy
+    v = np.linspace(-700.0, -30.0, 100_001)
+    ref = np.exp(v) / (1.0 + np.exp(v))
+    assert np.max(np.abs(K.sigmoid(v) - ref) / np.spacing(ref)) <= 4.0
