@@ -39,24 +39,13 @@ from .inference import (
 )
 from .model import ModelParams, init_params
 from .simulate import GeneratorSpec, generate
-from .tppmath import (
-    GaussianParams,
-    IntensitySpec,
-    cumulative_intensity,
-    expected_gap,
-    gaussian_kl,
-    log_gap_density,
-    poisson_log_pmf,
-    sample_gap,
-    sample_logit_normal,
-)
+from .tppmath import expected_gap
 from .train import (
     TrainConfig,
     TrainReport,
     gradcheck_elbo,
     load_checkpoint,
     save_checkpoint,
-    sequence_elbo,
     train,
 )
 
@@ -70,9 +59,7 @@ __all__ = [
     "ChurnkitError",
     "CorruptCheckpointError",
     "DataError",
-    "GaussianParams",
     "GeneratorSpec",
-    "IntensitySpec",
     "MetricSummary",
     "ModelParams",
     "NumericalError",
@@ -84,26 +71,19 @@ __all__ = [
     "churn_alarm",
     "compare",
     "compute_metrics",
-    "cumulative_intensity",
     "derive_seed",
     "expected_gap",
     "fit_baseline",
-    "gaussian_kl",
     "generate",
     "gradcheck_elbo",
     "ingest_events",
     "init_params",
     "load_checkpoint",
-    "log_gap_density",
-    "poisson_log_pmf",
     "predict_next",
     "read_sessions",
     "rolling_evaluate",
     "rolling_evaluate_many",
-    "sample_gap",
-    "sample_logit_normal",
     "save_checkpoint",
-    "sequence_elbo",
     "sessionize",
     "sessionize_log",
     "split_users",

@@ -6,8 +6,7 @@ step's quantity is a contiguous (features, rows) block.  Training
 (churnkit.train) and filtering (churnkit.inference) unroll the cell over
 many rows at once, generation (churnkit.simulate) runs it one step at a
 time over all its users, and prediction runs its heads on (samples,
-records) arrays; the distribution helpers of churnkit.tppmath wrap the KL
-and the draw.
+records) arrays.
 
 - constants: ``SIGMA_FLOOR``, ``WT_ZERO_EPS``, ``EXP_ARG_MAX``, the z clamp ``Z_LO``/``Z_HI``;
 - ``sigmoid`` and ``softplus``;
@@ -65,8 +64,12 @@ def mlp2(W2, b2, pre, hid=None):
 
 
 def draw_z(mu, sigma, eps):
-    """Reparameterized z = sigmoid(mu + sigma * eps), clamped into [Z_LO, Z_HI]."""
-    return np.minimum(np.maximum(sigmoid(mu + sigma * eps), Z_LO), Z_HI)
+    """Reparameterized z = sigmoid(mu + sigma * eps), clamped into [Z_LO, Z_HI],
+    computed in place on the new array of mu + sigma * eps (0-d for scalars)."""
+    v = np.asarray(mu + sigma * eps)
+    sigmoid(v, out=v)
+    np.maximum(v, Z_LO, out=v)
+    return np.minimum(v, Z_HI, out=v)
 
 
 def gaussian_kl(muq, sq, mup, sp):

@@ -24,7 +24,7 @@ from . import _kernels as K
 from .errors import DataError, NumericalError
 from .eventlog import derive_seed
 from .model import _pack, _sequence_arrays
-from .tppmath import IntensitySpec, expected_gap
+from .tppmath import expected_gap
 
 
 @dataclass
@@ -118,7 +118,7 @@ def _predict(params, w, hs, eps):
     # written so that NaN fails the check too
     if not (np.all(np.abs(a) <= K.EXP_ARG_MAX) and np.all(np.abs(lg) <= K.EXP_ARG_MAX)):
         raise NumericalError("predict: head values diverged or are not finite")
-    pred_gap = expected_gap(IntensitySpec(a, float(params.head_wt))).mean(axis=1)
+    pred_gap = expected_gap(a, float(params.head_wt)).mean(axis=1)
     return pred_gap.tolist(), np.exp(lg).mean(axis=1).tolist()
 
 

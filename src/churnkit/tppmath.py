@@ -8,81 +8,19 @@ read from a Chebyshev table that numpy builds at import where 1 <= c <= 200
 and from series outside it.  Sampling is exact inverse-CDF inversion, with
 no thinning, by one array inverse per law: ``gap_at`` and ``zt_poisson_at``.
 Generation runs them on a step's rows, each row drawing from its own stream
-its eps, then one (gap, duration) pair of uniforms.  The Gaussian KL and the
-logit-normal draw wrap the cell's own formulas in churnkit._kernels with
-argument checks.  scipy is imported only where it runs: by the quadrature
-reference and by a CDF walk from the mode (rates above about 715).
+its eps, then one (gap, duration) pair of uniforms.  scipy is imported only
+where it runs: by a CDF walk from the mode (rates above about 715).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels as K
-from ._kernels import EXP_ARG_MAX, WT_ZERO_EPS
+from ._kernels import WT_ZERO_EPS
 from .errors import NumericalError
-
-
-class IntensitySpec(NamedTuple):
-    """Evaluated intensity parameters: lam(g) = exp(a + wt * g)."""
-
-    a: float
-    wt: float = 0.0
-
-
-class GaussianParams(NamedTuple):
-    """Mean / std of a Gaussian in logit space (prior or posterior of z)."""
-
-    mu: float
-    sigma: float
-
-
-def cumulative_intensity(spec, g):
-    """Integral of lam over [0, g]; nonnegative and increasing in g."""
-    if g < 0.0:
-        raise ValueError(f"cumulative_intensity: negative gap {g}")
-    a, wt = spec
-    ea = math.exp(a)
-    if abs(wt) < WT_ZERO_EPS:
-        return ea * g
-    x = wt * g
-    if x > EXP_ARG_MAX:
-        raise NumericalError("cumulative_intensity: exp overflow")
-    return ea * math.expm1(x) / wt
-
-
-def total_mass(spec):
-    """Probability that a next gap occurs at all (< 1 only when wt < 0)."""
-    a, wt = spec
-    if wt >= -WT_ZERO_EPS:
-        return 1.0
-    return -math.expm1(-math.exp(a) / abs(wt))
-
-
-_LOG_DENSITY_FLOOR = -1e308  # stands in for log(0) while staying finite
-
-
-def log_gap_density(spec, g):
-    """log f*(g) = a + wt*g - cumulative_intensity(g).
-
-    For a rising intensity the density decays super-exponentially; once the
-    cumulative intensity exceeds float range the true log density is below
-    anything representable and the finite floor -1e308 is returned (its exp
-    is exactly 0.0), which keeps tail quadrature well defined.
-    """
-    if g < 0.0:
-        raise ValueError(f"log_gap_density: negative gap {g}")
-    a, wt = spec
-    if wt > WT_ZERO_EPS and wt * g > EXP_ARG_MAX:
-        return _LOG_DENSITY_FLOOR
-    val = a + (0.0 if abs(wt) < WT_ZERO_EPS else wt * g) - cumulative_intensity(spec, g)
-    if not math.isfinite(val):
-        raise NumericalError(f"log_gap_density: non-finite at g={g}")
-    return max(val, _LOG_DENSITY_FLOOR)
 
 
 _ASYMPTOTIC_C_MIN = 200.0  # c above this: asymptotic series in 1/c
@@ -203,81 +141,17 @@ def gap_at(a, wt, y):
         return np.log1p(np.maximum(y * wt * np.exp(-a), -1.0)) / wt
 
 
-def _gap_quantile(spec, prob):
-    """Gap g with P(next gap <= g) = prob; inf from prob = total_mass(spec) on."""
-    a, wt = spec
-    return float(gap_at(a, wt, -np.log1p(-prob)))
-
-
-# conditional probabilities splitting [0, inf) for the quadrature reference
-_QUAD_SPLITS = (0.5,) + tuple(1.0 - 10.0**-k for k in range(1, 16))
-
-
-def _quadrature_mean(spec):
-    """Mean of the (returned) gap by adaptive quadrature of g f(g).
-
-    The range is split at quantiles of the gap law, so every piece holds a
-    known share of the mass however narrow or wide the law is, and the last
-    piece runs to infinity.
-    """
-    from scipy import integrate  # only this test reference needs it, and it is slow to import
-
-    mass = total_mass(spec)
-    edges = [0.0] + [_gap_quantile(spec, p * mass) for p in _QUAD_SPLITS] + [math.inf]
-
-    def integrand(g):
-        return g * math.exp(log_gap_density(spec, g))
-
-    total = err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        if not hi > lo:
-            continue
-        # full_output also keeps quad from warning; convergence is checked
-        # on the summed error estimate below
-        val, piece_err = integrate.quad(
-            integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200, full_output=1
-        )[:2]
-        total += val
-        err += piece_err
-    if not (math.isfinite(total) and total > 0.0) or err > 1e-8 * total:
-        raise NumericalError(f"_quadrature_mean: quadrature failed for {tuple(spec)}")
-    return total / mass
-
-
-def expected_gap(spec):
-    """Mean next gap; for wt < 0 the mean is conditional on returning.
+def expected_gap(a, wt):
+    """Mean next gap under the intensity exp(a + wt * g); for wt < 0 the
+    mean is conditional on returning.
 
     Exact for every slope (see _closed_mean).  Accepts an array of a with a
-    scalar wt and returns an array of the same shape.  _quadrature_mean is
-    the reference it is tested against.
+    scalar wt and returns an array of the same shape.
     """
-    a, wt = spec
     mean = _closed_mean(a, float(wt))
     if not np.all(np.isfinite(mean) & (mean > 0.0)):
         raise NumericalError(f"expected_gap: no finite positive mean at wt={wt}")
     return float(mean) if mean.ndim == 0 else mean
-
-
-def sample_gap(spec, rng):
-    """Inverse-CDF draw of the next gap at one rng.random(); when wt < 0 it
-    is math.inf, "never returns", with probability exp(-exp(a)/|wt|)."""
-    return _gap_quantile(spec, rng.random())
-
-
-def poisson_log_pmf(rate, k):
-    """log Poisson pmf via log-gamma; rate > 0, integer k >= 0."""
-    if rate <= 0.0:
-        raise ValueError(f"poisson_log_pmf: rate must be positive, got {rate}")
-    if k < 0 or k != int(k):
-        raise ValueError(f"poisson_log_pmf: k must be a nonnegative integer, got {k}")
-    return k * math.log(rate) - rate - math.lgamma(k + 1.0)
-
-
-def zt_poisson_log_pmf(rate, k):
-    """log pmf of a zero-truncated Poisson (support k >= 1)."""
-    if k < 1:
-        raise ValueError(f"zt_poisson_log_pmf: k must be >= 1, got {k}")
-    return poisson_log_pmf(rate, k) - math.log(-math.expm1(-rate))
 
 
 _LOG_WALK_START_MIN = math.log(sys.float_info.min)  # pmf(1) stays a normal float
@@ -317,7 +191,7 @@ def _walk_from_mode(rate, u):
         raise NumericalError(f"zt_poisson_at: rate {rate:.3g} too large for a CDF walk")
     from scipy import special  # only rates above about 715 come here, and it is slow to import
     k = math.floor(rate)
-    pmf = math.exp(zt_poisson_log_pmf(rate, k))
+    pmf = math.exp(k * math.log(rate) - rate - math.lgamma(k + 1.0) - math.log(-math.expm1(-rate)))
     cdf = (special.pdtr(k, rate) - math.exp(-rate)) / -math.expm1(-rate)
     while k > 1 and cdf - pmf >= u:
         cdf -= pmf
@@ -330,21 +204,3 @@ def _walk_from_mode(rate, u):
         cdf += pmf
     return k
 
-
-def gaussian_kl(q, p):
-    """Closed-form KL(q || p) between univariate Gaussians; >= 0, 0 iff q == p.
-
-    Because logit-normal variables are deterministic bijections of their
-    underlying Gaussians, this is also the KL between the matching
-    logit-normal laws.
-    """
-    if q.sigma <= 0.0 or p.sigma <= 0.0:
-        raise ValueError(f"gaussian_kl: non-positive std ({q.sigma}, {p.sigma})")
-    return float(K.gaussian_kl(q.mu, q.sigma, p.mu, p.sigma))
-
-
-def sample_logit_normal(params, eps):
-    """Reparameterized draw z = sigmoid(mu + sigma * eps), strictly in (0, 1)."""
-    if params.sigma <= 0.0:
-        raise ValueError(f"sample_logit_normal: non-positive std {params.sigma}")
-    return float(K.draw_z(params.mu, params.sigma, eps))

@@ -96,6 +96,10 @@ class TrainConfig:
             raise ValueError(f"TrainConfig: mc_samples must be >= 1, got {self.mc_samples}")
         if self.batch_size < 1:
             raise ValueError(f"TrainConfig: batch_size must be >= 1, got {self.batch_size}")
+        if self.report_mae_users < 1:
+            raise ValueError(f"TrainConfig: report_mae_users must be >= 1, got {self.report_mae_users}")
+        if self.report_mae_samples < 1:
+            raise ValueError(f"TrainConfig: report_mae_samples must be >= 1, got {self.report_mae_samples}")
 
 
 @dataclass
@@ -262,15 +266,6 @@ def _elbo_value(params, seq, eps):
     """Full-unroll ELBO averaged over the rows of eps (no gradients)."""
     values, _ = _unroll(params, _sequence_rows(seq, eps), 0, backward=False)
     return float(values.sum()) / eps.shape[0]
-
-
-def sequence_elbo(params, seq, mc_samples=1, rng=None):
-    """Monte-Carlo ELBO estimate for one sequence."""
-    if len(seq) < 2:
-        raise DataError(f"sequence_elbo: need >= 2 sessions, got {len(seq)}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return _elbo_value(params, seq, rng.standard_normal((mc_samples, len(seq))))
 
 
 def elbo_and_grads(params, seq, eps, bptt_k=0):

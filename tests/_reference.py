@@ -1,21 +1,37 @@
-"""A plain-numpy reference for one step of the cell on one row.
+"""A plain-numpy reference for one step of the cell on one row, and plain
+scalar statements of the laws of a session.
 
-Written straight from the parameter names of ``ModelParams``, with none of
-the packing or caches of ``churnkit._kernels``, so that the tests can hold
-the batched step ``_kernels.cell_fwd`` against an independent statement of
-the model: the laws of logit(z) from the prior and posterior MLPs, the
-clamped reparameterized draw, the LSTM and the two heads.
+The step is written straight from the parameter names of ``ModelParams``,
+with none of the packing or caches of ``churnkit._kernels``, so that the
+tests can hold the batched step ``_kernels.cell_fwd`` against an independent
+statement of the model: the laws of logit(z) from the prior and posterior
+MLPs, the clamped reparameterized draw, the LSTM and the two heads.  The
+laws are those of the next gap under the intensity exp(a + wt * g) and of
+the session duration, one value at a time with Python's math module, and
+the mean gap by adaptive quadrature: the batched engine's log-likelihoods,
+generation's log-likelihood and ``tppmath.expected_gap`` are tested
+against them.
 """
 
 import math
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import integrate
 
-from churnkit.tppmath import GaussianParams
+from churnkit._kernels import EXP_ARG_MAX, WT_ZERO_EPS
+from churnkit.errors import NumericalError
+from churnkit.tppmath import gap_at
 
 SIGMA_FLOOR = 1e-4  # added to softplus(raw sigma)
 Z_LO, Z_HI = 1e-15, 1.0 - 2.0**-53  # the clamp of z, strictly inside (0, 1)
+
+
+class Gaussian(NamedTuple):
+    """Mean and std of a Gaussian in logit space (prior or posterior of z)."""
+
+    mu: float
+    sigma: float
 
 
 class Step(NamedTuple):
@@ -24,8 +40,8 @@ class Step(NamedTuple):
     z: float
     a: float  # intensity base of the next gap
     lg: float  # log rate of the next duration
-    prior: Optional[GaussianParams]  # None without the latent
-    posterior: Optional[GaussianParams]  # None without the latent, or unless inferring
+    prior: Optional[Gaussian]  # None without the latent
+    posterior: Optional[Gaussian]  # None without the latent, or unless inferring
 
 
 def sigmoid(x):
@@ -36,7 +52,7 @@ def sigmoid(x):
 def law(W1, b1, W2, b2, x):
     """(mu, sigma) of logit(z) from a latent MLP at its input x."""
     mu, raw = W2 @ np.tanh(W1 @ x + b1) + b2
-    return GaussianParams(float(mu), max(raw, 0.0) + math.log1p(math.exp(-abs(raw))) + SIGMA_FLOOR)
+    return Gaussian(float(mu), max(raw, 0.0) + math.log1p(math.exp(-abs(raw))) + SIGMA_FLOOR)
 
 
 def prior(p, h):
@@ -83,3 +99,96 @@ def step(p, h, c, eps, mode="infer", g=0.0, d=1):
 def initial(p, eps=0.0):
     """The pre-data step from the zero state."""
     return step(p, np.zeros(p.hidden), np.zeros(p.hidden), eps, "first")
+
+
+# ------------------------------------------------------- the session's laws
+
+
+def cumulative_intensity(a, wt, g):
+    """Integral of exp(a + wt * s) over s in [0, g]; nonnegative and increasing in g."""
+    if g < 0.0:
+        raise ValueError(f"cumulative_intensity: negative gap {g}")
+    ea = math.exp(a)
+    if abs(wt) < WT_ZERO_EPS:
+        return ea * g
+    x = wt * g
+    if x > EXP_ARG_MAX:
+        raise NumericalError("cumulative_intensity: exp overflow")
+    return ea * math.expm1(x) / wt
+
+
+def total_mass(a, wt):
+    """Probability that a next gap occurs at all (< 1 only when wt < 0)."""
+    if wt >= -WT_ZERO_EPS:
+        return 1.0
+    return -math.expm1(-math.exp(a) / abs(wt))
+
+
+_LOG_DENSITY_FLOOR = -1e308  # stands in for log(0) while staying finite
+
+
+def log_gap_density(a, wt, g):
+    """log f(g) = a + wt * g - cumulative_intensity(a, wt, g).
+
+    For a rising intensity the density decays super-exponentially; once the
+    cumulative intensity exceeds float range the true log density is below
+    anything representable and the finite floor -1e308 is returned (its exp
+    is exactly 0.0), which keeps tail quadrature well defined.
+    """
+    if g < 0.0:
+        raise ValueError(f"log_gap_density: negative gap {g}")
+    if wt > WT_ZERO_EPS and wt * g > EXP_ARG_MAX:
+        return _LOG_DENSITY_FLOOR
+    val = a + (0.0 if abs(wt) < WT_ZERO_EPS else wt * g) - cumulative_intensity(a, wt, g)
+    if not math.isfinite(val):
+        raise NumericalError(f"log_gap_density: non-finite at g={g}")
+    return max(val, _LOG_DENSITY_FLOOR)
+
+
+def poisson_log_pmf(rate, k):
+    """log Poisson pmf via log-gamma; rate > 0, integer k >= 0."""
+    if rate <= 0.0:
+        raise ValueError(f"poisson_log_pmf: rate must be positive, got {rate}")
+    if k < 0 or k != int(k):
+        raise ValueError(f"poisson_log_pmf: k must be a nonnegative integer, got {k}")
+    return k * math.log(rate) - rate - math.lgamma(k + 1.0)
+
+
+def zt_poisson_log_pmf(rate, k):
+    """log pmf of a zero-truncated Poisson (support k >= 1)."""
+    if k < 1:
+        raise ValueError(f"zt_poisson_log_pmf: k must be >= 1, got {k}")
+    return poisson_log_pmf(rate, k) - math.log(-math.expm1(-rate))
+
+
+# conditional probabilities splitting [0, inf) for quadrature_mean
+_QUAD_SPLITS = (0.5,) + tuple(1.0 - 10.0**-k for k in range(1, 16))
+
+
+def quadrature_mean(a, wt):
+    """Mean of the (returned) gap by adaptive quadrature of g f(g).
+
+    The range is split at quantiles of the gap law, so every piece holds a
+    known share of the mass however narrow or wide the law is, and the last
+    piece runs to infinity.
+    """
+    mass = total_mass(a, wt)
+    edges = [0.0] + [float(gap_at(a, wt, -np.log1p(-p * mass))) for p in _QUAD_SPLITS] + [math.inf]
+
+    def integrand(g):
+        return g * math.exp(log_gap_density(a, wt, g))
+
+    total = err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        if not hi > lo:
+            continue
+        # full_output also keeps quad from warning; convergence is checked
+        # on the summed error estimate below
+        val, piece_err = integrate.quad(
+            integrand, lo, hi, epsabs=0.0, epsrel=1e-10, limit=200, full_output=1
+        )[:2]
+        total += val
+        err += piece_err
+    if not (math.isfinite(total) and total > 0.0) or err > 1e-8 * total:
+        raise NumericalError(f"quadrature_mean: quadrature failed for a={a}, wt={wt}")
+    return total / mass

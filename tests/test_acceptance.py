@@ -21,8 +21,9 @@ from churnkit.eventlog import derive_seed, read_sessions, split_users
 from churnkit.inference import rolling_evaluate_many
 from churnkit.model import init_params
 from churnkit.simulate import GeneratorSpec, generate
-from churnkit.tppmath import GaussianParams, IntensitySpec, gaussian_kl, log_gap_density, sample_gap
-from churnkit.train import TrainConfig, gradcheck_elbo, sequence_elbo, train
+from churnkit import _kernels as K
+from churnkit.tppmath import gap_at
+from churnkit.train import TrainConfig, _elbo_value, gradcheck_elbo, train
 
 
 # --------------------------------------------------------------- criterion 1
@@ -41,22 +42,26 @@ def test_criterion_1_gradient_correctness():
 # --------------------------------------------------------------- criterion 2
 
 
+def _gap_density(a, wt, g):
+    """The gap density that training scores, exp of _kernels.gap_loglik; 0
+    where wt * g is past exp's range, where the density is 0 in floats."""
+    if wt * g > K.EXP_ARG_MAX:
+        return 0.0
+    return math.exp(K.gap_loglik(a, wt, g)[0])
+
+
 def test_criterion_2_density_normalization():
     rng = np.random.default_rng(42)
     worst = 0.0
     for _ in range(50):
-        spec = IntensitySpec(float(rng.uniform(-2, 2)), float(rng.uniform(0, 1)))
-        mass, _ = integrate.quad(
-            lambda g: math.exp(log_gap_density(spec, g)), 0.0, np.inf, limit=300
-        )
+        a, wt = float(rng.uniform(-2, 2)), float(rng.uniform(0, 1))
+        mass, _ = integrate.quad(lambda g: _gap_density(a, wt, g), 0.0, np.inf, limit=300)
         worst = max(worst, abs(mass - 1.0))
     worst_neg = 0.0
     for _ in range(25):
-        spec = IntensitySpec(float(rng.uniform(-2, 2)), float(rng.uniform(-1.0, -0.05)))
-        mass, _ = integrate.quad(
-            lambda g: math.exp(log_gap_density(spec, g)), 0.0, np.inf, limit=300
-        )
-        expected = 1.0 - math.exp(-math.exp(spec.a) / abs(spec.wt))
+        a, wt = float(rng.uniform(-2, 2)), float(rng.uniform(-1.0, -0.05))
+        mass, _ = integrate.quad(lambda g: _gap_density(a, wt, g), 0.0, np.inf, limit=300)
+        expected = 1.0 - math.exp(-math.exp(a) / abs(wt))
         worst_neg = max(worst_neg, abs(mass - expected))
     ok = worst < 1e-6 and worst_neg < 1e-6
     record(2, ok, f"normalization error {worst:.2e} (wt>=0), {worst_neg:.2e} (wt<0), both < 1e-6")
@@ -69,8 +74,7 @@ def test_criterion_2_density_normalization():
 
 def test_criterion_3_sampler_fidelity():
     rng = np.random.default_rng(7)
-    spec = IntensitySpec(0.0, 0.0)
-    draws = np.array([sample_gap(spec, rng) for _ in range(100_000)])
+    draws = gap_at(0.0, 0.0, -np.log1p(-rng.random(100_000)))
     ks = stats.kstest(draws, "expon").statistic
     mean_err = abs(draws.mean() - 1.0)
     ok = ks < 0.01 and mean_err < 0.02
@@ -86,21 +90,21 @@ def test_criterion_4_kl_properties():
     rng = np.random.default_rng(21)
     min_kl = math.inf
     for _ in range(10_000):
-        q = GaussianParams(float(rng.normal(0, 3)), float(rng.uniform(0.05, 4)))
-        p = GaussianParams(float(rng.normal(0, 3)), float(rng.uniform(0.05, 4)))
-        min_kl = min(min_kl, gaussian_kl(q, p))
-    equal = gaussian_kl(GaussianParams(0.3, 1.1), GaussianParams(0.3, 1.1))
+        q = (float(rng.normal(0, 3)), float(rng.uniform(0.05, 4)))
+        p = (float(rng.normal(0, 3)), float(rng.uniform(0.05, 4)))
+        min_kl = min(min_kl, float(K.gaussian_kl(*q, *p)))
+    equal = float(K.gaussian_kl(0.3, 1.1, 0.3, 1.1))
 
     worst_sigma = 0.0
     for _ in range(10):
-        q = GaussianParams(float(rng.normal(0, 2)), float(rng.uniform(0.3, 2.5)))
-        p = GaussianParams(float(rng.normal(0, 2)), float(rng.uniform(0.3, 2.5)))
-        x = q.mu + q.sigma * rng.standard_normal(1_000_000)
-        diff = (-0.5 * ((x - q.mu) / q.sigma) ** 2 - math.log(q.sigma)) - (
-            -0.5 * ((x - p.mu) / p.sigma) ** 2 - math.log(p.sigma)
+        q_mu, q_sigma = float(rng.normal(0, 2)), float(rng.uniform(0.3, 2.5))
+        p_mu, p_sigma = float(rng.normal(0, 2)), float(rng.uniform(0.3, 2.5))
+        x = q_mu + q_sigma * rng.standard_normal(1_000_000)
+        diff = (-0.5 * ((x - q_mu) / q_sigma) ** 2 - math.log(q_sigma)) - (
+            -0.5 * ((x - p_mu) / p_sigma) ** 2 - math.log(p_sigma)
         )
         se = diff.std(ddof=1) / math.sqrt(len(diff))
-        worst_sigma = max(worst_sigma, abs(gaussian_kl(q, p) - diff.mean()) / se)
+        worst_sigma = max(worst_sigma, abs(float(K.gaussian_kl(q_mu, q_sigma, p_mu, p_sigma)) - diff.mean()) / se)
     ok = min_kl >= 0.0 and equal == 0.0 and worst_sigma < 3.0
     record(4, ok, f"min KL {min_kl:.2e} (>= 0), KL(q,q) = {equal}, MC deviation {worst_sigma:.2f} sigma (< 3)")
     assert min_kl >= 0.0
@@ -253,7 +257,7 @@ def test_criterion_8_bound_property():
     true_sum = 0.0
     for seq in test_seqs:
         rng = np.random.default_rng(derive_seed(0, "bound", seq.user_id))
-        elbo_u = sequence_elbo(params, seq, 8, rng)
+        elbo_u = _elbo_value(params, seq, rng.standard_normal((8, len(seq))))
         true_u = truth["users"][seq.user_id]["loglik"]
         elbo_sum += elbo_u
         true_sum += true_u

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference as ref
+from churnkit import _kernels as K
 from churnkit import inference
 from churnkit.errors import DataError
 from churnkit.eventlog import Session, SessionSequence
@@ -22,7 +23,6 @@ from churnkit.inference import (
     user_history_stats,
 )
 from churnkit.model import LATENT_MODES, PARAM_FIELDS, init_params
-from churnkit.tppmath import sample_logit_normal
 
 
 def _seq(gaps, durs, user="u"):
@@ -87,7 +87,7 @@ class TestPredictNext:
         # the record at step s takes row s - 1 of the user's one stream
         rng = np.random.default_rng(derive_seed(7, "pred", SEQ.user_id))
         eps = rng.standard_normal((len(SEQ), 64))[len(SEQ) - 1]
-        zs = np.array([sample_logit_normal(prior, e) for e in eps])
+        zs = K.draw_z(prior.mu, prior.sigma, eps)
         a = float(p.head_wz) * zs + float(p.head_wh @ h) + float(p.head_bt)
         assert rec.pred_gap == pytest.approx(np.mean(np.exp(-a)), rel=1e-12)
 

@@ -34,3 +34,15 @@ def test_sigmoid_raises_no_warning_and_keeps_relative_accuracy():
     v = np.linspace(-700.0, -30.0, 100_001)
     ref = np.exp(v) / (1.0 + np.exp(v))
     assert np.max(np.abs(K.sigmoid(v) - ref) / np.spacing(ref)) <= 4.0
+
+
+@pytest.mark.parametrize("shape", [(), (1, 5), (64, 16), (3, 1000)])
+def test_draw_z_in_place_equals_the_plain_expression(rng, shape):
+    # tails included: logits far past both ends of the clamp
+    mu, sigma, eps = rng.normal(0.0, 30.0, shape), rng.uniform(0.01, 20.0, shape), rng.standard_normal(shape)
+    if shape:
+        mu.flat[:4] = [-800.0, 800.0, -40.0, 40.0]
+    want = np.minimum(np.maximum(K.sigmoid(mu + sigma * eps), K.Z_LO), K.Z_HI)
+    got = K.draw_z(mu, sigma, eps)
+    assert got.shape == shape and got.tobytes() == want.tobytes()
+    assert K.draw_z(float(mu.flat[0]), float(sigma.flat[0]), float(eps.flat[0])) == want.flat[0]

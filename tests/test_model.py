@@ -23,7 +23,7 @@ from churnkit.model import (
     init_params,
 )
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.tppmath import IntensitySpec, expected_gap, gaussian_kl, sample_logit_normal
+from churnkit.tppmath import expected_gap
 from churnkit.train import _segment, grad_check, load_checkpoint, save_checkpoint
 
 SOFTPLUS_HALF = math.log(2.0) + 1e-4  # softplus(0) plus the sigma floor
@@ -141,7 +141,7 @@ class TestPriorPosterior:
 
         def loss(v):
             q = p.replace(**v)
-            return -gaussian_kl(ref.posterior(q, 1.7, 3, state[0]), ref.prior(q, state[0]))
+            return -float(K.gaussian_kl(*ref.posterior(q, 1.7, 3, state[0]), *ref.prior(q, state[0])))
 
         # step n = 2 of the sequence carries only the KL after session 1
         rows = _pack([(_sequence_arrays(seq), np.zeros(2))], ["u"])
@@ -204,8 +204,8 @@ class TestStep:
         eps = 0.83
         inf = ref.step(p, h, c, eps, "infer", 1.5, 4)
         gen = ref.step(p, h, c, eps, "generate", 1.5, 4)
-        assert inf.z == pytest.approx(sample_logit_normal(inf.posterior, eps))
-        assert gen.z == pytest.approx(sample_logit_normal(gen.prior, eps))
+        assert inf.z == pytest.approx(K.draw_z(*inf.posterior, eps))
+        assert gen.z == pytest.approx(K.draw_z(*gen.prior, eps))
         assert gen.posterior is None
 
     def test_positivity_invariants(self):
@@ -238,7 +238,7 @@ class TestStep:
     def test_generative_consistency_with_expected_gap(self):
         p = init_params(4, 4, seed=14)
         out = ref.step(p, np.zeros(4), np.zeros(4), 0.0, "infer", 1.0, 2)
-        assert expected_gap(IntensitySpec(out.a, 0.0)) == pytest.approx(
+        assert expected_gap(out.a, 0.0) == pytest.approx(
             math.exp(-out.a), rel=1e-12
         )
 
@@ -248,7 +248,7 @@ class TestStep:
         first = ref.initial(p, eps=0.4)
         np.testing.assert_array_equal([first.h, first.c], np.zeros((2, 4)))
         assert first.posterior is None
-        assert first.z == pytest.approx(sample_logit_normal(first.prior, 0.4))
+        assert first.z == pytest.approx(K.draw_z(*first.prior, 0.4))
         assert (first.a, first.lg) == ref.heads(p, first.z, np.zeros(4))
 
     def test_fixed_latent_mode_clamps_z(self):

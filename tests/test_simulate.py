@@ -13,13 +13,7 @@ from churnkit.errors import NumericalError
 from churnkit.eventlog import derive_seed
 from churnkit.model import PARAM_FIELDS, init_params
 from churnkit.simulate import GeneratorSpec, generate
-from churnkit.tppmath import (
-    IntensitySpec,
-    log_gap_density,
-    sample_gap,
-    zt_poisson_at,
-    zt_poisson_log_pmf,
-)
+from churnkit.tppmath import gap_at, zt_poisson_at
 
 
 def _all_gaps(seqs):
@@ -229,17 +223,17 @@ def _reference_model_user(uid, params, seed, horizon, cap):
     rng = np.random.default_rng(derive_seed(seed, "gen", uid))
     out = ref.initial(params, float(rng.standard_normal()))
     d = int(zt_poisson_at(math.exp(out.lg), rng.random()))
-    sessions, loglik, t, gap = [(0.0, 0.0, d)], zt_poisson_log_pmf(math.exp(out.lg), d), 0.0, 0.0
+    sessions, loglik, t, gap = [(0.0, 0.0, d)], ref.zt_poisson_log_pmf(math.exp(out.lg), d), 0.0, 0.0
+    wt = float(params.head_wt)
     while len(sessions) < cap:
         out = ref.step(params, out.h, out.c, float(rng.standard_normal()), "generate", gap, d)
-        spec = IntensitySpec(out.a, float(params.head_wt))
-        gap = sample_gap(spec, rng)
+        gap = float(gap_at(out.a, wt, -np.log1p(-rng.random())))
         if math.isinf(gap):
             return sessions, loglik, True
         if t + gap > horizon:
             break
         d = int(zt_poisson_at(math.exp(out.lg), rng.random()))
-        loglik += log_gap_density(spec, gap) + zt_poisson_log_pmf(math.exp(out.lg), d)
+        loglik += ref.log_gap_density(out.a, wt, gap) + ref.zt_poisson_log_pmf(math.exp(out.lg), d)
         t += gap
         sessions.append((t, gap, d))
     return sessions, loglik, False

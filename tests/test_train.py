@@ -28,9 +28,9 @@ from churnkit.model import (
     init_params,
 )
 from churnkit.simulate import GeneratorSpec, generate
-from churnkit.tppmath import IntensitySpec, gaussian_kl, log_gap_density, poisson_log_pmf
 from churnkit.train import (
     TrainConfig,
+    _elbo_value,
     _segment,
     _unroll,
     clip_gradients,
@@ -39,7 +39,6 @@ from churnkit.train import (
     gradcheck_elbo,
     load_checkpoint,
     save_checkpoint,
-    sequence_elbo,
     train,
 )
 
@@ -63,20 +62,25 @@ def _zero_params(hidden=4, mlp=4):
 
 def _reference_terms(p, seq, eps_row):
     """(log-likelihood, KL) of one latent trajectory, assembled from the
-    plain-numpy reference step and the tppmath densities."""
+    plain-numpy reference step and laws."""
     out = ref.initial(p, float(eps_row[0]))
-    ll = poisson_log_pmf(math.exp(out.lg), seq.sessions[0].d)
+    ll = ref.poisson_log_pmf(math.exp(out.lg), seq.sessions[0].d)
     kl = 0.0
     n = len(seq)
     for i in range(1, n + 1):
         prev = seq.sessions[i - 1]
         out = ref.step(p, out.h, out.c, float(eps_row[i]) if i < n else 0.0, "infer", prev.g, prev.d)
-        kl += gaussian_kl(out.posterior, out.prior)
+        kl += float(K.gaussian_kl(*out.posterior, *out.prior))
         if i < n:
             s = seq.sessions[i]
-            ll += log_gap_density(IntensitySpec(out.a, float(p.head_wt)), s.g)
-            ll += poisson_log_pmf(math.exp(out.lg), s.d)
+            ll += ref.log_gap_density(out.a, float(p.head_wt), s.g)
+            ll += ref.poisson_log_pmf(math.exp(out.lg), s.d)
     return ll, kl
+
+
+def _elbo(p, seq, mc_samples, rng):
+    """The full-unroll ELBO over mc_samples latent trajectories drawn from rng."""
+    return _elbo_value(p, seq, rng.standard_normal((mc_samples, len(seq))))
 
 
 def _reference_elbo(p, seq, eps):
@@ -90,7 +94,7 @@ class TestSequenceElbo:
         p = _zero_params()
         gaps = [0.0, 1.3, 0.4, 2.7]
         seq = _seq(gaps, [1, 1, 1, 1])
-        value = sequence_elbo(p, seq, 1, np.random.default_rng(0))
+        value = _elbo(p, seq, 1, np.random.default_rng(0))
         assert value == pytest.approx(-(1.3 + 0.4 + 2.7) - 4.0, rel=1e-12)
 
     def test_kl_contribution_is_zero_when_q_equals_p(self):
@@ -102,25 +106,21 @@ class TestSequenceElbo:
         p.post_b2[...] = np.array([0.3, 0.1])
         p.prior_b2[...] = np.array([0.3, 0.1])
         seq = _seq([0.0, 2.0, 1.0], [2, 3, 1])
-        with_kl = sequence_elbo(p, seq, 1, np.random.default_rng(1))
+        with_kl = _elbo(p, seq, 1, np.random.default_rng(1))
 
         eps = np.random.default_rng(1).standard_normal((1, 3))
         ll, kl = _reference_terms(p, seq, eps[0])
         assert kl == pytest.approx(0.0, abs=1e-14)
         assert with_kl == pytest.approx(ll, rel=1e-12)
 
-    def test_requires_two_sessions(self):
-        with pytest.raises(DataError):
-            sequence_elbo(_zero_params(), _seq([0.0], [1]), 1, np.random.default_rng(0))
-
     def test_monte_carlo_consistency(self):
         p = init_params(6, 4, seed=22)
         seq = _seq([0.0, 1.0, 3.0, 0.8, 2.2, 1.4], [2, 5, 1, 3, 4, 2])
         singles = np.array(
-            [sequence_elbo(p, seq, 1, np.random.default_rng(1000 + i)) for i in range(64)]
+            [_elbo(p, seq, 1, np.random.default_rng(1000 + i)) for i in range(64)]
         )
-        est64 = sequence_elbo(p, seq, 64, np.random.default_rng(7))
-        est1 = sequence_elbo(p, seq, 1, np.random.default_rng(8))
+        est64 = _elbo(p, seq, 64, np.random.default_rng(7))
+        est1 = _elbo(p, seq, 1, np.random.default_rng(8))
         spread = singles.std(ddof=1)
         assert abs(est1 - est64) < 4.0 * spread * math.sqrt(1.0 + 1.0 / 64.0)
         assert abs(est64 - singles.mean()) < 4.0 * spread / 8.0
@@ -390,6 +390,13 @@ class TestTrain:
         only_short = [_seq([0.0], [1], user="a"), _seq([0.0], [2], user="b")]
         with pytest.raises(DataError):
             train(only_short, TrainConfig(epochs=1, hidden=4, mlp_hidden=3))
+
+    @pytest.mark.parametrize("field", ["report_mae_users", "report_mae_samples"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_config_rejects_an_empty_mae_subsample(self, field, value):
+        # before any epoch runs, naming the field
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
     def test_report_csv_format(self, tmp_path):
         seqs = _tiny_data(users=6, seed=9)
