@@ -33,7 +33,7 @@ from .eventlog import (
     write_table,
 )
 from .evalharness import BASELINE_KINDS, compare, fit_baseline, fit_baselines
-from .inference import AlarmPolicy, churn_alarm, rolling_evaluate_many, user_history_stats
+from .inference import AlarmPolicy, churn_alarm, rolling_columns, user_history_stats
 from .model import LATENT_MODES, WT_MODES
 from .simulate import KINDS, GeneratorSpec, generate
 from .train import (
@@ -203,11 +203,15 @@ def _cmd_train(args):
 def _cmd_predict(args):
     policy = AlarmPolicy(mode=args.alarm_mode, **_options(args, AlarmPolicy))
     params, _, selected = _held_out(args, train_users=False)
-    records = rolling_evaluate_many(params, selected, args.pred_samples, args.seed)
-    stats = {s.user_id: user_history_stats(s) for s in selected}
-    alarms = [int(churn_alarm(r, policy, stats[r.user_id])) for r in records]
-    rows = [(r.user_id, r.step, r.pred_gap, r.obs_gap, r.pred_dur, r.obs_dur, a) for r, a in zip(records, alarms)]
-    write_table(args.out, ("user_id", "step", "pred_gap", "obs_gap", "pred_dur", "obs_dur", "alarm"), rows)
+    records = rolling_columns(params, selected, args.pred_samples, args.seed)
+    stats = None
+    if policy.mode == "expected":  # each record's user's means, computed once per user
+        per_user = {s.user_id: user_history_stats(s) for s in selected if len(s) >= 2}
+        stats = np.array(list(map(per_user.__getitem__, records.user_id))).T
+    alarms = churn_alarm(records, policy, stats).astype(int)
+    write_table(args.out, ("user_id", "step", "pred_gap", "obs_gap", "pred_dur", "obs_dur", "alarm"), zip(
+        records.user_id, records.step, records.pred_gap.tolist(), records.obs_gap.tolist(),
+        records.pred_dur.tolist(), map(int, records.obs_dur.tolist()), alarms.tolist()))
     write_manifest(args, _config(args), {"sessions": args.sessions, "model": args.model},
                    {"predictions": args.out})
     print(f"predict: {len(records)} records for {len(selected)} users -> {args.out}")
@@ -227,17 +231,14 @@ def _cmd_evaluate(args):
     fitted = {m: params if m == "model" else baselines[m] for m in method_names if m != "ablation_rnn"}
     per_seed = {}
     for seed in seeds:
-        methods = dict(fitted)
+        # the first seed scores every method, so compare checks that their records
+        # agree; a later one only the seeded methods, and reuses the other summaries
+        methods = {m: v for m, v in fitted.items() if m == "model" or seed == seeds[0]}
         if "ablation_rnn" in method_names:
-            cfg = TrainConfig(
-                epochs=args.ablation_epochs,
-                lr=args.ablation_lr,
-                hidden=params.hidden,
-                mlp_hidden=params.mlp_hidden,
-                seed=seed,
-            )
+            cfg = TrainConfig(epochs=args.ablation_epochs, lr=args.ablation_lr, hidden=params.hidden,
+                              mlp_hidden=params.mlp_hidden, seed=seed)
             methods["ablation_rnn"] = fit_baseline("ablation_rnn", train_seqs, cfg)
-        per_seed[seed] = compare(methods, eval_seqs, args.pred_samples, seed)
+        per_seed[seed] = per_seed.get(seeds[0], {}) | compare(methods, eval_seqs, args.pred_samples, seed)
 
     metric_fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")
     write_table(args.out, ("method", *metric_fields, "count"), (

@@ -1,21 +1,23 @@
 """Metrics, baseline predictors, and model-vs-baseline comparison.
 
 All methods are scored on one shared set of rolling records (same users, same
-prefix lengths), so summaries are directly comparable.  MRE divides the
-absolute error by the observed value; sessionization guarantees observed gaps
-are positive and durations at least 1, so the ratio is always defined.
+prefix lengths), so summaries are directly comparable, and scored as columns
+(``inference.PredictionColumns``).  MRE divides the absolute error by the
+observed value; sessionization guarantees observed gaps are positive and
+durations at least 1, so the ratio is always defined.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
 
 from .errors import DataError
-from .inference import PredictionRecord, rolling_evaluate_many
+from .inference import PredictionColumns, rolling_columns
 from .model import ModelParams
 
 BASELINE_KINDS = ("per_user_mean", "global_mean", "last_value", "hom_poisson", "ablation_rnn")
@@ -31,29 +33,31 @@ class MetricSummary:
 
 
 def compute_metrics(records):
-    """MAE / MRE over gap and duration; records must carry observations."""
-    if not records:
+    """MAE / MRE over gap and duration of PredictionColumns, or of a list of
+    records, whose columns are gathered first; every record must carry its
+    observation."""
+    if not len(records):
         raise DataError("compute_metrics: no records")
-    gaps_err = []
-    gaps_rel = []
-    dur_err = []
-    dur_rel = []
-    for r in records:
-        if r.obs_gap is None or r.obs_dur is None:
-            raise DataError(f"compute_metrics: record without observation (user {r.user_id}, step {r.step})")
-        eg = abs(r.pred_gap - r.obs_gap)
-        ed = abs(r.pred_dur - r.obs_dur)
-        gaps_err.append(eg)
-        gaps_rel.append(eg / r.obs_gap)
-        dur_err.append(ed)
-        dur_rel.append(ed / r.obs_dur)
+    if isinstance(records, PredictionColumns):
+        if records.obs_gap is None:
+            raise DataError("compute_metrics: columns without observations")
+        cols = records.pred_gap, records.obs_gap, records.pred_dur, records.obs_dur
+    else:
+        for r in records:
+            if r.obs_gap is None or r.obs_dur is None:
+                raise DataError(f"compute_metrics: record without observation (user {r.user_id}, step {r.step})")
+        names = ("pred_gap", "obs_gap", "pred_dur", "obs_dur")
+        cols = [np.fromiter(map(attrgetter(name), records), float, len(records)) for name in names]
+    pred_gap, obs_gap, pred_dur, obs_dur = cols
+    eg = np.abs(pred_gap - obs_gap)
+    ed = np.abs(pred_dur - obs_dur)
     n = len(records)
     # fsum is exactly rounded, so summaries are invariant under record order
     return MetricSummary(
-        mae_gap=math.fsum(gaps_err) / n,
-        mre_gap=math.fsum(gaps_rel) / n,
-        mae_duration=math.fsum(dur_err) / n,
-        mre_duration=math.fsum(dur_rel) / n,
+        mae_gap=math.fsum(eg.tolist()) / n,
+        mre_gap=math.fsum((eg / obs_gap).tolist()) / n,
+        mae_duration=math.fsum(ed.tolist()) / n,
+        mre_duration=math.fsum((ed / obs_dur).tolist()) / n,
         count=n,
     )
 
@@ -134,22 +138,12 @@ def fit_baselines(kinds, train_sequences):
 
 
 def _baseline_records(predictor, sequences):
-    records = []
-    for seq in sequences:
-        for i in range(1, len(seq)):
-            gap, dur = predictor.predict(seq, i)
-            nxt = seq.sessions[i]
-            records.append(
-                PredictionRecord(
-                    user_id=seq.user_id,
-                    step=i,
-                    pred_gap=gap,
-                    pred_dur=dur,
-                    obs_gap=nxt.g,
-                    obs_dur=nxt.d,
-                )
-            )
-    return records
+    """The PredictionColumns of a fitted baseline at every rolling step of
+    sequences, by sequence and step."""
+    at = [(seq, i) for seq in sequences for i in range(1, len(seq))]
+    cols = np.array([(*predictor.predict(seq, i), seq.sessions[i].g, seq.sessions[i].d) for seq, i in at], float)
+    zeros = np.zeros(len(at))
+    return PredictionColumns([seq.user_id for seq, _ in at], [i for _, i in at], *cols.T, zeros, zeros)
 
 
 def compare(methods, test_sequences, n_samples=32, seed=0):
@@ -167,15 +161,15 @@ def compare(methods, test_sequences, n_samples=32, seed=0):
     index = None
     for name, method in methods.items():
         if isinstance(method, ModelParams):
-            records = rolling_evaluate_many(method, usable, n_samples, seed)
+            records = rolling_columns(method, usable, n_samples, seed)
         elif isinstance(method, BaselinePredictor):
             if method.kind == "ablation_rnn":
-                records = rolling_evaluate_many(method.params, usable, n_samples, seed)
+                records = rolling_columns(method.params, usable, n_samples, seed)
             else:
                 records = _baseline_records(method, usable)
         else:
             raise ValueError(f"compare: method {name!r} has unsupported type {type(method)!r}")
-        this_index = [(r.user_id, r.step) for r in records]
+        this_index = (records.user_id, records.step)
         if index is None:
             index = this_index
         elif this_index != index:

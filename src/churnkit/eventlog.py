@@ -340,6 +340,8 @@ def write_sessions(sequences, path):
 
 def _count(value):
     """An event count: a whole number, not a bool (json's true is not 1)."""
+    if type(value) is int and value.bit_length() < 1024:  # an int that float() takes
+        return value
     if isinstance(value, bool) or not float(value).is_integer():
         raise ValueError(f"duration {value!r} is not a whole number")
     return int(value)
@@ -366,7 +368,7 @@ def read_sessions(path):
             try:
                 sessions = [Session(t=float(s["t"]), g=float(s["g"]), d=_count(s["d"])) for s in obj["sessions"]]
                 user = obj["user_id"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: float() of a huge int
                 raise DataError(f"line {lineno}: bad session record ({exc})") from None
             sequences.append(SessionSequence(user_id=_user_id(user, lineno), sessions=sessions))
             if sessions[0].g != 0.0:

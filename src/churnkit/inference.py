@@ -9,13 +9,15 @@ filtered state, with row s - 1 of one normal stream per (seed, user) whose
 rows are drawn in step order, and the point prediction is the sample mean
 of the model-implied next gap and duration.  The mean next gap is exact for
 every intensity slope (tppmath.expected_gap); a pack's frontiers are one
-(records, samples) array.
+(records, samples) array.  A call packs from one flat table of the sessions
+and returns record columns (``PredictionColumns``); the record API expands them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from . import _kernels as K
 from .errors import DataError, NumericalError
 from .eventlog import derive_seed
-from .model import _pack, _sequence_arrays
+from .model import _pack, _table
 from .tppmath import expected_gap
 
 
@@ -37,6 +39,31 @@ class PredictionRecord:
     obs_dur: Optional[int] = None
     a: float = 0.0  # filtered intensity base at the frontier
     gamma: float = 0.0  # filtered duration rate at the frontier
+
+
+@dataclass
+class PredictionColumns:
+    """The fields of a run of PredictionRecords as columns: user_id and
+    step are lists, the others float arrays, and obs_gap and obs_dur are
+    None where nothing was observed.  len() is the record count."""
+
+    user_id: list
+    step: list
+    pred_gap: np.ndarray
+    pred_dur: np.ndarray
+    obs_gap: Optional[np.ndarray]
+    obs_dur: Optional[np.ndarray]
+    a: np.ndarray
+    gamma: np.ndarray
+
+    def __len__(self):
+        return len(self.step)
+
+    def records(self):
+        """The columns as a list of PredictionRecords."""
+        obs = (repeat(None),) * 2 if self.obs_gap is None else (self.obs_gap.tolist(), map(int, self.obs_dur.tolist()))
+        floats = (self.pred_gap.tolist(), self.pred_dur.tolist(), *obs, self.a.tolist(), self.gamma.tolist())
+        return list(map(PredictionRecord, self.user_id, self.step, *floats))
 
 
 @dataclass
@@ -118,27 +145,26 @@ def _predict(params, w, hs, eps):
     # written so that NaN fails the check too
     if not (np.all(np.abs(a) <= K.EXP_ARG_MAX) and np.all(np.abs(lg) <= K.EXP_ARG_MAX)):
         raise NumericalError("predict: head values diverged or are not finite")
-    pred_gap = expected_gap(a, float(params.head_wt)).mean(axis=1)
-    return pred_gap.tolist(), np.exp(lg).mean(axis=1).tolist()
+    return expected_gap(a, float(params.head_wt)).mean(axis=1), np.exp(lg).mean(axis=1)
 
 
 def _evaluate(params, seqs, n_samples, seed, rolling):
-    """The prediction records of each sequence, in the order of seqs: at
-    each prefix length 1..n-1, paired with the next session (rolling), or
-    at the whole sequence.
+    """The PredictionColumns of seqs, by sequence in the order of seqs and
+    by step: at each prefix length 1..n-1, paired with the next session
+    (rolling), or at the whole sequence, unobserved.
 
-    The sequences are filtered in packs (``_filtered``) and each record is
-    predicted from the state it reached (``_predict``).  The record at step s
-    takes row s - 1 of its user's stream, drawn span by span in step order;
-    every other operation is by row, so a record is the same whichever
-    records share its pack.
+    The packs come from one table of the sessions (``_table``), each record
+    is predicted from the state the filter reached (``_predict``), and the
+    columns of all spans are sorted once.  The record at step s takes row
+    s - 1 of its user's stream, drawn span by span in step order; all else
+    is by row, so a record is the same whichever records share its pack.
     """
     w = K.Cell(params)
     full = w.full
-    out = [[] for _ in seqs]
+    table = _table(seqs)
+    parts = []
     for pack in _packs(seqs):
-        items = [(_sequence_arrays(seqs[k]), np.zeros(len(seqs[k]))) for k in pack]
-        rows = _pack(items, [seqs[k].user_id for k in pack])
+        rows = _pack(table, pack)
         rngs = [np.random.default_rng(derive_seed(seed, "pred", rows.labels[j])) for j in rows.order if full]
         for lo, u, run in _filtered(w, rows):
             i = np.arange(lo, lo + len(u.ah))
@@ -149,14 +175,17 @@ def _evaluate(params, seqs, n_samples, seed, rolling):
             eps = [rng.standard_normal((m, n_samples)) for rng, m in zip(rngs, drawn.sum(axis=1))]
             eps = np.concatenate(eps)[record[drawn]] if full else np.broadcast_to(0.0, (record.sum(), n_samples))
             r, t = np.nonzero(record)
-            if not r.size:
-                continue
-            at = [(pack[rows.order[j]], s) for j, s in zip(r.tolist(), (lo + t).tolist())]
-            preds = _predict(params, w, u.xh[t + 1, 3:, r].T, eps)
-            for (k, s), gap, dur, (a, lg) in zip(at, *preds, u.ah[t, :, r].tolist()):
-                obs = (seqs[k].sessions[s].g, seqs[k].sessions[s].d) if rolling else (None, None)
-                out[k].append(PredictionRecord(seqs[k].user_id, s, gap, dur, *obs, a, math.exp(lg)))
-    return out
+            if r.size:
+                s = lo + t
+                gap, dur = _predict(params, w, u.xh[t + 1, 3:, r].T, eps)
+                k = np.asarray(pack)[rows.order[r]]
+                parts.append((k, s, gap, dur, rows.g[s, r], rows.d[s, r], *u.ah[t, :, r].T))
+    k, s, gap, dur, obs_gap, obs_dur, a, lg = map(np.concatenate, zip(*parts))
+    at = np.lexsort((s, k))
+    obs = (obs_gap[at], obs_dur[at]) if rolling else (None, None)
+    gamma = np.fromiter(map(math.exp, lg[at].tolist()), float, len(at))  # math.exp: np.exp can differ in the last bit
+    return PredictionColumns(list(map(table[0].__getitem__, k[at].tolist())), s[at].tolist(), gap[at], dur[at],
+                             *obs, a[at], gamma)
 
 
 def predict_next(params, prefix, n_samples=32, seed=0):
@@ -165,7 +194,7 @@ def predict_next(params, prefix, n_samples=32, seed=0):
         raise DataError("predict_next: empty prefix")
     if n_samples < 1:
         raise ValueError(f"predict_next: n_samples must be >= 1, got {n_samples}")
-    return _evaluate(params, [prefix], n_samples, seed, rolling=False)[0][0]
+    return _evaluate(params, [prefix], n_samples, seed, rolling=False).records()[0]
 
 
 def rolling_evaluate(params, seq, n_samples=32, seed=0):
@@ -178,15 +207,21 @@ def rolling_evaluate(params, seq, n_samples=32, seed=0):
     return rolling_evaluate_many(params, [seq], n_samples, seed)
 
 
-def rolling_evaluate_many(params, sequences, n_samples=32, seed=0):
-    """rolling_evaluate across users (skipping length-1 sequences), flattened
-    in user-sorted order."""
+def rolling_columns(params, sequences, n_samples=32, seed=0):
+    """rolling_evaluate across users (skipping length-1 sequences) as
+    PredictionColumns, in user-sorted order."""
     ordered = sorted((s for s in sequences if len(s) >= 2), key=lambda s: s.user_id)
     if not ordered:
         raise DataError("rolling_evaluate_many: no sequence has >= 2 sessions")
     if n_samples < 1:
         raise ValueError(f"rolling_evaluate: n_samples must be >= 1, got {n_samples}")
-    return [rec for recs in _evaluate(params, ordered, n_samples, seed, rolling=True) for rec in recs]
+    return _evaluate(params, ordered, n_samples, seed, rolling=True)
+
+
+def rolling_evaluate_many(params, sequences, n_samples=32, seed=0):
+    """rolling_evaluate across users (skipping length-1 sequences), flattened
+    in user-sorted order: the records of ``rolling_columns``."""
+    return rolling_columns(params, sequences, n_samples, seed).records()
 
 
 def user_history_stats(seq):
@@ -198,9 +233,11 @@ def user_history_stats(seq):
 
 
 def churn_alarm(record, policy, history_stats=None):
-    """Boolean alarm decision for one prediction record."""
+    """Boolean alarm decision for one prediction record, or the boolean
+    array of PredictionColumns with history stats of one entry per record:
+    every operation is elementwise."""
     if policy.mode == "fixed":
-        return record.pred_gap > policy.theta_g and record.pred_dur < policy.theta_d
+        return (record.pred_gap > policy.theta_g) & (record.pred_dur < policy.theta_d)
     if history_stats is None or history_stats[0] is None:
         raise DataError("churn_alarm: expected mode needs user history stats")
     mean_gap, mean_dur = history_stats
@@ -208,4 +245,4 @@ def churn_alarm(record, policy, history_stats=None):
         dur_flag = record.pred_dur < mean_dur
     else:
         dur_flag = record.pred_dur > mean_dur
-    return record.pred_gap > mean_gap and dur_flag
+    return (record.pred_gap > mean_gap) & dur_flag

@@ -9,8 +9,8 @@ approximate-posterior parameters of logit(z) come from two one-hidden-layer
 MLPs shared across time-steps.
 
 Training (churnkit.train), filtering (churnkit.inference) and generation
-(churnkit.simulate) run the step ``_kernels.cell_fwd`` on many rows at
-once; training and filtering pack the rows with ``_pack``, longest first.
+(churnkit.simulate) run the step ``_kernels.cell_fwd`` on many rows at once;
+training and filtering pack them longest first (``_pack``) from one ``_table``.
 Every formula of the cell is defined once, in churnkit._kernels: the latent
 MLPs (mlp2), the clamped reparameterized draw (draw_z), the LSTM (lstm),
 the heads, softplus and the constants.  The parameters are declared once, by
@@ -171,29 +171,35 @@ class _Rows:
     eps: np.ndarray
 
 
-def _sequence_arrays(seq):
-    """(input features, gaps, durations, lgamma(durations + 1)) of a sequence."""
-    gs = [s.g for s in seq.sessions]
-    ds = [float(s.d) for s in seq.sessions]
-    feat = np.fromiter(map(math.log1p, gs + ds), float, 2 * len(gs)).reshape(2, -1).T
-    return feat, np.array(gs, float), np.array(ds), np.array([math.lgamma(x + 1.0) for x in ds])
+def _table(seqs):
+    """The sessions of seqs as one flat table: (user ids, session counts, each
+    one's first session, and the columns g, d, lgamma(d + 1), log1p(g), log1p(d))."""
+    gs = [s.g for seq in seqs for s in seq.sessions]
+    ds = np.array([s.d for seq in seqs for s in seq.sessions], float)
+    n = np.array([len(seq.sessions) for seq in seqs])
+    # math's log1p and lgamma, element by element: numpy's log1p can differ in the last bit
+    cols = np.array([gs, ds, list(map(math.lgamma, (ds + 1.0).tolist())), list(map(math.log1p, gs)),
+                     list(map(math.log1p, ds.tolist()))])
+    return [seq.user_id for seq in seqs], n, np.cumsum(n) - n, cols
 
 
-def _pack(items, labels):
-    """_Rows from (sequence arrays, eps row) pairs, one per row."""
-    R = len(items)
-    lengths = np.array([len(arrays[1]) for arrays, _ in items])
+def _pack(table, users, eps=None):
+    """_Rows of the sequences users of a ``_table``, one per row, gathered and
+    scattered into place at once; eps holds each row's draws of its steps
+    0..n-1, row after row in the order of users (zeros when None)."""
+    ids, counts, start, cols = table
+    users = np.asarray(users)
+    lengths = counts[users]
     order = np.argsort(-lengths, kind="stable")
     n = lengths[order]
-    steps = int(n[0]) + 1
+    R, steps = len(n), int(n[0]) + 1
+    row = np.repeat(np.arange(R), n)  # the row and the step of every cell
+    step = np.arange(len(row)) - np.repeat(np.cumsum(n) - n, n)
+    src = np.repeat(start[users[order]], n) + step
+    out = np.zeros((4, steps, R))  # g, d, lgd and eps
+    out[:3, step, row] = cols[:3, src]
+    if eps is not None:
+        out[3, step, row] = np.ravel(eps)[np.repeat((np.cumsum(lengths) - lengths)[order], n) + step]
     feat = np.zeros((steps, R, 2))
-    g, d, lgd, eps = (np.zeros((steps, R)) for _ in range(4))
-    for j, r in enumerate(order):
-        (f, gaps, durs, lg), e = items[r]
-        m = n[j]
-        feat[1 : m + 1, j] = f
-        g[:m, j] = gaps
-        d[:m, j] = durs
-        lgd[:m, j] = lg
-        eps[:m, j] = e[:m]
-    return _Rows(n, order, labels, feat, g, d, lgd, eps)
+    feat[step + 1, row] = cols[3:, src].T
+    return _Rows(n, order, [ids[k] for k in users.tolist()], feat, *out)

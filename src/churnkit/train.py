@@ -49,14 +49,14 @@ from .errors import (
     NumericalError,
 )
 from .eventlog import Session, SessionSequence, derive_seed, open_input, write_json, write_table
-from .inference import rolling_evaluate_many
+from .inference import rolling_columns
 from .model import (
     LATENT_MODES,
     PARAM_FIELDS,
     WT_MODES,
     ModelParams,
     _pack,
-    _sequence_arrays,
+    _table,
     expected_shapes,
     init_params,
 )
@@ -136,11 +136,11 @@ class _Segment:
     failures: dict  # row -> (step, message) of its first failed check
 
 
-def _failures(lo, first, gap, last, full, wt, g, a, lg, term, kl, law):
+def _failures(lo, first, gap, last, full, wt, learned, g, a, lg, dwt, term, kl, law):
     """First failed check of each row: its step and message, with the checks
     of a step in the order the forward pass meets them.  first, gap and last
     mask the pre-data step, the steps that score a gap and the KL-only
-    steps n."""
+    steps n; dwt, the slope gradient of the gap terms, counts if learned."""
     sq, sp = law[1], law[3]
     checks = (
         (first & ~np.isfinite(lg), lambda s, r: "non-finite duration head value"),
@@ -150,6 +150,7 @@ def _failures(lo, first, gap, last, full, wt, g, a, lg, term, kl, law):
          lambda s, r: f"head value outside the exp range: |a| or |log gamma| > {K.EXP_ARG_MAX:g}"),
         (gap & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > K.EXP_ARG_MAX),
          lambda s, r: "cumulative intensity overflow"),
+        (gap & learned & ~np.isfinite(dwt), lambda s, r: "intensity-slope gradient overflow"),
         (gap & ~np.isfinite(term), lambda s, r: "non-finite ELBO term"),
         (gap & full & (kl < -1e-12), lambda s, r: f"negative KL {kl[s, r]:.3e}"),
         (last & ((sq <= 0.0) | (sp <= 0.0)),
@@ -196,7 +197,8 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
     law = u.law.transpose(1, 0, 2)
     kl = K.gaussian_kl(*law)
     term = np.where(gap, ll_gap, 0.0) + np.where(scored, ll_dur, 0.0) - np.where(kl_on, kl, 0.0)
-    failures = _failures(lo, first, gap, last, full, wt, rows.g[lo:hi], a, lg, term, kl, law)
+    learned = params.wt_mode == "learned"
+    failures = _failures(lo, first, gap, last, full, wt, learned, rows.g[lo:hi], a, lg, dwt, term, kl, law)
     values = term.sum(axis=0)
     if not backward or failures:
         return _Segment(values, None, u.xh[-1, 3:].T, u.c[-1].T, None, None, failures)
@@ -213,7 +215,7 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
         K.cell_bwd(w, u, t, W[t], dh, dc)
     # a frozen slope gets the gradient 0 (written, not masked: a NaN there
     # cannot trip the checks, and Adam keeps the slope at exactly 0)
-    dwt = np.where(gap, dwt, 0.0).sum() if params.wt_mode == "learned" else 0.0
+    dwt = np.where(gap, dwt, 0.0).sum() if learned else 0.0
     grads = params.replace(head_wt=dwt, **u.grads(da, dlg))
     return _Segment(values, grads, u.xh[-1, 3:].T, u.c[-1].T, dh.T, dc.T, failures)
 
@@ -258,8 +260,7 @@ def _unroll(params, rows, bptt_k, backward=True):
 
 
 def _sequence_rows(seq, eps):
-    arrays = _sequence_arrays(seq)
-    return _pack([(arrays, row) for row in eps], [seq.user_id] * len(eps))
+    return _pack(_table([seq]), [0] * len(eps), np.asarray(eps)[:, : len(seq)])
 
 
 def _elbo_value(params, seq, eps):
@@ -328,9 +329,8 @@ def _user_eps(seed, user_id, mc_samples, length):
 
 
 def _epoch_mae(params, subsample, n_samples, seed):
-    records = rolling_evaluate_many(params, subsample, n_samples, seed)
-    abs_gap = [abs(rec.pred_gap - rec.obs_gap) for rec in records]
-    return float(np.mean(abs_gap)), float(np.mean([abs(rec.pred_dur - rec.obs_dur) for rec in records]))
+    cols = rolling_columns(params, subsample, n_samples, seed)
+    return float(np.mean(np.abs(cols.pred_gap - cols.obs_gap))), float(np.mean(np.abs(cols.pred_dur - cols.obs_dur)))
 
 
 def train(sequences, config):
@@ -355,8 +355,8 @@ def train(sequences, config):
     opt = Adam(params.flat.size)
     report = TrainReport()
     L = config.mc_samples
-    arrays = [_sequence_arrays(s) for s in usable]
-    eps = [_user_eps(config.seed, s.user_id, L, len(s)) for s in usable]
+    table = _table(usable)
+    eps = [_user_eps(config.seed, s.user_id, L, len(s)).ravel() for s in usable]
 
     mae_rng = np.random.default_rng(derive_seed(config.seed, "maeusers"))
     n_sub = min(config.report_mae_users, len(usable))
@@ -373,10 +373,7 @@ def train(sequences, config):
         for b0 in range(0, len(order), config.batch_size):
             # usable is sorted by user id, so sorted indices are sorted users
             batch = sorted(order[b0 : b0 + config.batch_size])
-            rows = _pack(
-                [(arrays[k], row) for k in batch for row in eps[k]],
-                [usable[k].user_id for k in batch for _ in range(L)],
-            )
+            rows = _pack(table, np.repeat(batch, L), np.concatenate([eps[k] for k in batch]))
             try:
                 values, grads = _unroll(params, rows, config.bptt_k)
             except NumericalError as exc:

@@ -18,11 +18,12 @@ import churnkit
 from churnkit import cli
 from churnkit.cli import _options, build_parser, main
 from churnkit.errors import DataError
-from churnkit.eventlog import read_sessions
-from churnkit.inference import AlarmPolicy
+from churnkit.evalharness import compare, fit_baseline
+from churnkit.eventlog import Session, SessionSequence, read_sessions, split_users, write_sessions
+from churnkit.inference import AlarmPolicy, churn_alarm, rolling_evaluate_many, user_history_stats
 from churnkit.model import init_params
-from churnkit.simulate import GeneratorSpec
-from churnkit.train import gradcheck_elbo, save_checkpoint
+from churnkit.simulate import GeneratorSpec, generate
+from churnkit.train import gradcheck_elbo, load_checkpoint, save_checkpoint
 
 
 def test_version_exits_zero(capsys):
@@ -147,7 +148,7 @@ def test_flag_table_with_wrapped_functions(monkeypatch):
     import churnkit.cli as cli
 
     for name in ("ingest_events", "sessionize_log", "read_sessions", "write_sessions", "load_checkpoint",
-                 "save_checkpoint", "train", "compare", "fit_baseline", "rolling_evaluate_many"):
+                 "save_checkpoint", "train", "compare", "fit_baseline", "rolling_columns"):
         fn = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
     test_flag_table()
@@ -231,6 +232,22 @@ def test_sessions_integer_over_the_digit_limit_is_data_error(tmp_path, capsys):
     save_checkpoint(init_params(4, 3, seed=1), model)
     argv = ["predict", "--sessions", str(sessions), "--model", str(model), "--out", str(tmp_path / "p.csv")]
     assert main(argv) == 2
+
+
+# 401 digits parse as JSON, but float() of them overflows; each used to end
+# in an OverflowError traceback, from float() for t and g and from the
+# duration check for d
+@pytest.mark.parametrize("key", ["t", "g", "d"])
+def test_sessions_integer_beyond_float_range_is_data_error(tmp_path, capsys, key):
+    sessions = tmp_path / "sessions.jsonl"
+    record = {"user_id": "u0", "sessions": [{"t": 0.0, "g": 0.0, "d": 1}, {"t": 1.0, "g": 1.0, "d": 2}]}
+    record["sessions"][1][key] = "HUGE"
+    sessions.write_text(json.dumps(record).replace('"HUGE"', "1" + "0" * 400) + "\n")
+    argv = ["train", "--sessions", str(sessions), "--out", str(tmp_path / "m.json"), "--epochs", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "line 1: bad session record (int too large to convert to float)" in err
+    assert "Traceback" not in err
 
 
 # the first three used to be read as the users "None", "True" and "{'x': 1}"
@@ -421,6 +438,68 @@ def test_predict_test_split_needs_a_holdout(tmp_path):
     code = main(["predict", "--sessions", str(sessions), "--model", str(model),
                  "--out", str(tmp_path / "p.csv"), "--split", "test", "--train-frac", "1.0"])
     assert code == 2
+
+
+def _ragged_files(tmp_path):
+    """A sessions file of 30 regime-switching users, short and ragged, and
+    three one-session users; and a model trained on it."""
+    seqs, _ = generate(GeneratorSpec(kind="regime_switching", users=30, horizon=30.0), seed=7)
+    seqs += [SessionSequence(f"solo{k}", [Session(t=float(k), g=0.0, d=k + 1)]) for k in range(3)]
+    sessions, model = tmp_path / "sessions.jsonl", tmp_path / "model.json"
+    write_sessions(seqs, sessions)
+    assert main(["train", "--sessions", str(sessions), "--out", str(model), "--epochs", "1", "--hidden", "4",
+                 "--mlp-hidden", "3", "--seed", "1", "--lr", "0.01"]) == 0
+    return sessions, model
+
+
+@pytest.mark.parametrize(
+    "flags", [["--theta-g", "1.4", "--theta-d", "4"], ["--alarm-mode", "expected"]], ids=["fixed", "expected"]
+)
+def test_predict_csv_equals_a_per_record_reference(tmp_path, flags):
+    # predict works on record columns; its CSV must equal, byte for byte, the
+    # table built record by record from the public record API
+    sessions, model = _ragged_files(tmp_path)
+    preds = tmp_path / "p.csv"
+    argv = ["predict", "--sessions", str(sessions), "--model", str(model), "--out", str(preds),
+            "--split", "all", "--seed", "3", "--pred-samples", "5", *flags]
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    policy = AlarmPolicy(args.alarm_mode, args.theta_g, args.theta_d, args.expected_dur_cmp)
+    seqs = read_sessions(sessions)
+    params, _ = load_checkpoint(model)
+    stats = {s.user_id: user_history_stats(s) for s in seqs}
+    lines = ["user_id,step,pred_gap,obs_gap,pred_dur,obs_dur,alarm"]
+    for r in rolling_evaluate_many(params, seqs, 5, 3):
+        alarm = int(churn_alarm(r, policy, stats[r.user_id]))
+        lines.append(f"{r.user_id},{r.step},{r.pred_gap!r},{r.obs_gap!r},{r.pred_dur!r},{r.obs_dur},{alarm}")
+    assert {line[-1] for line in lines[1:]} == {"0", "1"}
+    assert len(lines) - 1 == sum(len(s) - 1 for s in seqs)
+    assert preds.read_text() == "\n".join(lines) + "\n"
+
+
+def test_evaluate_tables_equal_per_seed_compare(tmp_path):
+    # evaluate scores the seedless baselines once, at the first seed; its
+    # tables must equal, byte for byte, those of compare run at every seed
+    # over all five default methods
+    sessions, model = _ragged_files(tmp_path)
+    out = tmp_path / "m.csv"
+    assert main(["evaluate", "--sessions", str(sessions), "--model", str(model), "--out", str(out),
+                 "--seeds", "0,1,2", "--seed", "1", "--pred-samples", "4"]) == 0
+    params, _ = load_checkpoint(model)
+    train_seqs, test_seqs = split_users(read_sessions(sessions), 0.8, 1)
+    methods = ["model", "per_user_mean", "global_mean", "last_value", "hom_poisson"]
+    fitted = {"model": params, **{kind: fit_baseline(kind, train_seqs) for kind in methods[1:]}}
+    seeds = (0, 1, 2)
+    per_seed = {seed: compare(fitted, test_seqs, 4, seed) for seed in seeds}
+    fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")
+    summary = ["method," + ",".join(fields) + ",count"]
+    for m in methods:
+        means = [repr(float(np.mean([getattr(per_seed[s][m], f) for s in seeds]))) for f in fields]
+        summary.append(",".join([m, *means, str(per_seed[0][m].count)]))
+    long = ["method,seed,metric,value"]
+    long += [f"{m},{s},{f},{getattr(per_seed[s][m], f)!r}" for m in methods for s in seeds for f in fields]
+    assert out.read_text() == "\n".join(summary) + "\n"
+    assert (tmp_path / "m.csv.long.csv").read_text() == "\n".join(long) + "\n"
 
 
 def test_checkpoint_error_maps_to_data_error(tmp_path):

@@ -5,6 +5,7 @@ training step against that reference."""
 
 import math
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,12 +14,13 @@ from hypothesis import strategies as st
 
 import _reference as ref
 from churnkit import _kernels as K
+from churnkit import inference
 from churnkit.inference import _filtered
 from churnkit.model import (
     LATENT_MODES,
     PARAM_FIELDS,
     _pack,
-    _sequence_arrays,
+    _table,
     expected_shapes,
     init_params,
 )
@@ -144,7 +146,7 @@ class TestPriorPosterior:
             return -float(K.gaussian_kl(*ref.posterior(q, 1.7, 3, state[0]), *ref.prior(q, state[0])))
 
         # step n = 2 of the sequence carries only the KL after session 1
-        rows = _pack([(_sequence_arrays(seq), np.zeros(2))], ["u"])
+        rows = _pack(_table([seq]), [0])
         seg = _segment(p, rows, 2, 3, state[:1], state[1:])
         report = grad_check(loss, values, {name: getattr(seg.grads, name) for name in names}, h=1e-5, tol=1e-5)
         assert report.passed, report.summary()
@@ -177,7 +179,7 @@ def _filter(p, gaps, durs):
     holding the state after step i at xh[i + 1, 3:, 0] and c[i + 1, :, 0]."""
     t = np.cumsum(gaps)
     seq = SessionSequence("u", [Session(t=ti, g=g, d=d) for ti, g, d in zip(t, gaps, durs)])
-    ((_, u, _),) = _filtered(K.Cell(p), _pack([(_sequence_arrays(seq), np.zeros(len(seq)))], ["u"]))
+    ((_, u, _),) = _filtered(K.Cell(p), _pack(_table([seq]), [0]))
     return u
 
 
@@ -298,3 +300,61 @@ def test_reference_step_and_training_kernel_are_one_cell(seed, hidden, mlp_hidde
             _close(u.law[0, 2:, 0], expected.prior)
         if expected.posterior is not None:
             _close(u.law[0, :2, 0], expected.posterior)
+
+
+def _per_row_pack(seqs, eps_rows):
+    """_Rows built row by row, each session's features with math.log1p and
+    math.lgamma: one sequence and one row of draws per row."""
+    R = len(seqs)
+    lengths = np.array([len(s) for s in seqs])
+    order = np.argsort(-lengths, kind="stable")
+    steps = int(lengths.max()) + 1
+    feat = np.zeros((steps, R, 2))
+    g, d, lgd, eps = (np.zeros((steps, R)) for _ in range(4))
+    for j, r in enumerate(order):
+        m = lengths[r]
+        gs = [s.g for s in seqs[r].sessions]
+        ds = [float(s.d) for s in seqs[r].sessions]
+        feat[1 : m + 1, j] = [[math.log1p(x), math.log1p(y)] for x, y in zip(gs, ds)]
+        g[:m, j], d[:m, j] = gs, ds
+        lgd[:m, j] = [math.lgamma(y + 1.0) for y in ds]
+        eps[:m, j] = eps_rows[r][:m]
+    return lengths[order], order, [s.user_id for s in seqs], feat, g, d, lgd, eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    lengths=st.lists(st.integers(1, 25), min_size=1, max_size=12),
+    mc_samples=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**16),
+)
+def test_pack_from_the_table_equals_a_per_row_pack(data, lengths, mc_samples, seed):
+    """_pack gathers every cell from one flat table of the sessions and
+    scatters it at once; its _Rows equal a pack built row by row bit for
+    bit, for the filter's packs (PACK_CELLS small, so the users split into
+    several) and for training batches of mc_samples rows of draws per user."""
+    rng = np.random.default_rng(seed)
+    seqs = []
+    for k, n in enumerate(lengths):
+        gaps = [0.0, *rng.exponential(3.0, n - 1)]
+        seqs.append(SessionSequence(f"u{k:02d}", [Session(t, g, int(d)) for t, g, d in
+                                                  zip(np.cumsum(gaps), gaps, 1 + rng.poisson(4.0, n))]))
+    table = _table(seqs)
+
+    def same(got, want):
+        assert got.n.tolist() == want[0].tolist() and got.order.tolist() == want[1].tolist()
+        assert got.labels == want[2]
+        for a, b in zip((got.feat, got.g, got.d, got.lgd, got.eps), want[3:]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    cells = data.draw(st.integers(1, sum(n + 1 for n in lengths)))
+    with mock.patch.object(inference, "PACK_CELLS", cells):
+        packs = list(inference._packs(seqs))
+    assert sorted(k for pack in packs for k in pack) == list(range(len(seqs)))
+    for pack in packs:
+        same(_pack(table, pack), _per_row_pack([seqs[k] for k in pack], [np.zeros(len(seqs[k])) for k in pack]))
+    batch = sorted(data.draw(st.sets(st.integers(0, len(seqs) - 1), min_size=1)))
+    eps = [row for k in batch for row in rng.standard_normal((mc_samples, len(seqs[k])))]
+    users = np.repeat(batch, mc_samples)
+    same(_pack(table, users, np.concatenate(eps)), _per_row_pack([seqs[k] for k in users], eps))

@@ -24,7 +24,7 @@ from churnkit.model import (
     PARAM_FIELDS,
     ModelParams,
     _pack,
-    _sequence_arrays,
+    _table,
     init_params,
 )
 from churnkit.simulate import GeneratorSpec, generate
@@ -195,12 +195,13 @@ def test_batched_unroll_equals_sum_of_single_rows(seed, lengths, mc_samples, lat
     p = init_params(4, 3, seed=seed % 1000, wt_mode="learned", latent_mode=latent_mode)
     p.head_wt[...] = wt
     seqs = [_random_seq(n, rng, f"u{k}") for k, n in enumerate(lengths)]
-    items = [(_sequence_arrays(s), row) for s in seqs for row in rng.standard_normal((mc_samples, len(s)))]
-    labels = [s.user_id for s in seqs for _ in range(mc_samples)]
+    table = _table(seqs)
+    eps = [row for s in seqs for row in rng.standard_normal((mc_samples, len(s)))]
+    users = np.repeat(np.arange(len(seqs)), mc_samples)
     n = max(lengths)
     for bptt_k in (0, 1, 3, n, n + 1):
-        values, grads = _unroll(p, _pack(items, labels), bptt_k)
-        singles = [_unroll(p, _pack([item], [label]), bptt_k) for item, label in zip(items, labels)]
+        values, grads = _unroll(p, _pack(table, users, np.concatenate(eps)), bptt_k)
+        singles = [_unroll(p, _pack(table, [k], e), bptt_k) for k, e in zip(users, eps)]
         np.testing.assert_allclose(values, [v[0] for v, _ in singles], rtol=1e-12, atol=0)
         for name in PARAM_FIELDS:
             # 1e-12 relative, with a floor at 1e-12 of the array's largest
@@ -219,13 +220,13 @@ def test_steps_on_the_active_prefix_equal_single_rows():
     p = init_params(4, 3, seed=4, wt_mode="learned")
     p.head_wt[...] = -0.05
     seqs = [_random_seq(n, rng, f"u{k:02d}") for k, n in enumerate([12, 9, 5, 3] + [2] * 17)]
-    items = [(_sequence_arrays(s), rng.standard_normal(len(s))) for s in seqs]
-    labels = [s.user_id for s in seqs]
-    rows = _pack(items, labels)
+    table = _table(seqs)
+    eps = [rng.standard_normal(len(s)) for s in seqs]
+    rows = _pack(table, range(len(seqs)), np.concatenate(eps))
     assert any(K.width(int((rows.n >= i).sum()), len(seqs)) < len(seqs) for i in range(len(rows.g)))
     for bptt_k in (0, 4):
         values, grads = _unroll(p, rows, bptt_k)
-        singles = [_unroll(p, _pack([item], [label]), bptt_k) for item, label in zip(items, labels)]
+        singles = [_unroll(p, _pack(table, [k], e), bptt_k) for k, e in enumerate(eps)]
         np.testing.assert_allclose(values, [v[0] for v, _ in singles], rtol=1e-12, atol=0)
         total = sum(single.flat for _, single in singles)
         np.testing.assert_allclose(grads.flat, total, rtol=1e-12, atol=1e-12 * np.max(np.abs(total)))
@@ -244,7 +245,7 @@ def test_cells_a_row_does_not_run_reach_nothing(monkeypatch, latent_mode):
     p.head_wt[...] = 0.05
     rng = np.random.default_rng(5)
     seqs = [_random_seq(n, rng, f"u{k}") for k, n in enumerate((1, 2, 7, 9))]
-    rows = _pack([(_sequence_arrays(s), rng.standard_normal(len(s))) for s in seqs], [s.user_id for s in seqs])
+    rows = _pack(_table(seqs), range(len(seqs)), np.concatenate([rng.standard_normal(len(s)) for s in seqs]))
     h0 = c0 = np.zeros((len(seqs), 4))
     S = len(rows.g)
     assert rows.n.tolist() == [9, 7, 2, 1] and S == 10  # the last step is 9
@@ -297,6 +298,20 @@ def test_divergence_names_the_first_failing_user_not_the_first_row(monkeypatch):
     with pytest.raises(NumericalError) as info:
         train(seqs, cfg)
     assert str(info.value) == "diverged at epoch 1, batch 0: step 3 of 'u1': cumulative intensity overflow"
+
+
+def test_slope_gradient_overflow_names_the_user_and_step():
+    # with wt = 0.05 the gap of 13,990 h keeps wt * g = 699.5 inside the exp
+    # range, so the value is finite (about -1e305), but the slope gradient
+    # overflows to -inf; it used to be returned with no error
+    p = init_params(4, 3, seed=1, wt_mode="learned")
+    p.head_wt[...] = 0.05
+    seq = _seq([0.0, 1.0, 13990.0], [2, 3, 1], user="u7")
+    rows = _pack(_table([seq]), [0], np.zeros(3))
+    seg = _segment(p, rows, 0, len(rows.g), np.zeros((1, 4)), np.zeros((1, 4)), backward=False)
+    assert np.isfinite(seg.values).all() and seg.failures == {0: (2, "intensity-slope gradient overflow")}
+    with pytest.raises(NumericalError, match=r"^step 2 of 'u7': intensity-slope gradient overflow$"):
+        elbo_and_grads(p, seq, np.zeros((1, 3)))
 
 
 class TestGradcheckElbo:
