@@ -24,11 +24,12 @@ from . import __version__, eventlog
 from .errors import ChurnkitError, DataError, NumericalError
 from .eventlog import (
     GAP_MODES,
-    ingest_events,
+    event_table,
     read_sessions,
-    sessionize_log,
+    session_table,
     split_users,
     write_json,
+    write_session_table,
     write_sessions,
     write_table,
 )
@@ -171,11 +172,11 @@ def _held_out(args, train_users=True):
 
 
 def _cmd_sessionize(args):
-    per_user = ingest_events(args.infile, fmt=args.format, time_unit=args.time_unit)
-    sequences = sessionize_log(per_user, args.session_threshold_hours, args.gap_mode)
-    write_sessions(sequences, args.out)
+    users, rank, hours = event_table(args.infile, fmt=args.format, time_unit=args.time_unit)
+    sessions = session_table(rank, hours, args.session_threshold_hours, args.gap_mode)
+    write_session_table(args.out, sorted(users), *sessions)
     write_manifest(args, _config(args), {"events": args.infile}, {"sessions": args.out})
-    print(f"sessionize: {len(sequences)} users -> {args.out}")
+    print(f"sessionize: {len(users)} users -> {args.out}")
     return 0
 
 
@@ -298,11 +299,11 @@ def build_parser():
     p.add_argument("--out", required=True)
     # defaults read through the module: perfbench's tracer replaces the names
     # imported here with wrappers that take (*args, **kwargs)
-    ingest, sessionize = eventlog.ingest_events, eventlog.sessionize_log
-    p.add_argument("--format", choices=("csv", "jsonl"), default=_default(ingest, "fmt"))
-    p.add_argument("--time-unit", choices=("hours", "seconds"), default=_default(ingest, "time_unit"))
+    events, sessions = eventlog.event_table, eventlog.session_table
+    p.add_argument("--format", choices=("csv", "jsonl"), default=_default(events, "fmt"))
+    p.add_argument("--time-unit", choices=("hours", "seconds"), default=_default(events, "time_unit"))
     p.add_argument("--session-threshold-hours", type=float, default=1.0)
-    p.add_argument("--gap-mode", choices=GAP_MODES, default=_default(sessionize, "gap_mode"))
+    p.add_argument("--gap-mode", choices=GAP_MODES, default=_default(sessions, "gap_mode"))
     p.set_defaults(func=_cmd_sessionize)
 
     # train, predict and evaluate must split the users alike

@@ -5,10 +5,16 @@ Internal time unit is hours.  Raw logs arrive as CSV (header
 numeric timestamps are taken as hours unless ``time_unit="seconds"``, and
 ISO-8601 strings are always converted to hours since the Unix epoch.
 
+Sessionization runs on flat columns: ``event_table`` reads, sorts and
+deduplicates every event once, ``session_table`` cuts every user's sessions at
+once and ``write_session_table`` writes them; ``ingest_events``,
+``sessionize_log`` and ``write_sessions`` adapt them to dicts and sequences.
+
 A CSV is parsed a column at a time, in blocks of whole lines, up to the first
 block with a quote, a carriage return, a line of the wrong length, a timestamp
 that is not a finite number or an empty user id; the ``csv`` row loop, which
-names a failing line, reads from there on.  Either gives the same events.
+names a failing line, reads from there on.  Either appends the same events
+to the same columns, as JSONL does.
 
 A session is a maximal run of one user's events whose consecutive gaps are
 strictly below the threshold; a gap exactly equal to the threshold starts a
@@ -17,8 +23,8 @@ new session.  The stored gap of session i is start-to-start by default
 session's last event instead.  The first session carries the sentinel gap 0.
 
 Files are read through ``open_input`` and written through ``write_table`` (CSV,
-quoted only where needed), ``write_json`` and ``write_sessions``; a file that
-cannot be opened or written, or an input that is not UTF-8, is a DataError.
+quoted only where needed), ``write_json`` and ``write_session_table``; a file
+that cannot be opened or written, or an input that is not UTF-8, is a DataError.
 A sessions file's user id is a string or an integer that is not blank, and
 is kept as written.
 """
@@ -116,11 +122,11 @@ def _user_id(value, lineno):
     return str(value)
 
 
-def _csv_columns(block, ncols, ui, ti, time_unit, codes, lineno):
-    """(user codes, hours) of a block of whole CSV lines from line ``lineno``
-    on, or None if the block needs the row loop.  A user new to ``codes`` gets
-    the number of its first line, so codes rise in order of first appearance.
-    A CRLF line ends as an LF one; a lone carriage return needs the row loop."""
+def _csv_columns(block, ncols, ui, ti, time_unit, codes):
+    """(user codes, hours) of a block of whole CSV lines, or None if the block
+    needs the row loop.  A user new to ``codes`` gets the next code, so codes
+    number the users in order of first appearance.  A CRLF line ends as an LF
+    one; a lone carriage return needs the row loop."""
     block = block.replace("\r\n", "\n")
     block += "" if block.endswith("\n") else "\n"
     lines, fields = block.count("\n"), block.replace("\n", ",\n,").split(",")
@@ -136,41 +142,15 @@ def _csv_columns(block, ncols, ui, ti, time_unit, codes, lineno):
     users = list(map(str.strip, fields[ui : -1 : ncols + 1]))
     if not np.isfinite(hours).all() or "" in users:
         return None
-    return np.fromiter(map(codes.setdefault, users, itertools.count(lineno)), np.intp, lines), hours
+    codes.update(zip([user for user in dict.fromkeys(users) if user not in codes], itertools.count(len(codes))))
+    return np.fromiter(map(codes.__getitem__, users), np.intp, lines), hours
 
 
-def _csv_blocks(stream, ncols, ui, ti, time_unit):
-    """({user: sorted unique hours} as lists, or as sets if rows are left, the
-    rows left, their first line number) of a CSV body parsed by blocks."""
-    codes, parts, lineno, rows = {}, [], 2, ()
-    while block := stream.read(BLOCK_CHARS) + stream.readline():
-        if (part := _csv_columns(block, ncols, ui, ti, time_unit, codes, lineno)) is None:
-            # newline="" splits the block as reading the file itself does
-            rows = csv.reader(itertools.chain(io.StringIO(block, newline=""), stream))
-            break
-        parts.append(part)
-        lineno += part[0].size
-    if not parts:
-        return {}, rows, lineno
-    code, hours = (np.concatenate(col) for col in zip(*parts))
-    parts.clear()  # here and below, each array goes as soon as it is used
-    # by user, then time; stable, so of equal times (0.0, -0.0) the first stays
-    order = np.argsort(hours, kind="stable")
-    order = order[np.argsort(code[order], kind="stable")]
-    code, hours = code[order], hours[order]
-    del order
-    keep = (np.diff(code, prepend=-1) != 0) | (np.diff(hours, prepend=np.nan) != 0)
-    code, hours = code[keep], hours[keep]
-    users = np.split(hours, np.flatnonzero(np.diff(code)) + 1)
-    return {user: (set if rows else list)(h.tolist()) for user, h in zip(codes, users)}, rows, lineno
-
-
-def ingest_events(source, fmt="csv", time_unit="hours"):
-    """Parse an event file into {user_id: sorted unique timestamps (hours)}.
-
-    ``source`` is a path or an open text stream.  Events are sorted per user
-    and exact duplicate (user, timestamp) records are dropped.
-    """
+def event_table(source, fmt="csv", time_unit="hours"):
+    """(users, rank, hours) of an event file (a path or an open text stream):
+    {user id: its rank in sorted order}, in order of first appearance, and
+    each distinct (user, time) event as its user's rank and its time in hours,
+    sorted by rank, then time; of equal times (0.0, -0.0) the first stays."""
     if time_unit not in ("hours", "seconds"):
         raise ValueError(f"ingest_events: unknown time_unit {time_unit!r}")
     if fmt not in ("csv", "jsonl"):
@@ -178,7 +158,7 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
     is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     opened = open_input(source, "event file") if is_path else nullcontext(source)
 
-    per_user = {}
+    codes, parts, code, hours = {}, [], [], []  # code, hours: the events read one at a time
     with opened as stream:
         if fmt == "csv":
             lineno = 0  # of the last record read
@@ -190,9 +170,15 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                 if "user_id" not in cols or "timestamp" not in cols:
                     raise DataError(f"line 1: expected header with user_id,timestamp, got {header}")
                 ui, ti = cols.index("user_id"), cols.index("timestamp")
-                per_user, rows, start = _csv_blocks(stream, len(cols), ui, ti, time_unit)
-                lineno = start - 1
-                for lineno, rec in enumerate(rows, start=start):
+                rows, lineno = (), 1  # the rows the block parse leaves
+                while block := stream.read(BLOCK_CHARS) + stream.readline():
+                    if (part := _csv_columns(block, len(cols), ui, ti, time_unit, codes)) is None:
+                        # newline="" splits the block as reading the file itself does
+                        rows = csv.reader(itertools.chain(io.StringIO(block, newline=""), stream))
+                        break
+                    parts.append(part)
+                    lineno += part[0].size
+                for lineno, rec in enumerate(rows, start=lineno + 1):
                     if not rec:
                         continue
                     if len(rec) <= max(ui, ti):
@@ -200,7 +186,8 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                     user = rec[ui].strip()
                     if not user:
                         raise DataError(f"line {lineno}: empty user_id")
-                    per_user.setdefault(user, set()).add(_parse_timestamp(rec[ti], time_unit, lineno))
+                    hours.append(_parse_timestamp(rec[ti], time_unit, lineno))
+                    code.append(codes.setdefault(user, len(codes)))
             except csv.Error as exc:  # e.g. a field over the csv module's size limit
                 raise DataError(f"line {lineno + 1}: {exc}") from None
         else:
@@ -215,48 +202,81 @@ def ingest_events(source, fmt="csv", time_unit="hours"):
                 if not isinstance(obj, dict) or "user_id" not in obj or "timestamp" not in obj:
                     raise DataError(f"line {lineno}: need user_id and timestamp fields")
                 user = _user_id(obj["user_id"], lineno).strip()  # as in a CSV
-                per_user.setdefault(user, set()).add(_parse_timestamp(obj["timestamp"], time_unit, lineno))
-
-    if not per_user:
+                hours.append(_parse_timestamp(obj["timestamp"], time_unit, lineno))
+                code.append(codes.setdefault(user, len(codes)))
+    if not codes:
         raise DataError("event file contains no events")
-    return {user: sorted(stamps) for user, stamps in per_user.items()}
+
+    parts.append((np.array(code, np.intp), np.array(hours, np.float64)))
+    code, hours = (np.concatenate(col) for col in zip(*parts))
+    parts.clear()  # here and below, each array goes as soon as it is used
+    ranks = dict(zip(sorted(codes), itertools.count()))
+    users = {user: ranks[user] for user in codes}
+    # in the smallest type that holds them: ranks of up to 16 bits are radix-sorted
+    rank = np.fromiter(users.values(), np.min_scalar_type(len(users) - 1), len(users))[code]
+    del code
+    # by user, then time; stable, so of equal times (0.0, -0.0) the first stays
+    order = np.argsort(hours, kind="stable")
+    order = order[np.argsort(rank[order], kind="stable")]
+    rank, hours = rank[order], hours[order]
+    keep = np.concatenate(([True], (rank[1:] != rank[:-1]) | (hours[1:] != hours[:-1])))
+    return users, rank[keep], hours[keep]
 
 
-def sessionize(user_id, timestamps, threshold, gap_mode="start-to-start"):
-    """Segment one user's sorted timestamps into a SessionSequence.
+def ingest_events(source, fmt="csv", time_unit="hours"):
+    """{user_id: sorted unique timestamps (hours)} of an event file, in order of first appearance."""
+    users, rank, hours = event_table(source, fmt, time_unit)
+    stamps = np.split(hours, np.flatnonzero(rank[1:] != rank[:-1]) + 1)
+    return {user: stamps[r].tolist() for user, r in users.items()}
 
-    Consecutive events j, j+1 share a session iff t_{j+1} - t_j < threshold
-    (strict).  Session duration is the event count; gaps are start-to-start
-    or end-to-start depending on gap_mode, with the first gap fixed at 0.
-    """
+
+def _check_threshold(threshold, gap_mode):
     if not 0.0 < threshold < math.inf:  # NaN fails too
         raise ValueError(f"sessionize: threshold must be finite and positive, got {threshold}")
     if gap_mode not in GAP_MODES:
         raise ValueError(f"sessionize: unknown gap_mode {gap_mode!r}")
-    if len(timestamps) == 0:
-        raise DataError(f"sessionize: no events for user {user_id!r}")
 
-    ts = np.asarray(timestamps, dtype=np.float64)
-    steps = np.diff(ts)
-    if np.any(steps < 0.0):
-        raise ValueError(f"sessionize: timestamps not sorted for user {user_id!r}")
 
-    breaks = np.flatnonzero(steps >= threshold) + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [ts.size]))
-    t0 = ts[starts]
-    before = t0[:-1] if gap_mode == "start-to-start" else ts[ends[:-1] - 1]
-    gaps = [0.0, *(t0[1:] - before).tolist()]
-    sessions = [Session(t=t, g=g, d=d) for t, g, d in zip(t0.tolist(), gaps, (ends - starts).tolist())]
-    return SessionSequence(user_id=user_id, sessions=sessions)
+def session_table(rank, hours, threshold, gap_mode="start-to-start"):
+    """(first, t, g, d): the start, gap and event count of each session of
+    events sorted by rank, then time; rank r's are first[r]:first[r + 1].  A
+    new user or a step of at least threshold starts a session; a user's first
+    gap is 0, a later one start-to-start or end-to-start, and finite."""
+    _check_threshold(threshold, gap_mode)
+    new_user = rank[1:] != rank[:-1]
+    with np.errstate(over="ignore"):  # a step past the float range is inf: a break, and a gap that fails
+        starts = np.flatnonzero(np.concatenate(([True], new_user | (hours[1:] - hours[:-1] >= threshold))))
+        t = hours[starts]
+        before = t[:-1] if gap_mode == "start-to-start" else hours[starts[1:] - 1]
+        g = np.concatenate(([0.0], t[1:] - before))
+    first = np.concatenate(([True], new_user[starts[1:] - 1]))
+    g[first] = 0.0
+    if not np.isfinite(g).all():
+        raise DataError(f"Session: bad gap {g[~np.isfinite(g)][0]}")
+    return np.append(np.flatnonzero(first), t.size), t, g, np.diff(starts, append=hours.size)
+
+
+def sessionize(user_id, timestamps, threshold, gap_mode="start-to-start"):
+    """One user's sorted timestamps, duplicates kept, as a SessionSequence."""
+    return sessionize_log({user_id: timestamps}, threshold, gap_mode)[0]
 
 
 def sessionize_log(per_user, threshold, gap_mode="start-to-start"):
     """Sessionize every user of an ingested log; output is user-sorted."""
-    return [
-        sessionize(user, stamps, threshold, gap_mode)
-        for user, stamps in sorted(per_user.items())
-    ]
+    if not per_user:
+        return []
+    _check_threshold(threshold, gap_mode)
+    users, columns = sorted(per_user), []
+    for user in users:
+        if len(per_user[user]) == 0:
+            raise DataError(f"sessionize: no events for user {user!r}")
+        columns.append(ts := np.asarray(per_user[user], dtype=np.float64))
+        if np.any(ts[1:] < ts[:-1]):
+            raise ValueError(f"sessionize: timestamps not sorted for user {user!r}")
+    rank = np.repeat(np.arange(len(users)), [ts.size for ts in columns])
+    first, t, g, d = session_table(rank, np.concatenate(columns), threshold, gap_mode)
+    sessions, first = list(map(Session, t.tolist(), g.tolist(), d.tolist())), first.tolist()
+    return [SessionSequence(user, sessions[a:b]) for user, a, b in zip(users, first, first[1:])]
 
 
 def derive_seed(seed, *tokens):
@@ -330,12 +350,21 @@ def write_json(path, obj, indent=None):
         fh.write(json.dumps(obj, sort_keys=True, indent=indent) + "\n")
 
 
-def write_sessions(sequences, path):
-    """Write sequences as JSONL {"user_id", "sessions": [{"t","g","d"}]}."""
+def write_session_table(path, users, first, t, g, d):
+    """Write ``session_table``'s columns of users as JSONL {"user_id",
+    "sessions": [{"t","g","d"}]}, byte for byte as json.dumps writes it."""
+    sessions = list(map('{"t": %r, "g": %r, "d": %d}'.__mod__, zip(t.tolist(), g.tolist(), d.tolist())))
+    first = first.tolist()
     with _open_output(path) as fh:
-        for seq in sequences:
-            sessions = [{"t": float(s.t), "g": float(s.g), "d": int(s.d)} for s in seq.sessions]
-            fh.write(json.dumps({"user_id": seq.user_id, "sessions": sessions}) + "\n")
+        fh.write("".join(['{"user_id": %s, "sessions": [%s]}\n' % (json.dumps(user), ", ".join(sessions[a:b]))
+                          for user, a, b in zip(users, first, first[1:])]))
+
+
+def write_sessions(sequences, path):
+    """Write sequences through ``write_session_table``."""
+    t, g, d = (np.array([getattr(s, k) for seq in sequences for s in seq.sessions], dtype)
+               for k, dtype in (("t", float), ("g", float), ("d", None)))
+    write_session_table(path, [seq.user_id for seq in sequences], np.cumsum([0, *map(len, sequences)]), t, g, d)
 
 
 def _count(value):

@@ -11,8 +11,13 @@ the session duration, one value at a time with Python's math module, and
 the mean gap by adaptive quadrature: the batched engine's log-likelihoods,
 generation's log-likelihood and ``tppmath.expected_gap`` are tested
 against them.
+
+Sessionization is stated one user at a time, as sorted sets of timestamps
+cut into ``Session`` objects and written with ``json.dumps``, against which
+the flat event and session tables of ``churnkit.eventlog`` are tested.
 """
 
+import json
 import math
 from typing import NamedTuple, Optional
 
@@ -21,6 +26,7 @@ from scipy import integrate
 
 from churnkit._kernels import EXP_ARG_MAX, WT_ZERO_EPS
 from churnkit.errors import NumericalError
+from churnkit.eventlog import Session, SessionSequence
 from churnkit.tppmath import gap_at
 
 SIGMA_FLOOR = 1e-4  # added to softplus(raw sigma)
@@ -192,3 +198,40 @@ def quadrature_mean(a, wt):
     if not (math.isfinite(total) and total > 0.0) or err > 1e-8 * total:
         raise NumericalError(f"quadrature_mean: quadrature failed for a={a}, wt={wt}")
     return total / mass
+
+
+# ------------------------------------------------------------ sessionization
+
+
+def ingest(rows):
+    """{user: sorted distinct hours} of (user, hours) rows in file order, the
+    users in order of first appearance; of equal times (0.0, -0.0), as in a
+    set, the first stays."""
+    per_user = {}
+    for user, hours in rows:
+        per_user.setdefault(user, set()).add(hours)
+    return {user: sorted(stamps) for user, stamps in per_user.items()}
+
+
+def sessionize(user_id, timestamps, threshold, gap_mode="start-to-start"):
+    """One user's sorted timestamps cut into sessions where a step is at
+    least threshold; the first gap is 0, a later one start-to-start or
+    end-to-start."""
+    ts = np.asarray(timestamps, dtype=np.float64)
+    breaks = np.flatnonzero(np.diff(ts) >= threshold) + 1
+    starts = np.concatenate(([0], breaks))
+    ends = np.concatenate((breaks, [ts.size]))
+    t0 = ts[starts]
+    before = t0[:-1] if gap_mode == "start-to-start" else ts[ends[:-1] - 1]
+    gaps = [0.0, *(t0[1:] - before).tolist()]
+    sessions = [Session(t=t, g=g, d=d) for t, g, d in zip(t0.tolist(), gaps, (ends - starts).tolist())]
+    return SessionSequence(user_id=user_id, sessions=sessions)
+
+
+def sessions_text(sequences):
+    """The JSONL of sequences, a json.dumps line per user."""
+    return "".join(
+        json.dumps({"user_id": seq.user_id,
+                    "sessions": [{"t": float(s.t), "g": float(s.g), "d": int(s.d)} for s in seq.sessions]}) + "\n"
+        for seq in sequences
+    )

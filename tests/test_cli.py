@@ -10,6 +10,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,8 +148,8 @@ def test_flag_table_with_wrapped_functions(monkeypatch):
     # defaults from those names
     import churnkit.cli as cli
 
-    for name in ("ingest_events", "sessionize_log", "read_sessions", "write_sessions", "load_checkpoint",
-                 "save_checkpoint", "train", "compare", "fit_baseline", "rolling_columns"):
+    for name in ("event_table", "session_table", "write_session_table", "read_sessions", "write_sessions",
+                 "load_checkpoint", "save_checkpoint", "train", "compare", "fit_baseline", "rolling_columns"):
         fn = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
     test_flag_table()
@@ -192,6 +193,27 @@ def test_non_finite_timestamp_is_data_error(tmp_path, fmt, text):
     src = tmp_path / f"events.{fmt}"
     src.write_text(text)
     assert main(["sessionize", "--in", str(src), "--out", str(tmp_path / "s.jsonl"), "--format", fmt]) == 2
+
+
+@pytest.mark.parametrize("gap_mode", ["start-to-start", "end-to-start"])
+def test_gap_past_the_float_range_is_data_error_without_warnings(tmp_path, capsys, gap_mode):
+    # it used to print two "overflow encountered in subtract" RuntimeWarnings
+    # first, and under -W error to end in a traceback with exit 1; users far
+    # apart from each other used to warn too
+    src, out = tmp_path / "events.csv", tmp_path / "s.jsonl"
+    argv = ["sessionize", "--in", str(src), "--out", str(out), "--gap-mode", gap_mode]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        src.write_text("user_id,timestamp\nu1,-1e308\nu1,1e308\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "churnkit sessionize: data error: Session: bad gap inf" in err
+        assert "RuntimeWarning" not in err and "Traceback" not in err
+        src.write_text("user_id,timestamp\na,1e308\nb,-1e308\nb,1e308\nc,-1e308\n")
+        assert main(argv) == 2 and "bad gap inf" in capsys.readouterr().err
+        src.write_text("user_id,timestamp\na,1e308\nb,-1e308\nb,0\nc,-1e308\n")
+        assert main(argv) == 0
+    assert [json.loads(line)["user_id"] for line in out.read_text().splitlines()] == ["a", "b", "c"]
 
 
 @pytest.mark.parametrize(

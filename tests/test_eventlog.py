@@ -1,18 +1,24 @@
-"""Ingestion, sessionization, and splitting: worked examples plus the
-segmentation invariants checked by brute force against raw events."""
+"""Ingestion, sessionization, and splitting: worked examples, the
+segmentation invariants checked by brute force against raw events, and the
+flat event and session tables against the per-user statement of
+tests/_reference.py."""
 
 import csv
 import io
 import json
 import os
 import re
+import tempfile
+from contextlib import nullcontext
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import _reference as ref
 from churnkit import eventlog, simulate
 from churnkit.cli import main
 from churnkit.errors import DataError
@@ -199,6 +205,108 @@ def test_row_loop_takes_over_in_a_later_block(tmp_path, capsys, tail, message):
         assert got[0] == 0
     else:
         assert got[0] == 2 and message in got[1]
+
+
+# the first five need no CSV quotes; the last three send a CSV to the row loop
+_IDS = ["u1", "u2", "42", "\u00fc\u4e2d", "t\tb\\s", 'q"t', "a,b", "l\nb"]
+# steps of exactly 0.25, 0.5 and 1.0 among them, also as seconds (x 3600)
+_STAMPS = [0.0, -0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 2.0, 3.5, -1.5, 1e-9]
+
+
+def _csv_field(user):
+    return '"' + user.replace('"', '""') + '"' if any(c in user for c in ',"\n') else user
+
+
+@st.composite
+def _events(draw):
+    """(user, timestamp) rows in file order: duplicate, unsorted and interleaved."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=4, unique=True))
+    stamp = st.one_of(st.sampled_from(_STAMPS), st.floats(-1e4, 1e4))
+    return draw(st.lists(st.tuples(st.sampled_from(ids), stamp), min_size=1, max_size=60))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rows=_events(),
+    fmt=st.sampled_from(["csv", "jsonl"]),
+    time_unit=st.sampled_from(["hours", "seconds"]),
+    threshold=st.sampled_from([0.25, 0.5, 1.0]),
+    gap_mode=st.sampled_from(["start-to-start", "end-to-start"]),
+    block=st.sampled_from([16, 1 << 20]),
+)
+# the row loop takes over in a later block, at the quoted id
+@example(rows=[("u1", 0.0), ("u2", 1.0), ("u1", 0.5), ("u2", -0.0), ('q"t', 3.0), ("u1", 0.5), ("u1", -0.0)],
+         fmt="csv", time_unit="hours", threshold=0.5, gap_mode="end-to-start", block=16)
+def test_sessionize_equals_the_per_user_reference(rows, fmt, time_unit, threshold, gap_mode, block):
+    # the CLI's sessions file, byte for byte, and ingest_events' dict, key order and bits
+    scale = 3600.0 if time_unit == "seconds" else 1.0
+    stamps = [t * scale for _, t in rows]
+    want = ref.ingest((user, float(repr(t)) / scale) for (user, _), t in zip(rows, stamps))
+    if fmt == "csv":
+        text = "user_id,timestamp\n" + "".join(f"{_csv_field(u)},{t!r}\n" for (u, _), t in zip(rows, stamps))
+    else:
+        text = "".join(json.dumps({"user_id": u, "timestamp": t}) + "\n" for (u, _), t in zip(rows, stamps))
+    flags = ["--format", fmt, "--time-unit", time_unit, "--session-threshold-hours", repr(threshold),
+             "--gap-mode", gap_mode]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(eventlog, "BLOCK_CHARS", block):
+        events, got, expected = Path(tmp, "events"), Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
+        events.write_text(text, encoding="utf-8", newline="")
+        assert main(["sessionize", "--in", str(events), "--out", str(got), *flags]) == 0
+        ingested = ingest_events(events, fmt, time_unit)
+        sequences = [ref.sessionize(user, want[user], threshold, gap_mode) for user in sorted(want)]
+        write_sessions(sequences, expected)
+        assert got.read_bytes() == expected.read_bytes() == ref.sessions_text(sequences).encode()
+    assert _bits(ingested) == _bits(want)
+
+
+class TestAdapters:
+    """ingest_events, sessionize and sessionize_log over the table path keep
+    their results and their errors."""
+
+    def test_ingest_keeps_the_order_of_first_appearance(self):
+        text = "user_id,timestamp\nz,3\na,-0.0\nz,1\nm,2\na,0\na,-1\n"
+        for parse in (nullcontext, _row_loop):  # the block parse, then the row loop
+            with parse():
+                got = ingest_events(_csv(text))
+            assert list(got) == ["z", "a", "m"]
+            assert _bits(got) == [("z", ["0x1.0000000000000p+0", "0x1.8000000000000p+1"]),
+                                  ("a", ["-0x1.0000000000000p+0", "-0x0.0p+0"]), ("m", ["0x1.0000000000000p+1"])]
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_threshold(self, threshold):
+        for call in (lambda: sessionize("u", [], threshold), lambda: sessionize_log({"u": [2.0, 1.0]}, threshold)):
+            with pytest.raises(ValueError, match=re.escape(f"threshold must be finite and positive, got {threshold}")):
+                call()
+        assert sessionize_log({}, threshold) == []  # no user, nothing to check
+
+    def test_bad_gap_mode(self):
+        for call in (lambda: sessionize("u", [], 1.0, "both"), lambda: sessionize_log({"u": [1.0]}, 1.0, "both")):
+            with pytest.raises(ValueError, match="sessionize: unknown gap_mode 'both'"):
+                call()
+
+    def test_no_events_and_unsorted_name_the_first_user(self):
+        with pytest.raises(DataError, match="sessionize: no events for user 'u'"):
+            sessionize("u", [], 1.0)
+        with pytest.raises(ValueError, match="sessionize: timestamps not sorted for user 'u'"):
+            sessionize("u", [1.0, 3.0, 2.0], 1.0)
+        with pytest.raises(DataError, match="no events for user 'b'"):
+            sessionize_log({"c": [2.0, 1.0], "b": [], "a": [1.0]}, 1.0)
+        with pytest.raises(ValueError, match="timestamps not sorted for user 'b'"):
+            sessionize_log({"c": [], "b": np.array([2.0, 1.0]), "a": [1.0]}, 1.0)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        per_user=st.dictionaries(st.sampled_from(_IDS), st.lists(st.sampled_from(_STAMPS), min_size=1, max_size=20)
+                                 .map(sorted), min_size=1, max_size=4),
+        threshold=st.sampled_from([0.25, 0.5, 1.0]),
+        gap_mode=st.sampled_from(["start-to-start", "end-to-start"]),
+    )
+    def test_sessionize_equals_the_reference_duplicates_kept(self, per_user, threshold, gap_mode):
+        want = [ref.sessionize(user, per_user[user], threshold, gap_mode) for user in sorted(per_user)]
+        got = sessionize_log(per_user, threshold, gap_mode)
+        cells = lambda seqs: [(q.user_id, [(s.t.hex(), s.g.hex(), s.d) for s in q.sessions]) for q in seqs]
+        assert cells(got) == cells(want)
+        assert cells([sessionize(q.user_id, per_user[q.user_id], threshold, gap_mode) for q in want]) == cells(want)
 
 
 class TestSessionize:
