@@ -20,10 +20,7 @@ from .eventlog import (
     Session,
     SessionSequence,
     derive_seed,
-    ingest_events,
     read_sessions,
-    sessionize,
-    sessionize_log,
     split_users,
     write_sessions,
 )
@@ -33,7 +30,6 @@ from .inference import (
     PredictionRecord,
     churn_alarm,
     predict_next,
-    rolling_evaluate,
     rolling_evaluate_many,
     user_history_stats,
 )
@@ -76,16 +72,12 @@ __all__ = [
     "fit_baseline",
     "generate",
     "gradcheck_elbo",
-    "ingest_events",
     "init_params",
     "load_checkpoint",
     "predict_next",
     "read_sessions",
-    "rolling_evaluate",
     "rolling_evaluate_many",
     "save_checkpoint",
-    "sessionize",
-    "sessionize_log",
     "split_users",
     "train",
     "user_history_stats",

@@ -14,7 +14,8 @@ records) arrays.
   reparameterized draw ``draw_z``, the Gaussian KL ``gaussian_kl`` and its
   gradient ``gaussian_kl_grad``;
 - the LSTM cell ``lstm`` and the two ``heads``;
-- the gap and duration log-likelihoods with their derivatives;
+- the gap and duration log-likelihoods with their derivatives, and the
+  duration normaliser ``log_factorial``;
 - the training step ``cell_fwd`` and its adjoint ``cell_bwd``, on weights
   packed once (``Cell``).  They read and write one step of an ``Unroll``,
   the (steps, features, rows) caches of one truncation segment, which also
@@ -26,6 +27,8 @@ recurrent state is kept as separate (H, rows) blocks of h and c.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -128,6 +131,12 @@ def dur_loglik(lg, d, lgd):
     and its derivative by lg."""
     rate = np.exp(lg)
     return d * lg - rate - lgd, d - rate
+
+
+def log_factorial(d):
+    """lgamma(d + 1) of the durations d, by math.lgamma one at a time: numpy
+    has none, and scipy's gammaln differs from it in the last bit."""
+    return np.array(list(map(math.lgamma, (np.asarray(d, np.float64) + 1.0).tolist())))
 
 
 # ------------------------------------------------- the unrolled training step

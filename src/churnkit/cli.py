@@ -173,8 +173,8 @@ def _held_out(args, train_users=True):
 
 def _cmd_sessionize(args):
     users, rank, hours = event_table(args.infile, fmt=args.format, time_unit=args.time_unit)
-    sessions = session_table(rank, hours, args.session_threshold_hours, args.gap_mode)
-    write_session_table(args.out, sorted(users), *sessions)
+    ids = sorted(users)  # rank order
+    write_session_table(args.out, ids, *session_table(ids, rank, hours, args.session_threshold_hours, args.gap_mode))
     write_manifest(args, _config(args), {"events": args.infile}, {"sessions": args.out})
     print(f"sessionize: {len(users)} users -> {args.out}")
     return 0

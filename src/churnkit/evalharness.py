@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DataError
-from .inference import PredictionColumns, rolling_columns
+from .inference import PredictionColumns, rolling_columns, user_history_stats
 from .model import ModelParams
 
 BASELINE_KINDS = ("per_user_mean", "global_mean", "last_value", "hom_poisson", "ablation_rnn")
@@ -131,9 +131,8 @@ def fit_baselines(kinds, train_sequences):
         user_gap = {}
         user_dur = {}
         for s in train_sequences:
-            gaps = s.gaps()
-            user_gap[s.user_id] = float(np.mean(gaps)) if gaps else global_gap
-            user_dur[s.user_id] = float(np.mean(s.durations()))
+            mean_gap, user_dur[s.user_id] = user_history_stats(s)
+            user_gap[s.user_id] = global_gap if mean_gap is None else mean_gap
     return {kind: BaselinePredictor(kind, global_gap, global_dur, user_gap, user_dur) for kind in kinds}
 
 

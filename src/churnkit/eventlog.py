@@ -7,8 +7,8 @@ ISO-8601 strings are always converted to hours since the Unix epoch.
 
 Sessionization runs on flat columns: ``event_table`` reads, sorts and
 deduplicates every event once, ``session_table`` cuts every user's sessions at
-once and ``write_session_table`` writes them; ``ingest_events``,
-``sessionize_log`` and ``write_sessions`` adapt them to dicts and sequences.
+once and ``write_session_table`` writes them; ``write_sessions`` writes
+``SessionSequence`` objects (simulate's output) through it.
 
 A CSV is parsed a column at a time, in blocks of whole lines, up to the first
 block with a quote, a carriage return, a line of the wrong length, a timestamp
@@ -152,9 +152,9 @@ def event_table(source, fmt="csv", time_unit="hours"):
     each distinct (user, time) event as its user's rank and its time in hours,
     sorted by rank, then time; of equal times (0.0, -0.0) the first stays."""
     if time_unit not in ("hours", "seconds"):
-        raise ValueError(f"ingest_events: unknown time_unit {time_unit!r}")
+        raise ValueError(f"event_table: unknown time_unit {time_unit!r}")
     if fmt not in ("csv", "jsonl"):
-        raise ValueError(f"ingest_events: unknown format {fmt!r}")
+        raise ValueError(f"event_table: unknown format {fmt!r}")
     is_path = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     opened = open_input(source, "event file") if is_path else nullcontext(source)
 
@@ -223,26 +223,16 @@ def event_table(source, fmt="csv", time_unit="hours"):
     return users, rank[keep], hours[keep]
 
 
-def ingest_events(source, fmt="csv", time_unit="hours"):
-    """{user_id: sorted unique timestamps (hours)} of an event file, in order of first appearance."""
-    users, rank, hours = event_table(source, fmt, time_unit)
-    stamps = np.split(hours, np.flatnonzero(rank[1:] != rank[:-1]) + 1)
-    return {user: stamps[r].tolist() for user, r in users.items()}
-
-
-def _check_threshold(threshold, gap_mode):
-    if not 0.0 < threshold < math.inf:  # NaN fails too
-        raise ValueError(f"sessionize: threshold must be finite and positive, got {threshold}")
-    if gap_mode not in GAP_MODES:
-        raise ValueError(f"sessionize: unknown gap_mode {gap_mode!r}")
-
-
-def session_table(rank, hours, threshold, gap_mode="start-to-start"):
+def session_table(users, rank, hours, threshold, gap_mode="start-to-start"):
     """(first, t, g, d): the start, gap and event count of each session of
-    events sorted by rank, then time; rank r's are first[r]:first[r + 1].  A
-    new user or a step of at least threshold starts a session; a user's first
-    gap is 0, a later one start-to-start or end-to-start, and finite."""
-    _check_threshold(threshold, gap_mode)
+    events sorted by rank, then time, where users[r] is rank r's id; rank
+    r's sessions are first[r]:first[r + 1].  A new user or a step of at
+    least threshold starts a session; a user's first gap is 0, a later one
+    start-to-start or end-to-start, and finite."""
+    if not 0.0 < threshold < math.inf:  # NaN fails too
+        raise ValueError(f"session_table: threshold must be finite and positive, got {threshold}")
+    if gap_mode not in GAP_MODES:
+        raise ValueError(f"session_table: unknown gap_mode {gap_mode!r}")
     new_user = rank[1:] != rank[:-1]
     with np.errstate(over="ignore"):  # a step past the float range is inf: a break, and a gap that fails
         starts = np.flatnonzero(np.concatenate(([True], new_user | (hours[1:] - hours[:-1] >= threshold))))
@@ -252,31 +242,10 @@ def session_table(rank, hours, threshold, gap_mode="start-to-start"):
     first = np.concatenate(([True], new_user[starts[1:] - 1]))
     g[first] = 0.0
     if not np.isfinite(g).all():
-        raise DataError(f"Session: bad gap {g[~np.isfinite(g)][0]}")
+        k = np.flatnonzero(~np.isfinite(g))[0]
+        user, start = users[rank[starts[k]]], t[k].item()
+        raise DataError(f"Session: bad gap {g[k]} (user {user!r}, session at t = {start!r})")
     return np.append(np.flatnonzero(first), t.size), t, g, np.diff(starts, append=hours.size)
-
-
-def sessionize(user_id, timestamps, threshold, gap_mode="start-to-start"):
-    """One user's sorted timestamps, duplicates kept, as a SessionSequence."""
-    return sessionize_log({user_id: timestamps}, threshold, gap_mode)[0]
-
-
-def sessionize_log(per_user, threshold, gap_mode="start-to-start"):
-    """Sessionize every user of an ingested log; output is user-sorted."""
-    if not per_user:
-        return []
-    _check_threshold(threshold, gap_mode)
-    users, columns = sorted(per_user), []
-    for user in users:
-        if len(per_user[user]) == 0:
-            raise DataError(f"sessionize: no events for user {user!r}")
-        columns.append(ts := np.asarray(per_user[user], dtype=np.float64))
-        if np.any(ts[1:] < ts[:-1]):
-            raise ValueError(f"sessionize: timestamps not sorted for user {user!r}")
-    rank = np.repeat(np.arange(len(users)), [ts.size for ts in columns])
-    first, t, g, d = session_table(rank, np.concatenate(columns), threshold, gap_mode)
-    sessions, first = list(map(Session, t.tolist(), g.tolist(), d.tolist())), first.tolist()
-    return [SessionSequence(user, sessions[a:b]) for user, a, b in zip(users, first, first[1:])]
 
 
 def derive_seed(seed, *tokens):

@@ -197,30 +197,22 @@ def predict_next(params, prefix, n_samples=32, seed=0):
     return _evaluate(params, [prefix], n_samples, seed, rolling=False).records()[0]
 
 
-def rolling_evaluate(params, seq, n_samples=32, seed=0):
-    """One prediction per prefix length i = 1..n-1, paired with what the user
-    actually did next.  Exactly n-1 records; identical to calling
-    predict_next on each prefix because filtering is causal and deterministic
-    and each record takes the row of its step from its user's stream."""
-    if len(seq) < 2:
-        raise DataError(f"rolling_evaluate: need >= 2 sessions, got {len(seq)} for {seq.user_id!r}")
-    return rolling_evaluate_many(params, [seq], n_samples, seed)
-
-
 def rolling_columns(params, sequences, n_samples=32, seed=0):
-    """rolling_evaluate across users (skipping length-1 sequences) as
-    PredictionColumns, in user-sorted order."""
+    """One prediction per prefix length i = 1..n-1 of every sequence of n >= 2
+    sessions (shorter ones are skipped), paired with what the user actually
+    did next, as PredictionColumns in user-sorted order.  Each record equals
+    predict_next on its prefix: filtering is causal and deterministic, and
+    each record takes the row of its step from its user's stream."""
     ordered = sorted((s for s in sequences if len(s) >= 2), key=lambda s: s.user_id)
     if not ordered:
-        raise DataError("rolling_evaluate_many: no sequence has >= 2 sessions")
+        raise DataError("rolling_columns: no sequence has >= 2 sessions")
     if n_samples < 1:
-        raise ValueError(f"rolling_evaluate: n_samples must be >= 1, got {n_samples}")
+        raise ValueError(f"rolling_columns: n_samples must be >= 1, got {n_samples}")
     return _evaluate(params, ordered, n_samples, seed, rolling=True)
 
 
 def rolling_evaluate_many(params, sequences, n_samples=32, seed=0):
-    """rolling_evaluate across users (skipping length-1 sequences), flattened
-    in user-sorted order: the records of ``rolling_columns``."""
+    """The records of ``rolling_columns``, in user-sorted order."""
     return rolling_columns(params, sequences, n_samples, seed).records()
 
 

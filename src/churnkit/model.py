@@ -177,9 +177,8 @@ def _table(seqs):
     gs = [s.g for seq in seqs for s in seq.sessions]
     ds = np.array([s.d for seq in seqs for s in seq.sessions], float)
     n = np.array([len(seq.sessions) for seq in seqs])
-    # math's log1p and lgamma, element by element: numpy's log1p can differ in the last bit
-    cols = np.array([gs, ds, list(map(math.lgamma, (ds + 1.0).tolist())), list(map(math.log1p, gs)),
-                     list(map(math.log1p, ds.tolist()))])
+    # math's log1p, element by element: numpy's can differ in the last bit
+    cols = np.array([gs, ds, K.log_factorial(ds), list(map(math.log1p, gs)), list(map(math.log1p, ds.tolist()))])
     return [seq.user_id for seq in seqs], n, np.cumsum(n) - n, cols
 
 

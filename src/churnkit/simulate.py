@@ -138,7 +138,6 @@ def _model_users(uids, rngs, params, horizon, cap):
     conditional log-likelihood of what was sampled, gap densities from the
     second session on and zero-truncated Poisson durations for every session.
     """
-    from scipy import special  # for gammaln; it is slow to import, and no other generator needs it
     w = K.Cell(params)
     wt = float(params.head_wt)
     loglik, churned, t = np.zeros(len(uids)), np.zeros(len(uids), dtype=bool), np.zeros(len(uids))
@@ -169,7 +168,7 @@ def _model_users(uids, rngs, params, horizon, cap):
         check(np.flatnonzero(gamma > WALK_RATE_MAX),
               lambda j: f"failed at step {i}: duration rate {gamma[j]:.3g} too large for a CDF walk")
         d = zt_poisson_at(gamma, uni[:, 1])
-        ll = K.dur_loglik(lg, d, special.gammaln(d + 1.0))[0] - np.log(-np.expm1(-gamma))
+        ll = K.dur_loglik(lg, d, K.log_factorial(d))[0] - np.log(-np.expm1(-gamma))
         if i:
             ll = K.gap_loglik(a, wt, g)[0] + ll
         check(np.flatnonzero(~np.isfinite(ll)), lambda j: f"failed at step {i}: non-finite log-likelihood")

@@ -199,7 +199,8 @@ def test_non_finite_timestamp_is_data_error(tmp_path, fmt, text):
 def test_gap_past_the_float_range_is_data_error_without_warnings(tmp_path, capsys, gap_mode):
     # it used to print two "overflow encountered in subtract" RuntimeWarnings
     # first, and under -W error to end in a traceback with exit 1; users far
-    # apart from each other used to warn too
+    # apart from each other used to warn too.  The message names the user and
+    # the start of the session whose gap overflows
     src, out = tmp_path / "events.csv", tmp_path / "s.jsonl"
     argv = ["sessionize", "--in", str(src), "--out", str(out), "--gap-mode", gap_mode]
     with warnings.catch_warnings():
@@ -207,10 +208,11 @@ def test_gap_past_the_float_range_is_data_error_without_warnings(tmp_path, capsy
         src.write_text("user_id,timestamp\nu1,-1e308\nu1,1e308\n")
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "churnkit sessionize: data error: Session: bad gap inf" in err
+        assert "churnkit sessionize: data error: Session: bad gap inf (user 'u1', session at t = 1e+308)\n" in err
         assert "RuntimeWarning" not in err and "Traceback" not in err
         src.write_text("user_id,timestamp\na,1e308\nb,-1e308\nb,1e308\nc,-1e308\n")
-        assert main(argv) == 2 and "bad gap inf" in capsys.readouterr().err
+        assert main(argv) == 2
+        assert "Session: bad gap inf (user 'b', session at t = 1e+308)\n" in capsys.readouterr().err
         src.write_text("user_id,timestamp\na,1e308\nb,-1e308\nb,0\nc,-1e308\n")
         assert main(argv) == 0
     assert [json.loads(line)["user_id"] for line in out.read_text().splitlines()] == ["a", "b", "c"]
@@ -848,6 +850,8 @@ def test_default_commands_load_no_scipy(tmp_path, wt_mode):
         ["simulate", "--kind", "regime_switching", "--users", "8", "--horizon", "80", "--out", str(s)],
         ["train", "--sessions", str(s), "--out", m, "--epochs", "1", "--hidden", "4", "--mlp-hidden", "3",
          "--wt-mode", wt_mode],
+        ["simulate", "--kind", "from_model", "--from-model", m, "--users", "8", "--horizon", "80",
+         "--out", str(tmp_path / "g.jsonl")],
         ["predict", *held_out, "--out", str(tmp_path / "p.csv")],
         ["evaluate", *held_out, "--out", str(tmp_path / "v.csv")],
     ]

@@ -25,12 +25,12 @@ from churnkit.errors import DataError
 from churnkit.eventlog import (
     Session,
     SessionSequence,
-    ingest_events,
+    event_table,
     read_sessions,
-    sessionize,
-    sessionize_log,
+    session_table,
     split_users,
     write_json,
+    write_session_table,
     write_sessions,
     write_table,
 )
@@ -40,9 +40,21 @@ def _csv(text):
     return io.StringIO(text)
 
 
-def _bits(per_user):
-    """Users in dict order, each with the exact bits of its times (-0.0 is not 0.0)."""
-    return [(user, [t.hex() for t in stamps]) for user, stamps in per_user.items()]
+def _cols(table):
+    """An event table as lists: the (user, rank) pairs in dict order, the ranks and the hours."""
+    users, rank, hours = table
+    return list(users.items()), rank.tolist(), hours.tolist()
+
+
+def _bits(table):
+    """``_cols`` with the exact bits of each time (-0.0 is not 0.0)."""
+    users, rank, hours = _cols(table)
+    return users, rank, [t.hex() for t in hours]
+
+
+def _one_user(ts):
+    """session_table's users, ranks and hours for the sorted times ts of one user "u"."""
+    return ["u"], np.zeros(len(ts), np.uint8), np.asarray(ts, np.float64)
 
 
 def _row_loop():
@@ -89,28 +101,29 @@ def _clean_csv(draw):
 
 class TestIngest:
     def test_direct_parse(self):
-        got = ingest_events(_csv("user_id,timestamp\nu1,0.0\nu1,1.5\nu2,2.0\n"))
-        assert got == {"u1": [0.0, 1.5], "u2": [2.0]}
+        got = event_table(_csv("user_id,timestamp\nu1,0.0\nu1,1.5\nu2,2.0\n"))
+        assert _cols(got) == ([("u1", 0), ("u2", 1)], [0, 0, 1], [0.0, 1.5, 2.0])
 
     def test_out_of_order_rows_are_sorted(self):
-        got = ingest_events(_csv("user_id,timestamp\nu1,5.0\nu1,1.0\n"))
-        assert got == {"u1": [1.0, 5.0]}
+        # by user rank, then time; the users stay in order of first appearance
+        got = event_table(_csv("user_id,timestamp\nu2,5.0\nu1,3.0\nu2,1.0\n"))
+        assert _cols(got) == ([("u2", 1), ("u1", 0)], [0, 1, 1], [3.0, 1.0, 5.0])
 
     def test_exact_duplicates_dropped(self):
-        got = ingest_events(_csv("user_id,timestamp\nu1,1.0\nu1,1.0\n"))
-        assert got == {"u1": [1.0]}
+        got = event_table(_csv("user_id,timestamp\nu1,1.0\nu1,1.0\n"))
+        assert _cols(got) == ([("u1", 0)], [0], [1.0])
 
     def test_malformed_row_names_line_number(self):
         with pytest.raises(DataError, match="line 3"):
-            ingest_events(_csv("user_id,timestamp\nu1,1.0\nu1\n"))
+            event_table(_csv("user_id,timestamp\nu1,1.0\nu1\n"))
 
     def test_unparseable_timestamp_names_line(self):
         with pytest.raises(DataError, match="line 2.*nonsense"):
-            ingest_events(_csv("user_id,timestamp\nu1,nonsense\n"))
+            event_table(_csv("user_id,timestamp\nu1,nonsense\n"))
 
     def test_header_required(self):
         with pytest.raises(DataError, match="header"):
-            ingest_events(_csv("u1,1.0\nu1,2.0\n"))
+            event_table(_csv("u1,1.0\nu1,2.0\n"))
 
     def test_jsonl_and_iso8601(self):
         lines = "\n".join(
@@ -119,16 +132,16 @@ class TestIngest:
                 json.dumps({"user_id": "a", "timestamp": "1970-01-01T03:00:00Z"}),
             ]
         )
-        got = ingest_events(io.StringIO(lines), fmt="jsonl", time_unit="seconds")
-        assert got == {"a": [2.0, 3.0]}
+        got = event_table(io.StringIO(lines), fmt="jsonl", time_unit="seconds")
+        assert _cols(got) == ([("a", 0)], [0, 0], [2.0, 3.0])
 
     def test_numeric_hours_is_the_default_unit(self):
-        got = ingest_events(_csv("user_id,timestamp\nu1,36.5\n"))
-        assert got == {"u1": [36.5]}
+        got = event_table(_csv("user_id,timestamp\nu1,36.5\n"))
+        assert _cols(got) == ([("u1", 0)], [0], [36.5])
 
     def test_jsonl_bad_line(self):
         with pytest.raises(DataError, match="line 2"):
-            ingest_events(io.StringIO('{"user_id":"a","timestamp":1}\n{oops\n'), fmt="jsonl")
+            event_table(io.StringIO('{"user_id":"a","timestamp":1}\n{oops\n'), fmt="jsonl")
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -141,18 +154,17 @@ class TestIngest:
         text = text.replace("\n", newline)  # CRLF lines stay on the column parse too
         results = []
         with mock.patch.object(eventlog, "BLOCK_CHARS", block), _spy_columns(results):
-            got = ingest_events(_csv(text), time_unit=time_unit)
+            got = event_table(_csv(text), time_unit=time_unit)
         assert results and all(r is not None for r in results)  # no row loop
         with _row_loop():
-            want = ingest_events(_csv(text), time_unit=time_unit)
-        assert got == want
+            want = event_table(_csv(text), time_unit=time_unit)
         assert _bits(got) == _bits(want)
-        assert all(type(t) is float for stamps in got.values() for t in stamps)
+        assert got[1].dtype == want[1].dtype and got[2].dtype == want[2].dtype == np.float64
 
     def test_lines_of_other_lengths_go_to_the_row_loop(self):
         # 2 fields, then 4: as many as two lines of 3, but in other places
-        got = ingest_events(_csv("user_id,timestamp,x\nu2,2.0\nu1,5,7,9\n"))
-        assert got == {"u2": [2.0], "u1": [5.0]}
+        got = event_table(_csv("user_id,timestamp,x\nu2,2.0\nu1,5,7,9\n"))
+        assert _cols(got) == ([("u2", 1), ("u1", 0)], [0, 1], [5.0, 2.0])
 
     def test_first_of_equal_times_stays(self):
         # 0.0 == -0.0, so, as in a set, a user keeps the first of them
@@ -160,9 +172,10 @@ class TestIngest:
         middle = [f"u{i % 3},{rng.choice(['0.0', '-0.0', '0', '1.5'])}\n" for i in range(3000)]
         text = "user_id,timestamp\nu0,-0.0\nu1,-0.0\nu2,-0.0\n" + "".join(middle) + "u0,0\nu1,0\nu2,0\n"
         with _row_loop():
-            want = ingest_events(_csv(text))
-        first = ["-0x0.0p+0", "0x1.8000000000000p+0"]  # -0.0, 1.5
-        assert _bits(ingest_events(_csv(text))) == _bits(want) == [(f"u{i}", first) for i in range(3)]
+            want = event_table(_csv(text))
+        first = ["-0x0.0p+0", "0x1.8000000000000p+0"] * 3  # -0.0, 1.5 for each user
+        assert _bits(event_table(_csv(text))) == _bits(want) == ([(f"u{i}", i) for i in range(3)], [0, 0, 1, 1, 2, 2],
+                                                                  first)
 
 
 # 12 clean lines (2 to 13), so that a tail at line 14 is in a later block
@@ -190,16 +203,16 @@ def test_row_loop_takes_over_in_a_later_block(tmp_path, capsys, tail, message):
     events = tmp_path / "events.csv"
     events.write_text(_HEAD + tail + "u9,99.0\n", newline="")
 
-    def sessionize(out):
+    def run(out):
         code = main(["sessionize", "--in", str(events), "--out", str(out)])
         return code, capsys.readouterr().err, out.read_text() if out.exists() else None
 
     results = []
     with mock.patch.object(eventlog, "BLOCK_CHARS", 16), _spy_columns(results):
-        got = sessionize(tmp_path / "blocks.jsonl")
+        got = run(tmp_path / "blocks.jsonl")
     assert results[0] is not None and results[-1] is None
     with _row_loop():
-        want = sessionize(tmp_path / "rows.jsonl")
+        want = run(tmp_path / "rows.jsonl")
     assert got == want
     if message is None:
         assert got[0] == 0
@@ -238,7 +251,7 @@ def _events(draw):
 @example(rows=[("u1", 0.0), ("u2", 1.0), ("u1", 0.5), ("u2", -0.0), ('q"t', 3.0), ("u1", 0.5), ("u1", -0.0)],
          fmt="csv", time_unit="hours", threshold=0.5, gap_mode="end-to-start", block=16)
 def test_sessionize_equals_the_per_user_reference(rows, fmt, time_unit, threshold, gap_mode, block):
-    # the CLI's sessions file, byte for byte, and ingest_events' dict, key order and bits
+    # the CLI's sessions file, byte for byte, and event_table's columns, user order and bits
     scale = 3600.0 if time_unit == "seconds" else 1.0
     stamps = [t * scale for _, t in rows]
     want = ref.ingest((user, float(repr(t)) / scale) for (user, _), t in zip(rows, stamps))
@@ -252,47 +265,50 @@ def test_sessionize_equals_the_per_user_reference(rows, fmt, time_unit, threshol
         events, got, expected = Path(tmp, "events"), Path(tmp, "got.jsonl"), Path(tmp, "want.jsonl")
         events.write_text(text, encoding="utf-8", newline="")
         assert main(["sessionize", "--in", str(events), "--out", str(got), *flags]) == 0
-        ingested = ingest_events(events, fmt, time_unit)
+        table = event_table(events, fmt, time_unit)
         sequences = [ref.sessionize(user, want[user], threshold, gap_mode) for user in sorted(want)]
         write_sessions(sequences, expected)
         assert got.read_bytes() == expected.read_bytes() == ref.sessions_text(sequences).encode()
-    assert _bits(ingested) == _bits(want)
+    ids = sorted(want)
+    assert _bits(table) == ([(user, ids.index(user)) for user in want],
+                            [r for r, user in enumerate(ids) for _ in want[user]],
+                            [t.hex() for user in ids for t in want[user]])
 
 
 class TestAdapters:
-    """ingest_events, sessionize and sessionize_log over the table path keep
-    their results and their errors."""
+    """event_table's user order, session_table's checks of its arguments and
+    of its gaps, and session_table against the per-user reference."""
 
     def test_ingest_keeps_the_order_of_first_appearance(self):
         text = "user_id,timestamp\nz,3\na,-0.0\nz,1\nm,2\na,0\na,-1\n"
         for parse in (nullcontext, _row_loop):  # the block parse, then the row loop
             with parse():
-                got = ingest_events(_csv(text))
-            assert list(got) == ["z", "a", "m"]
-            assert _bits(got) == [("z", ["0x1.0000000000000p+0", "0x1.8000000000000p+1"]),
-                                  ("a", ["-0x1.0000000000000p+0", "-0x0.0p+0"]), ("m", ["0x1.0000000000000p+1"])]
+                got = event_table(_csv(text))
+            assert _bits(got) == ([("z", 2), ("a", 0), ("m", 1)], [0, 0, 1, 2, 2],
+                                  ["-0x1.0000000000000p+0", "-0x0.0p+0", "0x1.0000000000000p+1",
+                                   "0x1.0000000000000p+0", "0x1.8000000000000p+1"])
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_threshold(self, threshold):
-        for call in (lambda: sessionize("u", [], threshold), lambda: sessionize_log({"u": [2.0, 1.0]}, threshold)):
-            with pytest.raises(ValueError, match=re.escape(f"threshold must be finite and positive, got {threshold}")):
-                call()
-        assert sessionize_log({}, threshold) == []  # no user, nothing to check
+        message = f"session_table: threshold must be finite and positive, got {threshold}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            session_table(*_one_user([1.0, 2.0]), threshold)
 
     def test_bad_gap_mode(self):
-        for call in (lambda: sessionize("u", [], 1.0, "both"), lambda: sessionize_log({"u": [1.0]}, 1.0, "both")):
-            with pytest.raises(ValueError, match="sessionize: unknown gap_mode 'both'"):
-                call()
+        with pytest.raises(ValueError, match="session_table: unknown gap_mode 'both'"):
+            session_table(*_one_user([1.0]), 1.0, "both")
 
     def test_no_events_and_unsorted_name_the_first_user(self):
-        with pytest.raises(DataError, match="sessionize: no events for user 'u'"):
-            sessionize("u", [], 1.0)
-        with pytest.raises(ValueError, match="sessionize: timestamps not sorted for user 'u'"):
-            sessionize("u", [1.0, 3.0, 2.0], 1.0)
-        with pytest.raises(DataError, match="no events for user 'b'"):
-            sessionize_log({"c": [2.0, 1.0], "b": [], "a": [1.0]}, 1.0)
-        with pytest.raises(ValueError, match="timestamps not sorted for user 'b'"):
-            sessionize_log({"c": [], "b": np.array([2.0, 1.0]), "a": [1.0]}, 1.0)
+        with pytest.raises(DataError, match="event file contains no events"):
+            event_table(io.StringIO("\n\n"), fmt="jsonl")
+        # rows out of order come out by user rank, then time; of two users whose
+        # gaps overflow, the first in rank order is named, with its session's start
+        users, rank, hours = event_table(_csv("user_id,timestamp\nc,1e308\nc,-1e308\nb,1e308\na,1\nb,-1e308\n"))
+        assert list(users.items()) == [("c", 2), ("b", 1), ("a", 0)]
+        assert (rank.tolist(), hours.tolist()) == ([0, 1, 1, 2, 2], [1.0, -1e308, 1e308, -1e308, 1e308])
+        for gap_mode in ("start-to-start", "end-to-start"):
+            with pytest.raises(DataError, match=re.escape("Session: bad gap inf (user 'b', session at t = 1e+308)")):
+                session_table(sorted(users), rank, hours, 1.0, gap_mode)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(
@@ -302,68 +318,75 @@ class TestAdapters:
         gap_mode=st.sampled_from(["start-to-start", "end-to-start"]),
     )
     def test_sessionize_equals_the_reference_duplicates_kept(self, per_user, threshold, gap_mode):
-        want = [ref.sessionize(user, per_user[user], threshold, gap_mode) for user in sorted(per_user)]
-        got = sessionize_log(per_user, threshold, gap_mode)
-        cells = lambda seqs: [(q.user_id, [(s.t.hex(), s.g.hex(), s.d) for s in q.sessions]) for q in seqs]
-        assert cells(got) == cells(want)
-        assert cells([sessionize(q.user_id, per_user[q.user_id], threshold, gap_mode) for q in want]) == cells(want)
+        ids = sorted(per_user)
+        want = [ref.sessionize(user, per_user[user], threshold, gap_mode) for user in ids]
+        rank = np.repeat(np.arange(len(ids), dtype=np.uint8), [len(per_user[user]) for user in ids])
+        first, t, g, d = session_table(ids, rank, np.concatenate([per_user[user] for user in ids]), threshold, gap_mode)
+        cells = lambda t, g, d: list(zip(map(float.hex, t.tolist()), map(float.hex, g.tolist()), d.tolist()))
+        assert first.tolist() == np.cumsum([0, *map(len, want)]).tolist()
+        assert cells(t, g, d) == [(s.t.hex(), s.g.hex(), s.d) for q in want for s in q.sessions]
+        for q in want:  # each user alone gives its own rows
+            _, *alone = session_table(*_one_user(per_user[q.user_id]), threshold, gap_mode)
+            assert cells(*alone) == [(s.t.hex(), s.g.hex(), s.d) for s in q.sessions]
 
 
 class TestSessionize:
     def test_hand_traced_example(self):
-        seq = sessionize("u", [0.0, 0.4, 0.9, 5.0, 5.2], threshold=1.0)
-        assert [(s.t, s.g, s.d) for s in seq.sessions] == [(0.0, 0.0, 3), (5.0, 5.0, 2)]
+        first, t, g, d = session_table(*_one_user([0.0, 0.4, 0.9, 5.0, 5.2]), threshold=1.0)
+        assert (first.tolist(), t.tolist(), g.tolist(), d.tolist()) == ([0, 2], [0.0, 5.0], [0.0, 5.0], [3, 2])
 
     def test_singleton(self):
-        seq = sessionize("u", [3.0], threshold=1.0)
-        assert [(s.t, s.g, s.d) for s in seq.sessions] == [(3.0, 0.0, 1)]
+        first, t, g, d = session_table(*_one_user([3.0]), threshold=1.0)
+        assert (first.tolist(), t.tolist(), g.tolist(), d.tolist()) == ([0, 1], [3.0], [0.0], [1])
 
     def test_boundary_is_exclusive(self):
         # a gap exactly equal to the threshold starts a new session
-        seq = sessionize("u", [0.0, 1.0], threshold=1.0)
-        assert len(seq) == 2
-        assert seq.sessions[1].g == pytest.approx(1.0)
+        _, t, g, _ = session_table(*_one_user([0.0, 1.0]), threshold=1.0)
+        assert len(t) == 2
+        assert g[1] == pytest.approx(1.0)
 
     def test_end_to_start_gap_mode(self):
-        seq = sessionize("u", [0.0, 0.4, 5.0], threshold=1.0, gap_mode="end-to-start")
-        assert seq.sessions[1].g == pytest.approx(5.0 - 0.4)
-        seq2 = sessionize("u", [0.0, 0.4, 5.0], threshold=1.0)
-        assert seq2.sessions[1].g == pytest.approx(5.0)
+        _, _, g, _ = session_table(*_one_user([0.0, 0.4, 5.0]), threshold=1.0, gap_mode="end-to-start")
+        assert g[1] == pytest.approx(5.0 - 0.4)
+        _, _, g2, _ = session_table(*_one_user([0.0, 0.4, 5.0]), threshold=1.0)
+        assert g2[1] == pytest.approx(5.0)
 
     def test_empty_events_rejected(self):
-        with pytest.raises(DataError):
-            sessionize("u", [], threshold=1.0)
+        with pytest.raises(DataError, match="event file contains no events"):
+            event_table(_csv("user_id,timestamp\n"))
+        with pytest.raises(DataError, match="empty event file"):
+            event_table(_csv(""))
 
     def test_duration_sum_equals_event_count(self):
+        # 50 users in one table: each user's durations add up to its events
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            ts = np.sort(rng.uniform(0, 100, size=rng.integers(1, 200)))
-            ts = np.unique(ts)
-            seq = sessionize("u", ts, threshold=0.5)
-            assert sum(s.d for s in seq.sessions) == len(ts)
+        per_user = [np.unique(rng.uniform(0, 100, size=rng.integers(1, 200))) for _ in range(50)]
+        rank = np.repeat(np.arange(50, dtype=np.uint8), list(map(len, per_user)))
+        first, _, _, d = session_table([f"u{k}" for k in range(50)], rank, np.concatenate(per_user), threshold=0.5)
+        assert np.add.reduceat(d, first[:-1]).tolist() == list(map(len, per_user))
 
     def test_gap_and_within_session_invariants(self):
         rng = np.random.default_rng(3)
         psi = 0.75
         for _ in range(50):
             ts = np.unique(np.sort(rng.uniform(0, 60, size=150)))
-            seq = sessionize("u", ts, threshold=psi)
+            _, t, g, d = session_table(*_one_user(ts), threshold=psi)
             # brute force: find each session's events again
-            starts = [s.t for s in seq.sessions]
-            for i, s in enumerate(seq.sessions[1:], start=1):
-                assert s.g >= psi
-                assert s.g == pytest.approx(starts[i] - starts[i - 1])
+            starts = t.tolist()
+            for i in range(1, len(starts)):
+                assert g[i] >= psi
+                assert g[i] == pytest.approx(starts[i] - starts[i - 1])
             bounds = starts + [np.inf]
-            for i, s in enumerate(seq.sessions):
+            for i in range(len(starts)):
                 inside = ts[(ts >= bounds[i]) & (ts < bounds[i + 1])]
-                assert len(inside) == s.d
+                assert len(inside) == d[i]
                 if len(inside) > 1:
                     assert np.max(np.diff(inside)) < psi
 
     def test_coarsening_is_monotone_in_threshold(self):
         rng = np.random.default_rng(4)
         ts = np.unique(np.sort(rng.uniform(0, 40, size=300)))
-        counts = [len(sessionize("u", ts, threshold=t)) for t in (0.05, 0.1, 0.3, 0.9, 2.7)]
+        counts = [len(session_table(*_one_user(ts), threshold=t)[1]) for t in (0.05, 0.1, 0.3, 0.9, 2.7)]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
 
     def test_reconstruction_roundtrip(self):
@@ -372,19 +395,19 @@ class TestSessionize:
         rng = np.random.default_rng(5)
         ts = np.unique(np.sort(rng.uniform(0, 80, size=220)))
         psi = 1.0
-        seq = sessionize("u", ts, threshold=psi)
+        _, t, _, d = session_table(*_one_user(ts), threshold=psi)
         rebuilt = []
-        for s in seq.sessions:
-            step = min(0.01, psi / (2.0 * s.d))
-            rebuilt.extend(s.t + k * step for k in range(s.d))
-        seq2 = sessionize("u", sorted(rebuilt), threshold=psi)
-        assert [(s.t, s.d) for s in seq2.sessions] == [(s.t, s.d) for s in seq.sessions]
+        for start, n in zip(t.tolist(), d.tolist()):
+            step = min(0.01, psi / (2.0 * n))
+            rebuilt.extend(start + k * step for k in range(n))
+        _, t2, _, d2 = session_table(*_one_user(sorted(rebuilt)), threshold=psi)
+        assert (t2.tolist(), d2.tolist()) == (t.tolist(), d.tolist())
 
     def test_determinism(self):
         ts = [0.0, 0.2, 3.0, 3.1, 9.0]
-        a = sessionize("u", ts, threshold=1.0)
-        b = sessionize("u", ts, threshold=1.0)
-        assert [(s.t, s.g, s.d) for s in a.sessions] == [(s.t, s.g, s.d) for s in b.sessions]
+        a = session_table(*_one_user(ts), threshold=1.0)
+        b = session_table(*_one_user(ts), threshold=1.0)
+        assert [col.tolist() for col in a] == [col.tolist() for col in b]
 
 
 class TestSplitUsers:
@@ -424,17 +447,15 @@ class TestSplitUsers:
 
 class TestSessionsIO:
     def test_roundtrip(self, tmp_path):
-        per_user = {"b": [0.0, 0.1, 4.0], "a": [2.0]}
-        seqs = sessionize_log(per_user, threshold=1.0)
-        assert [s.user_id for s in seqs] == ["a", "b"]  # user-sorted
+        users, rank, hours = event_table(_csv("user_id,timestamp\nb,0.0\nb,0.1\nb,4.0\na,2.0\n"))
+        ids = sorted(users)  # user-sorted
+        first, t, g, d = session_table(ids, rank, hours, threshold=1.0)
         path = tmp_path / "sessions.jsonl"
-        write_sessions(seqs, path)
+        write_session_table(path, ids, first, t, g, d)
         back = read_sessions(path)
         assert [s.user_id for s in back] == ["a", "b"]
-        for orig, loaded in zip(seqs, back):
-            assert [(s.t, s.g, s.d) for s in orig.sessions] == [
-                (s.t, s.g, s.d) for s in loaded.sessions
-            ]
+        assert first.tolist() == [0, 1, 3]
+        assert [(s.t, s.g, s.d) for q in back for s in q.sessions] == list(zip(t.tolist(), g.tolist(), d.tolist()))
 
     def test_read_rejects_garbage(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -445,13 +466,12 @@ class TestSessionsIO:
     @pytest.mark.parametrize("gap_mode", ["start-to-start", "end-to-start"])
     def test_sessionized_files_load(self, tmp_path, gap_mode):
         rng = np.random.default_rng(6)
-        per_user = {u: sorted(4.4e5 + rng.uniform(0, 500, size=300)) for u in ("a", "b")}
-        seqs = sessionize_log(per_user, threshold=0.5, gap_mode=gap_mode)
-        write_sessions(seqs, tmp_path / "s.jsonl")
+        hours = np.concatenate([np.sort(4.4e5 + rng.uniform(0, 500, size=300)) for _ in "ab"])
+        first, t, g, d = session_table(["a", "b"], np.repeat(np.uint8([0, 1]), 300), hours, 0.5, gap_mode)
+        write_session_table(tmp_path / "s.jsonl", ["a", "b"], first, t, g, d)
         back = read_sessions(tmp_path / "s.jsonl")
-        assert [[(s.t, s.g, s.d) for s in q.sessions] for q in back] == [
-            [(s.t, s.g, s.d) for s in q.sessions] for q in seqs
-        ]
+        assert [len(q) for q in back] == np.diff(first).tolist()
+        assert [(s.t, s.g, s.d) for q in back for s in q.sessions] == list(zip(t.tolist(), g.tolist(), d.tolist()))
 
     def test_simulated_files_load(self, tmp_path):
         # simulate adds each gap to the last start time, so about half the gaps
@@ -530,7 +550,7 @@ class TestWriters:
     @pytest.mark.parametrize("write", [
         lambda path: write_table(path, ("a",), [(1,)]),
         lambda path: write_json(path, {}),
-        lambda path: write_sessions(sessionize_log({"u": [0.0]}, 1.0), path),
+        lambda path: write_session_table(path, ["u"], *session_table(*_one_user([0.0]), 1.0)),
     ], ids=["table", "json", "sessions"])
     def test_an_unwritable_path_is_a_data_error_naming_it(self, tmp_path, write):
         path = tmp_path / "missing" / "out"

@@ -18,7 +18,6 @@ from churnkit.inference import (
     PredictionRecord,
     churn_alarm,
     predict_next,
-    rolling_evaluate,
     rolling_evaluate_many,
     user_history_stats,
 )
@@ -103,7 +102,7 @@ class TestPredictNext:
 class TestRollingEvaluate:
     def test_record_count_and_alignment(self):
         p = init_params(4, 4, seed=5)
-        records = rolling_evaluate(p, SEQ, n_samples=4, seed=0)
+        records = rolling_evaluate_many(p, [SEQ], n_samples=4, seed=0)
         assert len(records) == len(SEQ) - 1
         for i, rec in enumerate(records, start=1):
             assert rec.step == i
@@ -112,16 +111,16 @@ class TestRollingEvaluate:
 
     def test_length_two_gives_one_record(self):
         p = _zero_params()
-        records = rolling_evaluate(p, _seq([0.0, 1.0], [1, 2]), 4, 0)
+        records = rolling_evaluate_many(p, [_seq([0.0, 1.0], [1, 2])], 4, 0)
         assert len(records) == 1
 
     def test_zero_weight_predicts_unit_everywhere(self):
-        records = rolling_evaluate(_zero_params(), SEQ, 8, 1)
+        records = rolling_evaluate_many(_zero_params(), [SEQ], 8, 1)
         assert all(r.pred_gap == pytest.approx(1.0) for r in records)
 
     def test_matches_predict_next_per_prefix(self):
         for p in (init_params(5, 4, seed=6), _learned_params(5, 6, -0.05), _learned_params(5, 6, 0.2)):
-            records = rolling_evaluate(p, SEQ, n_samples=8, seed=11)
+            records = rolling_evaluate_many(p, [SEQ], n_samples=8, seed=11)
             for i in range(1, len(SEQ)):
                 prefix = SessionSequence(SEQ.user_id, SEQ.sessions[:i])
                 solo = predict_next(p, prefix, n_samples=8, seed=11)
@@ -131,14 +130,14 @@ class TestRollingEvaluate:
     def test_appending_future_does_not_change_earlier_records(self):
         longer = _seq([0.0, 2.0, 1.5, 3.0, 0.9, 4.4], [2, 4, 1, 3, 5, 2])
         for p in (init_params(5, 4, seed=7), _learned_params(5, 7, -0.05), _learned_params(5, 7, 0.2)):
-            short_recs = rolling_evaluate(p, SEQ, 8, 3)
-            long_recs = rolling_evaluate(p, longer, 8, 3)
+            short_recs = rolling_evaluate_many(p, [SEQ], 8, 3)
+            long_recs = rolling_evaluate_many(p, [longer], 8, 3)
             for a, b in zip(short_recs, long_recs):
                 assert a.pred_gap == b.pred_gap and a.pred_dur == b.pred_dur
 
     def test_needs_two_sessions(self):
-        with pytest.raises(DataError):
-            rolling_evaluate(_zero_params(), _seq([0.0], [1]), 4, 0)
+        with pytest.raises(DataError, match="rolling_columns: no sequence has >= 2 sessions"):
+            rolling_evaluate_many(_zero_params(), [_seq([0.0], [1])], 4, 0)
 
     def test_many_skips_short_and_sorts_users(self):
         p = _zero_params()
@@ -162,7 +161,7 @@ class TestRollingEvaluate:
 )
 def test_packs_do_not_change_predictions(data, lengths, hidden, latent_mode, wt, seed):
     """rolling_evaluate_many over packs small enough to split the users (and
-    a long user's steps) equals each user's rolling_evaluate alone in one
+    a long user's steps) equals each user's records scored alone in one
     pack, to 1e-12 relative (with a floor at 1e-12 of the largest entry)."""
     rng = np.random.default_rng(seed)
     seqs = [
@@ -172,7 +171,7 @@ def test_packs_do_not_change_predictions(data, lengths, hidden, latent_mode, wt,
     p = init_params(hidden, 3, seed=seed, wt_mode="learned", latent_mode=latent_mode)
     p.head_wt[...] = wt
     usable = [s for s in seqs if len(s) >= 2]
-    alone = [rec for s in usable for rec in rolling_evaluate(p, s, 4, seed)]
+    alone = [rec for s in usable for rec in rolling_evaluate_many(p, [s], 4, seed)]
     cells = data.draw(st.integers(1, sum(len(s) + 1 for s in usable) // 2))
     with mock.patch.object(inference, "PACK_CELLS", cells):
         # two packs at least, or a lone user's steps cut into two spans at least
@@ -210,10 +209,10 @@ def test_user_stream_is_independent_of_other_users(data, n, others, hidden, wt, 
     crowd = [me, *(make(f"{'a' if k % 2 else 'z'}{k}", m) for k, m in enumerate(others))]
     p = init_params(hidden, 3, seed=seed, wt_mode="learned")
     p.head_wt[...] = wt
-    alone = rolling_evaluate(p, me, 4, seed)
+    alone = rolling_evaluate_many(p, [me], 4, seed)
     together = [r for r in rolling_evaluate_many(p, crowd, 4, seed) if r.user_id == "u"]
     with mock.patch.object(inference, "PACK_CELLS", data.draw(st.integers(1, n // 2 + 1))):
-        split = rolling_evaluate(p, me, 4, seed)
+        split = rolling_evaluate_many(p, [me], 4, seed)
     for recs in (together, split):
         assert [r.step for r in recs] == [r.step for r in alone]
         for name in ("pred_gap", "pred_dur", "a", "gamma"):
