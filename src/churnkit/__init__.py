@@ -24,7 +24,7 @@ from .eventlog import (
     split_users,
     write_sessions,
 )
-from .evalharness import BaselinePredictor, MetricSummary, compare, compute_metrics, fit_baseline
+from .evalharness import BaselinePredictor, MetricSummary, compare, compute_metrics, fit_baselines
 from .inference import (
     AlarmPolicy,
     PredictionRecord,
@@ -69,7 +69,7 @@ __all__ = [
     "compute_metrics",
     "derive_seed",
     "expected_gap",
-    "fit_baseline",
+    "fit_baselines",
     "generate",
     "gradcheck_elbo",
     "init_params",

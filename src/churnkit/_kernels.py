@@ -200,6 +200,12 @@ class Unroll:
         """The heads of every step, ah (S, 2, R), once, after the loop."""
         self.ah = heads(w, self.xh[:-1, 2:3], self.xh[1:, 3:])
 
+    def healthy(self):
+        """(S, R): whether the heads of a step are in the exp range and the
+        state after it is finite, written so that NaN fails too."""
+        ok = (np.abs(self.ah) <= EXP_ARG_MAX).all(axis=1) & np.isfinite(self.xh[1:, 3:]).all(axis=1)
+        return ok & np.isfinite(self.c[1:]).all(axis=1)
+
     def clear(self, run, scored):
         """Zero the entries of each (step, row) its row does not run, before
         ``outputs``: run (S, R) marks MLPs that count, scored draws and states."""

@@ -33,7 +33,7 @@ from .eventlog import (
     write_sessions,
     write_table,
 )
-from .evalharness import BASELINE_KINDS, compare, fit_baseline, fit_baselines
+from .evalharness import BASELINE_KINDS, compare, fit_baselines
 from .inference import AlarmPolicy, churn_alarm, rolling_columns, user_history_stats
 from .model import LATENT_MODES, WT_MODES
 from .simulate import KINDS, GeneratorSpec, generate
@@ -235,10 +235,10 @@ def _cmd_evaluate(args):
         # the first seed scores every method, so compare checks that their records
         # agree; a later one only the seeded methods, and reuses the other summaries
         methods = {m: v for m, v in fitted.items() if m == "model" or seed == seeds[0]}
-        if "ablation_rnn" in method_names:
+        if "ablation_rnn" in method_names:  # the model but for the latent, so that the latent is what differs
             cfg = TrainConfig(epochs=args.ablation_epochs, lr=args.ablation_lr, hidden=params.hidden,
-                              mlp_hidden=params.mlp_hidden, seed=seed)
-            methods["ablation_rnn"] = fit_baseline("ablation_rnn", train_seqs, cfg)
+                              mlp_hidden=params.mlp_hidden, wt_mode=params.wt_mode, latent_mode="fixed", seed=seed)
+            methods["ablation_rnn"], _ = train(train_seqs, cfg)
         per_seed[seed] = per_seed.get(seeds[0], {}) | compare(methods, eval_seqs, args.pred_samples, seed)
 
     metric_fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")

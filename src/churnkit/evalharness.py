@@ -2,9 +2,11 @@
 
 All methods are scored on one shared set of rolling records (same users, same
 prefix lengths), so summaries are directly comparable, and scored as columns
-(``inference.PredictionColumns``).  MRE divides the absolute error by the
-observed value; sessionization guarantees observed gaps are positive and
-durations at least 1, so the ratio is always defined.
+(``inference.PredictionColumns``): a model, the latent-free ablation among
+them, by ``rolling_columns``, and a fitted seedless baseline by its
+``columns``, array operations over one table of the sessions.  MRE divides
+the absolute error by the observed value; sessionization guarantees observed
+gaps are positive and durations at least 1, so the ratio is always defined.
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Optional
 
 import numpy as np
 
 from .errors import DataError
 from .inference import PredictionColumns, rolling_columns, user_history_stats
-from .model import ModelParams
+from .model import ModelParams, _table
 
 BASELINE_KINDS = ("per_user_mean", "global_mean", "last_value", "hom_poisson", "ablation_rnn")
 
@@ -64,66 +65,52 @@ def compute_metrics(records):
 
 @dataclass
 class BaselinePredictor:
-    """Fitted reference predictor; ``params`` is set only for ablation_rnn."""
+    """Fitted seedless reference predictor, scored as record columns."""
 
     kind: str
     global_gap: float = 0.0
     global_dur: float = 0.0
     user_gap: dict = None
     user_dur: dict = None
-    params: Optional[ModelParams] = None
 
-    def predict(self, seq, i):
-        """(pred gap, pred duration) for the session after prefix 1..i."""
+    def columns(self, sequences):
+        """The PredictionColumns at every rolling step i = 1..n-1 of each of
+        sequences, by sequence and step, from one table of their sessions."""
+        ids, n, start, (g, d, *_) = _table(sequences)
+        user = np.repeat(np.arange(len(ids)), n - 1)
+        at = np.delete(np.arange(n.sum()), start)  # every session but each user's first
+        step = at - start[user]
         if self.kind in ("per_user_mean", "hom_poisson"):
-            gap = self.user_gap.get(seq.user_id, self.global_gap)
-            dur = self.user_dur.get(seq.user_id, self.global_dur)
-            return gap, dur
-        if self.kind == "global_mean":
-            return self.global_gap, self.global_dur
-        if self.kind == "last_value":
-            # the first session's gap is a sentinel, so a step-1 prediction
-            # has no previous real gap and falls back to the global mean
-            gap = seq.sessions[i - 1].g if i >= 2 else self.global_gap
-            return gap, float(seq.sessions[i - 1].d)
-        raise ValueError(f"BaselinePredictor: cannot predict with kind {self.kind!r}")
+            means = [(self.user_gap.get(u, self.global_gap), self.user_dur.get(u, self.global_dur)) for u in ids]
+            gap, dur = np.array(means).reshape(-1, 2)[user].T
+        elif self.kind == "global_mean":
+            gap, dur = np.full((2, len(at)), [[self.global_gap], [self.global_dur]])
+        elif self.kind == "last_value":
+            # the first gap is a sentinel, so step 1 falls back to the global mean
+            gap, dur = np.where(step >= 2, g[at - 1], self.global_gap), d[at - 1]
+        else:
+            raise ValueError(f"BaselinePredictor: cannot predict with kind {self.kind!r}")
+        return PredictionColumns([ids[k] for k in user.tolist()], step.tolist(), gap, dur, g[at], d[at])
 
 
-def fit_baseline(kind, train_sequences, config=None):
-    """Fit one baseline on training sequences.
+def fit_baselines(kinds, train_sequences):
+    """{kind: fitted baseline} of each seedless kind, from statistics computed
+    once on the training sequences: the global means, and the per-user means
+    only if a kind reads them.
 
     per_user_mean stores each user's mean gap / duration; hom_poisson stores
     the per-user constant-intensity MLE (whose predicted gap is the same
     sample mean, (n-1)/sum g inverted); last_value only needs the global
-    fallback; ablation_rnn trains the full pipeline with the latent clamped
-    to 0.5 and the KL dropped (config: a TrainConfig).
+    fallback.  ablation_rnn is a model: ``train`` with the latent fixed.
     """
-    if kind != "ablation_rnn":
-        return fit_baselines([kind], train_sequences)[kind]
-    if not train_sequences:
-        raise DataError("fit_baseline: no training sequences")
-    if config is None:
-        raise ValueError("fit_baseline: ablation_rnn needs a TrainConfig")
-    from dataclasses import replace
-
-    from .train import train
-
-    params, _ = train(train_sequences, replace(config, latent_mode="fixed"))
-    return BaselinePredictor(kind=kind, params=params)
-
-
-def fit_baselines(kinds, train_sequences):
-    """{kind: fitted baseline} for kinds other than ablation_rnn, as
-    fit_baseline fits them, from statistics computed once: the global means,
-    and the per-user means only if a kind reads them."""
     if bad := [kind for kind in kinds if kind not in BASELINE_KINDS or kind == "ablation_rnn"]:
-        raise ValueError(f"fit_baseline: unknown kind {bad[0]!r}")
+        raise ValueError(f"fit_baselines: {bad[0]!r} is not a seedless baseline kind")
     if not train_sequences:
-        raise DataError("fit_baseline: no training sequences")
+        raise DataError("fit_baselines: no training sequences")
     all_gaps = [g for s in train_sequences for g in s.gaps()]
     all_durs = [d for s in train_sequences for d in s.durations()]
     if not all_gaps:
-        raise DataError("fit_baseline: training data has no observed gaps")
+        raise DataError("fit_baselines: training data has no observed gaps")
     global_gap = float(np.mean(all_gaps))
     global_dur = float(np.mean(all_durs))
     user_gap = user_dur = None
@@ -136,19 +123,11 @@ def fit_baselines(kinds, train_sequences):
     return {kind: BaselinePredictor(kind, global_gap, global_dur, user_gap, user_dur) for kind in kinds}
 
 
-def _baseline_records(predictor, sequences):
-    """The PredictionColumns of a fitted baseline at every rolling step of
-    sequences, by sequence and step."""
-    at = [(seq, i) for seq in sequences for i in range(1, len(seq))]
-    cols = np.array([(*predictor.predict(seq, i), seq.sessions[i].g, seq.sessions[i].d) for seq, i in at], float)
-    zeros = np.zeros(len(at))
-    return PredictionColumns([seq.user_id for seq, _ in at], [i for _, i in at], *cols.T, zeros, zeros)
-
-
 def compare(methods, test_sequences, n_samples=32, seed=0):
     """Score every method on identical rolling records.
 
-    ``methods`` maps name -> ModelParams or fitted BaselinePredictor.
+    ``methods`` maps name -> ModelParams, scored by ``rolling_columns``, or
+    fitted BaselinePredictor, scored by its ``columns``.
     Returns {name: MetricSummary} in the given order; raises if any method
     produced a different record index set (protocol violation).
     """
@@ -162,10 +141,7 @@ def compare(methods, test_sequences, n_samples=32, seed=0):
         if isinstance(method, ModelParams):
             records = rolling_columns(method, usable, n_samples, seed)
         elif isinstance(method, BaselinePredictor):
-            if method.kind == "ablation_rnn":
-                records = rolling_columns(method.params, usable, n_samples, seed)
-            else:
-                records = _baseline_records(method, usable)
+            records = method.columns(usable)
         else:
             raise ValueError(f"compare: method {name!r} has unsupported type {type(method)!r}")
         this_index = (records.user_id, records.step)

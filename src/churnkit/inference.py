@@ -37,8 +37,6 @@ class PredictionRecord:
     pred_dur: float
     obs_gap: Optional[float] = None
     obs_dur: Optional[int] = None
-    a: float = 0.0  # filtered intensity base at the frontier
-    gamma: float = 0.0  # filtered duration rate at the frontier
 
 
 @dataclass
@@ -53,8 +51,6 @@ class PredictionColumns:
     pred_dur: np.ndarray
     obs_gap: Optional[np.ndarray]
     obs_dur: Optional[np.ndarray]
-    a: np.ndarray
-    gamma: np.ndarray
 
     def __len__(self):
         return len(self.step)
@@ -62,8 +58,8 @@ class PredictionColumns:
     def records(self):
         """The columns as a list of PredictionRecords."""
         obs = (repeat(None),) * 2 if self.obs_gap is None else (self.obs_gap.tolist(), map(int, self.obs_dur.tolist()))
-        floats = (self.pred_gap.tolist(), self.pred_dur.tolist(), *obs, self.a.tolist(), self.gamma.tolist())
-        return list(map(PredictionRecord, self.user_id, self.step, *floats))
+        preds = self.pred_gap.tolist(), self.pred_dur.tolist()
+        return list(map(PredictionRecord, self.user_id, self.step, *preds, *obs))
 
 
 @dataclass
@@ -121,11 +117,9 @@ def _filtered(w, rows):
             for t, A in enumerate(np.count_nonzero(run, axis=1).tolist()):
                 K.cell_fwd(w, u, t, K.width(A, R), lo + t == 0)
             u.outputs(w)
-        # heads in range and a finite state where a row runs, written so that NaN fails too
-        ok = (np.abs(u.ah) <= K.EXP_ARG_MAX).all(axis=1) & np.isfinite(u.xh[1:, 3:]).all(axis=1)
-        ok &= np.isfinite(u.c[1:]).all(axis=1)
-        if not (ok | ~run).all():
-            t, j = np.argwhere(~ok & run)[0]
+        bad = ~u.healthy() & run
+        if bad.any():
+            t, j = np.argwhere(bad)[0]
             raise NumericalError(f"filter: step {lo + t} of {rows.labels[rows.order[j]]!r} diverged")
         yield lo, u, run
         h, c = u.xh[-1, 3:].T, u.c[-1].T
@@ -179,13 +173,11 @@ def _evaluate(params, seqs, n_samples, seed, rolling):
                 s = lo + t
                 gap, dur = _predict(params, w, u.xh[t + 1, 3:, r].T, eps)
                 k = np.asarray(pack)[rows.order[r]]
-                parts.append((k, s, gap, dur, rows.g[s, r], rows.d[s, r], *u.ah[t, :, r].T))
-    k, s, gap, dur, obs_gap, obs_dur, a, lg = map(np.concatenate, zip(*parts))
+                parts.append((k, s, gap, dur, rows.g[s, r], rows.d[s, r]))
+    k, s, gap, dur, obs_gap, obs_dur = map(np.concatenate, zip(*parts))
     at = np.lexsort((s, k))
     obs = (obs_gap[at], obs_dur[at]) if rolling else (None, None)
-    gamma = np.fromiter(map(math.exp, lg[at].tolist()), float, len(at))  # math.exp: np.exp can differ in the last bit
-    return PredictionColumns(list(map(table[0].__getitem__, k[at].tolist())), s[at].tolist(), gap[at], dur[at],
-                             *obs, a[at], gamma)
+    return PredictionColumns(list(map(table[0].__getitem__, k[at].tolist())), s[at].tolist(), gap[at], dur[at], *obs)
 
 
 def predict_next(params, prefix, n_samples=32, seed=0):

@@ -156,10 +156,7 @@ def _model_users(uids, rngs, params, horizon, cap):
         K.cell_fwd(w, u, 0, live.size, first=i == 0, generate=True)
         u.outputs(w)
         a, lg = u.ah[0]
-        # heads in range and a finite state, written so that NaN fails too
-        ok = (np.abs(u.ah[0]) <= K.EXP_ARG_MAX).all(axis=0) & np.isfinite(u.xh[1, 3:]).all(axis=0)
-        ok &= np.isfinite(u.c[1]).all(axis=0)
-        check(np.flatnonzero(~ok), lambda j: f"diverged at step {i} (a={a[j]:.3g}, log gamma={lg[j]:.3g})")
+        check(np.flatnonzero(~u.healthy()[0]), lambda j: f"diverged at step {i} (a={a[j]:.3g}, log gamma={lg[j]:.3g})")
         g = gap_at(a, wt, -np.log1p(-uni[:, 0])) if i else np.zeros(live.size)
         churned[live[np.isinf(g)]] = True
         go = ~np.isinf(g) & ~(t + g > horizon)  # a NaN gap goes on, to fail below

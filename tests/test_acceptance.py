@@ -16,7 +16,7 @@ from scipy import integrate, stats
 
 from _acceptance_report import record
 from churnkit.cli import main as cli_main
-from churnkit.evalharness import compute_metrics, fit_baseline
+from churnkit.evalharness import compute_metrics, fit_baselines
 from churnkit.eventlog import derive_seed, read_sessions, split_users
 from churnkit.inference import rolling_evaluate_many
 from churnkit.model import init_params
@@ -279,8 +279,8 @@ def test_criterion_8_bound_property():
 
 
 def test_criterion_9_baseline_sanity(stationary_run):
-    pred = fit_baseline("hom_poisson", stationary_run["train"])
-    gaps = [pred.predict(s, 1)[0] for s in stationary_run["train"]]
+    pred = fit_baselines(["hom_poisson"], stationary_run["train"])["hom_poisson"]
+    gaps = [pred.user_gap[s.user_id] for s in stationary_run["train"]]  # each user's predicted gap
     rel_err = abs(float(np.mean(gaps)) - 2.0) / 2.0
 
     from churnkit.eventlog import Session, SessionSequence
@@ -289,17 +289,8 @@ def test_criterion_9_baseline_sanity(stationary_run):
     for u in range(5):
         sessions = [Session(t=3.0 * i, g=0.0 if i == 0 else 3.0, d=2) for i in range(6)]
         constant.append(SessionSequence(f"c{u}", sessions))
-    lv = fit_baseline("last_value", constant)
-    records = []
-    from churnkit.inference import PredictionRecord
-
-    for s in constant:
-        for i in range(1, len(s)):
-            g, d = lv.predict(s, i)
-            records.append(
-                PredictionRecord(s.user_id, i, g, d, s.sessions[i].g, s.sessions[i].d)
-            )
-    lv_mae = compute_metrics(records).mae_gap
+    lv = fit_baselines(["last_value"], constant)["last_value"]
+    lv_mae = compute_metrics(lv.columns(constant)).mae_gap
     ok = rel_err < 0.05 and lv_mae == 0.0
     record(
         9,

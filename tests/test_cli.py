@@ -19,12 +19,12 @@ import churnkit
 from churnkit import cli
 from churnkit.cli import _options, build_parser, main
 from churnkit.errors import DataError
-from churnkit.evalharness import compare, fit_baseline
+from churnkit.evalharness import compare, fit_baselines
 from churnkit.eventlog import Session, SessionSequence, read_sessions, split_users, write_sessions
 from churnkit.inference import AlarmPolicy, churn_alarm, rolling_evaluate_many, user_history_stats
 from churnkit.model import init_params
 from churnkit.simulate import GeneratorSpec, generate
-from churnkit.train import gradcheck_elbo, load_checkpoint, save_checkpoint
+from churnkit.train import TrainConfig, gradcheck_elbo, load_checkpoint, save_checkpoint, train
 
 
 def test_version_exits_zero(capsys):
@@ -149,7 +149,7 @@ def test_flag_table_with_wrapped_functions(monkeypatch):
     import churnkit.cli as cli
 
     for name in ("event_table", "session_table", "write_session_table", "read_sessions", "write_sessions",
-                 "load_checkpoint", "save_checkpoint", "train", "compare", "fit_baseline", "rolling_columns"):
+                 "load_checkpoint", "save_checkpoint", "train", "compare", "fit_baselines", "rolling_columns"):
         fn = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *args, _fn=fn, **kwargs: _fn(*args, **kwargs))
     test_flag_table()
@@ -464,15 +464,15 @@ def test_predict_test_split_needs_a_holdout(tmp_path):
     assert code == 2
 
 
-def _ragged_files(tmp_path):
+def _ragged_files(tmp_path, *train_flags):
     """A sessions file of 30 regime-switching users, short and ragged, and
-    three one-session users; and a model trained on it."""
+    three one-session users; and a model trained on it, with train_flags."""
     seqs, _ = generate(GeneratorSpec(kind="regime_switching", users=30, horizon=30.0), seed=7)
     seqs += [SessionSequence(f"solo{k}", [Session(t=float(k), g=0.0, d=k + 1)]) for k in range(3)]
     sessions, model = tmp_path / "sessions.jsonl", tmp_path / "model.json"
     write_sessions(seqs, sessions)
     assert main(["train", "--sessions", str(sessions), "--out", str(model), "--epochs", "1", "--hidden", "4",
-                 "--mlp-hidden", "3", "--seed", "1", "--lr", "0.01"]) == 0
+                 "--mlp-hidden", "3", "--seed", "1", "--lr", "0.01", *train_flags]) == 0
     return sessions, model
 
 
@@ -501,6 +501,19 @@ def test_predict_csv_equals_a_per_record_reference(tmp_path, flags):
     assert preds.read_text() == "\n".join(lines) + "\n"
 
 
+def _evaluate_tables(per_seed, methods, seeds):
+    """The summary and long CSVs that evaluate writes for the per-seed
+    compare summaries per_seed."""
+    fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")
+    summary = ["method," + ",".join(fields) + ",count"]
+    for m in methods:
+        means = [repr(float(np.mean([getattr(per_seed[s][m], f) for s in seeds]))) for f in fields]
+        summary.append(",".join([m, *means, str(per_seed[seeds[0]][m].count)]))
+    long = ["method,seed,metric,value"]
+    long += [f"{m},{s},{f},{getattr(per_seed[s][m], f)!r}" for m in methods for s in seeds for f in fields]
+    return "\n".join(summary) + "\n", "\n".join(long) + "\n"
+
+
 def test_evaluate_tables_equal_per_seed_compare(tmp_path):
     # evaluate scores the seedless baselines once, at the first seed; its
     # tables must equal, byte for byte, those of compare run at every seed
@@ -512,18 +525,37 @@ def test_evaluate_tables_equal_per_seed_compare(tmp_path):
     params, _ = load_checkpoint(model)
     train_seqs, test_seqs = split_users(read_sessions(sessions), 0.8, 1)
     methods = ["model", "per_user_mean", "global_mean", "last_value", "hom_poisson"]
-    fitted = {"model": params, **{kind: fit_baseline(kind, train_seqs) for kind in methods[1:]}}
+    fitted = {"model": params, **fit_baselines(methods[1:], train_seqs)}
     seeds = (0, 1, 2)
     per_seed = {seed: compare(fitted, test_seqs, 4, seed) for seed in seeds}
-    fields = ("mae_gap", "mre_gap", "mae_duration", "mre_duration")
-    summary = ["method," + ",".join(fields) + ",count"]
-    for m in methods:
-        means = [repr(float(np.mean([getattr(per_seed[s][m], f) for s in seeds]))) for f in fields]
-        summary.append(",".join([m, *means, str(per_seed[0][m].count)]))
-    long = ["method,seed,metric,value"]
-    long += [f"{m},{s},{f},{getattr(per_seed[s][m], f)!r}" for m in methods for s in seeds for f in fields]
-    assert out.read_text() == "\n".join(summary) + "\n"
-    assert (tmp_path / "m.csv.long.csv").read_text() == "\n".join(long) + "\n"
+    summary, long = _evaluate_tables(per_seed, methods, seeds)
+    assert out.read_text() == summary
+    assert (tmp_path / "m.csv.long.csv").read_text() == long
+
+
+@pytest.mark.parametrize("wt_mode", ["frozen_zero", "learned"])
+def test_evaluate_ablation_mirrors_the_model(tmp_path, wt_mode):
+    # the ablation is trained at each seed with the model's sizes and
+    # intensity-slope mode and the latent fixed, so that the comparison
+    # isolates the latent; evaluate's tables must equal, byte for byte,
+    # those of compare over per-seed models trained so
+    sessions, model = _ragged_files(tmp_path, "--wt-mode", wt_mode)
+    out = tmp_path / "m.csv"
+    assert main(["evaluate", "--sessions", str(sessions), "--model", str(model), "--out", str(out),
+                 "--methods", "model,ablation_rnn", "--seeds", "0,1", "--seed", "1", "--pred-samples", "4",
+                 "--ablation-epochs", "1"]) == 0
+    params, _ = load_checkpoint(model)
+    assert params.wt_mode == wt_mode
+    train_seqs, test_seqs = split_users(read_sessions(sessions), 0.8, 1)
+    seeds = (0, 1)
+    per_seed = {}
+    for seed in seeds:
+        cfg = TrainConfig(epochs=1, lr=0.01, hidden=4, mlp_hidden=3, wt_mode=wt_mode, latent_mode="fixed", seed=seed)
+        ablation, _ = train(train_seqs, cfg)
+        per_seed[seed] = compare({"model": params, "ablation_rnn": ablation}, test_seqs, 4, seed)
+    summary, long = _evaluate_tables(per_seed, ["model", "ablation_rnn"], seeds)
+    assert out.read_text() == summary
+    assert (tmp_path / "m.csv.long.csv").read_text() == long
 
 
 def test_checkpoint_error_maps_to_data_error(tmp_path):

@@ -60,7 +60,7 @@ class TestPredictNext:
         p = init_params(5, 4, seed=1)
         r1 = predict_next(p, SEQ, n_samples=8, seed=3)
         r2 = predict_next(p, SEQ, n_samples=8, seed=3)
-        assert (r1.pred_gap, r1.pred_dur, r1.a, r1.gamma) == (r2.pred_gap, r2.pred_dur, r2.a, r2.gamma)
+        assert (r1.pred_gap, r1.pred_dur) == (r2.pred_gap, r2.pred_dur)
 
     def test_sample_size_consistency(self):
         p = init_params(6, 4, seed=2)
@@ -180,7 +180,7 @@ def test_packs_do_not_change_predictions(data, lengths, hidden, latent_mode, wt,
     assert [(r.user_id, r.step, r.obs_gap, r.obs_dur) for r in many] == [
         (r.user_id, r.step, r.obs_gap, r.obs_dur) for r in alone
     ]
-    for name in ("pred_gap", "pred_dur", "a", "gamma"):
+    for name in ("pred_gap", "pred_dur"):
         got = np.array([getattr(r, name) for r in many])
         want = np.array([getattr(r, name) for r in alone])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name)
@@ -215,7 +215,7 @@ def test_user_stream_is_independent_of_other_users(data, n, others, hidden, wt, 
         split = rolling_evaluate_many(p, [me], 4, seed)
     for recs in (together, split):
         assert [r.step for r in recs] == [r.step for r in alone]
-        for name in ("pred_gap", "pred_dur", "a", "gamma"):
+        for name in ("pred_gap", "pred_dur"):
             got = np.array([getattr(r, name) for r in recs])
             want = np.array([getattr(r, name) for r in alone])
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name)
