@@ -18,8 +18,8 @@ records) arrays.
   duration normaliser ``log_factorial``;
 - the training step ``cell_fwd`` and its adjoint ``cell_bwd``, on weights
   packed once (``Cell``).  They read and write one step of an ``Unroll``,
-  the (steps, features, rows) caches of one truncation segment, which also
-  reduces the parameter gradients of the whole segment.
+  the (steps, features, rows) caches of a training segment or a filter
+  span, run forward by ``Unroll.run``; ``grads`` reduces a segment's gradients.
 
 Conventions: float64 throughout; LSTM gate order is [input, forget, output,
 candidate], each block H wide inside the stacked 4H preactivation; the
@@ -164,12 +164,6 @@ class Cell:
         self.oz, self.ob = np.array(scalars).reshape(2, 2, 1)
 
 
-def width(A, R):
-    """Columns a step runs when the first A of R rows are active: all, so the
-    blocks stay contiguous, unless 16 or more are idle (measured at H = 8, 16)."""
-    return R if R - A < 16 else A
-
-
 class Unroll:
     """Caches of ``steps`` steps of every row, (steps, features, rows).
 
@@ -178,7 +172,7 @@ class Unroll:
     from.  Step t reads (h, c[t]) and writes its z to xh[t, 2] and the new
     state to h of step t + 1 and c[t + 1].  dp[t] holds the preactivations
     of the rows of Cell.W (the LSTM's become its gates), and then their
-    adjoints.  ``clear`` zeroes the entries of rows that do not run a step.
+    adjoints.  ``run`` is the forward pass of training and filtering alike.
     """
 
     def __init__(self, w, feat, h0, c0, eps):
@@ -195,6 +189,25 @@ class Unroll:
         self.raw = np.zeros((S, 2, R))  # raw sigma of the posterior, the prior
         self.dp = w.W[:, :2] @ self.xh[:S, :2]
         self.dp += w.b[:, None]
+
+    @np.errstate(all="ignore")  # a diverged row runs on as inf/nan until the caller's checks
+    def run(self, w, n, lo, frontier=False):
+        """Every step of rows of n sessions from step lo, then ``clear`` and
+        ``outputs``; returns the (steps, rows) masks (run, scored).  Step n is
+        scored at the filter's frontier, where it advances the state; in
+        training it carries only its KL.  A step runs all columns (contiguous
+        blocks) until 16 rows are idle (measured at H = 8, 16), then the
+        active prefix; widths keeps them for cell_bwd."""
+        i = np.arange(lo, lo + len(self.eps))[:, None]
+        run = n >= i
+        scored = run if frontier else n > i
+        R = len(n)
+        self.widths = [R if R - A < 16 else A for A in np.count_nonzero(run, axis=1).tolist()]
+        for t, W in enumerate(self.widths):
+            cell_fwd(w, self, t, W, lo + t == 0)
+        self.clear(run, scored)
+        self.outputs(w)
+        return run, scored
 
     def outputs(self, w):
         """The heads of every step, ah (S, 2, R), once, after the loop."""

@@ -12,11 +12,12 @@ from __future__ import annotations
 import argparse
 import difflib
 import inspect
+import json
 import logging
 import os
 import platform
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -168,6 +169,20 @@ def _held_out(args, train_users=True):
     return params, train_seqs, selected
 
 
+def _trained_config(model, params):
+    """The TrainConfig that trained the model file with params, read from its manifest."""
+    path = model + ".manifest.json"
+    with eventlog.open_input(path, "manifest") as fh:
+        try:
+            config = json.load(fh)["config"]
+            config = TrainConfig(**{f.name: config[f.name] for f in fields(TrainConfig)})
+        except (ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"manifest {path} holds no training config: {exc!r}") from None
+    if (config.hidden, config.mlp_hidden, config.wt_mode) != (params.hidden, params.mlp_hidden, params.wt_mode):
+        raise DataError(f"manifest {path} does not match the sizes and slope mode of {model}")
+    return config
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -228,6 +243,7 @@ def _cmd_evaluate(args):
     if not method_names or not seeds:
         raise ValueError("evaluate: need at least one method and one seed")
     # only the ablation takes a seed, so the other baselines are fitted once
+    trained = _trained_config(args.model, params) if "ablation_rnn" in method_names else None
     baselines = fit_baselines([m for m in method_names if m not in ("model", "ablation_rnn")], train_seqs)
     fitted = {m: params if m == "model" else baselines[m] for m in method_names if m != "ablation_rnn"}
     per_seed = {}
@@ -235,9 +251,8 @@ def _cmd_evaluate(args):
         # the first seed scores every method, so compare checks that their records
         # agree; a later one only the seeded methods, and reuses the other summaries
         methods = {m: v for m, v in fitted.items() if m == "model" or seed == seeds[0]}
-        if "ablation_rnn" in method_names:  # the model but for the latent, so that the latent is what differs
-            cfg = TrainConfig(epochs=args.ablation_epochs, lr=args.ablation_lr, hidden=params.hidden,
-                              mlp_hidden=params.mlp_hidden, wt_mode=params.wt_mode, latent_mode="fixed", seed=seed)
+        if trained:  # the model but for the latent, so that the latent is what differs
+            cfg = replace(trained, epochs=args.ablation_epochs, lr=args.ablation_lr, latent_mode="fixed", seed=seed)
             methods["ablation_rnn"], _ = train(train_seqs, cfg)
         per_seed[seed] = per_seed.get(seeds[0], {}) | compare(methods, eval_seqs, args.pred_samples, seed)
 

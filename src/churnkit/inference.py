@@ -3,10 +3,11 @@
 Filtering consumes observed sessions with deterministic posterior-mean
 latents, which makes evaluation reproducible and causal.  It runs the
 training step ``_kernels.cell_fwd`` at eps = 0 on packs of users, longest
-first, of at most PACK_CELLS steps x rows each, as (features, rows) blocks.
+first, of at most PACK_CELLS steps x rows each, as (features, rows) blocks,
+through the forward driver ``_kernels.Unroll.run`` that training runs.
 At the frontier of step s the latent is drawn S times from the prior at the
-filtered state, with row s - 1 of one normal stream per (seed, user) whose
-rows are drawn in step order, and the point prediction is the sample mean
+filtered state, with row s - 1 of one normal stream per (seed, user), drawn
+as one (n, S) block per pack, and the point prediction is the sample mean
 of the model-implied next gap and duration.  The mean next gap is exact for
 every intensity slope (tppmath.expected_gap); a pack's frontiers are one
 (records, samples) array.  A call packs from one flat table of the sessions
@@ -100,23 +101,18 @@ def _packs(seqs):
 
 
 def _filtered(w, rows):
-    """Filter the packed rows with the weights w: the training step
-    ``_kernels.cell_fwd`` at eps = 0, so z is the posterior mean (the prior
-    mean at step 0), and with every running row scored, so step n also
-    advances the state to the frontier.  Yields (first step, Unroll, run)
-    per span of at most PACK_CELLS steps x rows; where run (steps, rows) is
-    set, the state after step i is (u.xh[i + 1, 3:], u.c[i + 1]) and (a,
-    log gamma) at it is u.ah[i]."""
+    """Filter the packed rows with the weights w: the training forward pass
+    ``_kernels.Unroll.run`` at eps = 0, so z is the posterior mean (the
+    prior mean at step 0), and at the frontier, so step n also advances the
+    state.  Yields (first step, Unroll, run) per span of at most PACK_CELLS
+    steps x rows; where run (steps, rows) is set, the state after step i is
+    (u.xh[i + 1, 3:], u.c[i + 1]) and (a, log gamma) at it is u.ah[i]."""
     R = len(rows.n)
     h = c = np.zeros((R, w.Wo.shape[1]))
     span = max(1, PACK_CELLS // R)
     for lo in range(0, len(rows.feat), span):
         u = K.Unroll(w, rows.feat[lo : lo + span], h, c, rows.eps[lo : lo + span])
-        run = rows.n >= np.arange(lo, lo + len(u.eps))[:, None]
-        with np.errstate(all="ignore"):  # a diverged row runs on until the check
-            for t, A in enumerate(np.count_nonzero(run, axis=1).tolist()):
-                K.cell_fwd(w, u, t, K.width(A, R), lo + t == 0)
-            u.outputs(w)
+        run, _ = u.run(w, rows.n, lo, frontier=True)
         bad = ~u.healthy() & run
         if bad.any():
             t, j = np.argwhere(bad)[0]
@@ -150,27 +146,25 @@ def _evaluate(params, seqs, n_samples, seed, rolling):
     The packs come from one table of the sessions (``_table``), each record
     is predicted from the state the filter reached (``_predict``), and the
     columns of all spans are sorted once.  The record at step s takes row
-    s - 1 of its user's stream, drawn span by span in step order; all else
+    s - 1 of its user's stream, one (n, samples) block per pack; all else
     is by row, so a record is the same whichever records share its pack.
     """
     w = K.Cell(params)
-    full = w.full
     table = _table(seqs)
     parts = []
     for pack in _packs(seqs):
         rows = _pack(table, pack)
-        rngs = [np.random.default_rng(derive_seed(seed, "pred", rows.labels[j])) for j in rows.order if full]
-        for lo, u, run in _filtered(w, rows):
+        n = rows.n[:, None]
+        if w.full:  # every row's stream, one after the other: step s of row r reads start[r] + s
+            start = np.cumsum(rows.n) - rows.n - 1
+            streams = np.concatenate([np.random.default_rng(derive_seed(seed, "pred", rows.labels[j]))
+                                      .standard_normal((m, n_samples)) for j, m in zip(rows.order, rows.n.tolist())])
+        for lo, u, _ in _filtered(w, rows):
             i = np.arange(lo, lo + len(u.ah))
-            n = rows.n[:, None]
-            drawn = (i >= 1) & run.T  # steps 1..n own rows 0..n-1 of their user's stream
-            record = drawn & ((i < n) if rolling else (i == n))
-            # a span draws the rows of all its steps, used or not, to keep the streams in step
-            eps = [rng.standard_normal((m, n_samples)) for rng, m in zip(rngs, drawn.sum(axis=1))]
-            eps = np.concatenate(eps)[record[drawn]] if full else np.broadcast_to(0.0, (record.sum(), n_samples))
-            r, t = np.nonzero(record)
+            r, t = np.nonzero((i >= 1) & ((i < n) if rolling else (i == n)))
             if r.size:
                 s = lo + t
+                eps = streams[start[r] + s] if w.full else np.broadcast_to(0.0, (r.size, n_samples))
                 gap, dur = _predict(params, w, u.xh[t + 1, 3:, r].T, eps)
                 k = np.asarray(pack)[rows.order[r]]
                 parts.append((k, s, gap, dur, rows.g[s, r], rows.d[s, r]))

@@ -11,12 +11,11 @@ reproducible bit for bit.
 
 Gradients come from truncated backpropagation through time written out by
 hand, run on all rows of an optimizer batch at once: its users times their
-L latent trajectories, sorted by length (the packed-sequence form).  A
-forward loop calls the batched step ``_kernels.cell_fwd`` and keeps its
-caches in one feature-major ``_kernels.Unroll`` per truncation segment; a
-step runs every row until 16 are idle, then the active prefix, and the
-entries of rows that do not run it are zeroed after the loop.  The pre-data
-step 0 and the KL-only step n are the same step with parts masked off.  The
+L latent trajectories, sorted by length (the packed-sequence form).  The
+forward pass is the driver ``_kernels.Unroll.run``, which the filter runs
+too: it calls the batched step ``_kernels.cell_fwd`` and keeps its caches
+in one feature-major ``Unroll`` per truncation segment.  The pre-data step
+0 and the KL-only step n are the same step with parts masked off.  The
 likelihood terms, the KL and every step-local factor of the adjoint are
 then evaluated for the whole segment at once, a reverse loop calls
 ``_kernels.cell_bwd``, and the parameter gradients are reduced as matrix
@@ -25,9 +24,8 @@ vector (a ``ModelParams``).  Summing the segments, scaling by the batch, the
 finiteness check, clipping and Adam are each one operation on that one
 vector.
 The cuts fall at the same step indices on every row: the recurrent state
-value is carried across a cut but its gradient is not.  ``elbo_and_grads``
-is the one-user call of the same engine, and ``gradcheck_elbo`` checks it
-against central differences of the ELBO value.
+value is carried across a cut but its gradient is not.  ``gradcheck_elbo``
+checks the engine on one user against central differences of its ELBO.
 """
 
 from __future__ import annotations
@@ -136,29 +134,11 @@ class _Segment:
     failures: dict  # row -> (step, message) of its first failed check
 
 
-def _failures(lo, first, gap, last, full, wt, learned, g, a, lg, dwt, term, kl, law):
-    """First failed check of each row: its step and message, with the checks
-    of a step in the order the forward pass meets them.  first, gap and last
-    mask the pre-data step, the steps that score a gap and the KL-only
-    steps n; dwt, the slope gradient of the gap terms, counts if learned."""
-    sq, sp = law[1], law[3]
-    checks = (
-        (first & ~np.isfinite(lg), lambda s, r: "non-finite duration head value"),
-        (first & (np.abs(lg) > K.EXP_ARG_MAX),
-         lambda s, r: f"head value outside the exp range: log gamma {lg[s, r]:.3g}"),
-        (gap & ((np.abs(a) > K.EXP_ARG_MAX) | (np.abs(lg) > K.EXP_ARG_MAX)),
-         lambda s, r: f"head value outside the exp range: |a| or |log gamma| > {K.EXP_ARG_MAX:g}"),
-        (gap & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > K.EXP_ARG_MAX),
-         lambda s, r: "cumulative intensity overflow"),
-        (gap & learned & ~np.isfinite(dwt), lambda s, r: "intensity-slope gradient overflow"),
-        (gap & ~np.isfinite(term), lambda s, r: "non-finite ELBO term"),
-        (gap & full & (kl < -1e-12), lambda s, r: f"negative KL {kl[s, r]:.3e}"),
-        (last & ((sq <= 0.0) | (sp <= 0.0)),
-         lambda s, r: f"non-positive std (posterior {sq[s, r]:.3g}, prior {sp[s, r]:.3g})"),
-        (last & ~np.isfinite(kl), lambda s, r: "non-finite KL"),
-        (last & (kl < -1e-12), lambda s, r: f"negative KL {kl[s, r]:.3e}"),
-    )
-    bad = np.stack([np.broadcast_to(mask, term.shape) for mask, _ in checks])
+def _failures(lo, checks):
+    """First failed check of each row: its step and message.  checks are
+    (mask, message) pairs in the order the forward pass meets them, each
+    mask (steps, rows) and message(s, r) the text for step s of row r."""
+    bad = np.stack([mask for mask, _ in checks])
     failed = bad.any(axis=0)
     out = {}
     for r in np.flatnonzero(failed.any(axis=0)):
@@ -173,32 +153,33 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
     state (h0, c0).  (dh, dc) is the adjoint of the state after the last
     step: zero (None) where truncation cuts the gradient."""
     w = K.Cell(params)
-    full = w.full
     wt = float(params.head_wt)
-    i = np.arange(lo, hi)[:, None]
-    n = rows.n
-    R = len(n)
-    run = n >= i
-    scored = n > i  # the step scores a duration, and from step 1 on a gap
-    W = [K.width(A, R) for A in np.count_nonzero(run, axis=1).tolist()]
     u = K.Unroll(w, rows.feat[lo:hi], h0, c0, rows.eps[lo:hi])
-    for t in range(hi - lo):
-        K.cell_fwd(w, u, t, W[t], lo + t == 0)
-    u.clear(run, scored)
-    u.outputs(w)
+    run, scored = u.run(w, rows.n, lo)  # scored: a duration, and from step 1 on a gap
 
+    i = np.arange(lo, hi)[:, None]
     first = scored & (i == 0)
     gap = scored & (i >= 1)
-    last = (n == i) & (i >= 1) & full  # step n carries only its KL
-    kl_on = gap & full | last
+    kl_on = run & (i >= 1) & w.full
     a, lg = u.ah[:, 0], u.ah[:, 1]
-    ll_gap, da, dwt = K.gap_loglik(a, wt, rows.g[lo:hi])
+    g = rows.g[lo:hi]
+    ll_gap, da, dwt = K.gap_loglik(a, wt, g)
     ll_dur, dlg = K.dur_loglik(lg, rows.d[lo:hi], rows.lgd[lo:hi])
     law = u.law.transpose(1, 0, 2)
     kl = K.gaussian_kl(*law)
     term = np.where(gap, ll_gap, 0.0) + np.where(scored, ll_dur, 0.0) - np.where(kl_on, kl, 0.0)
     learned = params.wt_mode == "learned"
-    failures = _failures(lo, first, gap, last, full, wt, learned, rows.g[lo:hi], a, lg, dwt, term, kl, law)
+    # written so that NaN fails them too
+    failures = _failures(lo, (
+        (scored & ~u.healthy(),
+         lambda s, r: f"head value outside the exp range: a {a[s, r]:.3g}, log gamma {lg[s, r]:.3g}"),
+        (gap & (abs(wt) >= K.WT_ZERO_EPS) & (wt * g > K.EXP_ARG_MAX), lambda s, r: "cumulative intensity overflow"),
+        (gap & learned & ~np.isfinite(dwt), lambda s, r: "intensity-slope gradient overflow"),
+        (gap & ~np.isfinite(term), lambda s, r: "non-finite ELBO term"),
+        (kl_on & ~((law[1] > 0.0) & (law[3] > 0.0)),
+         lambda s, r: f"non-positive std (posterior {law[1, s, r]:.3g}, prior {law[3, s, r]:.3g})"),
+        (kl_on & ~(np.isfinite(kl) & (kl >= -1e-12)), lambda s, r: f"non-finite or negative KL {kl[s, r]:.3e}"),
+    ))
     values = term.sum(axis=0)
     if not backward or failures:
         return _Segment(values, None, u.xh[-1, 3:].T, u.c[-1].T, None, None, failures)
@@ -206,13 +187,13 @@ def _segment(params, rows, lo, hi, h0, c0, backward=True, dh=None, dc=None):
     da = np.where(gap, da, 0.0)
     dlg = np.where(scored, dlg, 0.0)
     dlaw = np.where(kl_on[:, None], -np.stack(K.gaussian_kl_grad(*law), axis=1), 0.0)
-    drawn = np.stack([gap & full, first & full], axis=1)
+    drawn = np.stack([gap & w.full, first & w.full], axis=1)
     u.adjoint_terms(w, da, dlg, dlaw, drawn)
     # the state's adjoints as (H, rows) blocks
     dh = np.zeros(u.c[0].shape) if dh is None else np.array(np.transpose(dh), dtype=float, order="C")
     dc = np.zeros(u.c[0].shape) if dc is None else np.array(np.transpose(dc), dtype=float, order="C")
     for t in reversed(range(hi - lo)):
-        K.cell_bwd(w, u, t, W[t], dh, dc)
+        K.cell_bwd(w, u, t, u.widths[t], dh, dc)
     # a frozen slope gets the gradient 0 (written, not masked: a NaN there
     # cannot trip the checks, and Adam keeps the slope at exactly 0)
     dwt = np.where(gap, dwt, 0.0).sum() if learned else 0.0
@@ -257,29 +238,6 @@ def _unroll(params, rows, bptt_k, backward=True):
     out = np.empty(R)
     out[rows.order] = values
     return out, grads
-
-
-def _sequence_rows(seq, eps):
-    return _pack(_table([seq]), [0] * len(eps), np.asarray(eps)[:, : len(seq)])
-
-
-def _elbo_value(params, seq, eps):
-    """Full-unroll ELBO averaged over the rows of eps (no gradients)."""
-    values, _ = _unroll(params, _sequence_rows(seq, eps), 0, backward=False)
-    return float(values.sum()) / eps.shape[0]
-
-
-def elbo_and_grads(params, seq, eps, bptt_k=0):
-    """(elbo value, gradient by trainable name) with optional truncated BPTT.
-
-    Each row of eps is one latent trajectory; the value and gradients are
-    averaged over them.  With bptt_k > 0 a trajectory is unrolled in
-    segments of bptt_k steps.  This is the one-user call of the engine that
-    ``train`` runs on whole batches.
-    """
-    values, grads = _unroll(params, _sequence_rows(seq, eps), bptt_k)
-    L = eps.shape[0]
-    return float(values.sum()) / L, {name: getattr(grads, name) / L for name in params.trainable_names()}
 
 
 # -------------------------------------------------------------------- optim
@@ -489,11 +447,11 @@ def gradcheck_elbo(hidden=4, mlp_hidden=4, steps=5, seed=1, wt_mode="learned", s
     seq = SessionSequence(user_id="gradcheck", sessions=sessions)
     eps = rng.standard_normal((1, steps))
 
-    _, grads = elbo_and_grads(params, seq, eps)
+    rows = _pack(_table([seq]), [0], eps)
+    grads = _unroll(params, rows, 0)[1]
     values = {name: getattr(params, name) for name in params.trainable_names()}
-    return grad_check(
-        lambda bumped: _elbo_value(params.replace(**bumped), seq, eps), values, grads, h=step_size, tol=tol
-    )
+    return grad_check(lambda bumped: float(_unroll(params.replace(**bumped), rows, 0, backward=False)[0][0]),
+                      values, {name: getattr(grads, name) for name in values}, h=step_size, tol=tol)
 
 
 # -------------------------------------------------------------- checkpoints

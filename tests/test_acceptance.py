@@ -19,11 +19,11 @@ from churnkit.cli import main as cli_main
 from churnkit.evalharness import compute_metrics, fit_baselines
 from churnkit.eventlog import derive_seed, read_sessions, split_users
 from churnkit.inference import rolling_evaluate_many
-from churnkit.model import init_params
+from churnkit.model import _pack, _table, init_params
 from churnkit.simulate import GeneratorSpec, generate
 from churnkit import _kernels as K
 from churnkit.tppmath import gap_at
-from churnkit.train import TrainConfig, _elbo_value, gradcheck_elbo, train
+from churnkit.train import TrainConfig, _unroll, gradcheck_elbo, train
 
 
 # --------------------------------------------------------------- criterion 1
@@ -257,7 +257,8 @@ def test_criterion_8_bound_property():
     true_sum = 0.0
     for seq in test_seqs:
         rng = np.random.default_rng(derive_seed(0, "bound", seq.user_id))
-        elbo_u = _elbo_value(params, seq, rng.standard_normal((8, len(seq))))
+        rows = _pack(_table([seq]), [0] * 8, rng.standard_normal((8, len(seq))))
+        elbo_u = float(_unroll(params, rows, 0, backward=False)[0].sum()) / 8
         true_u = truth["users"][seq.user_id]["loglik"]
         elbo_sum += elbo_u
         true_sum += true_u

@@ -11,6 +11,7 @@ import platform
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -556,6 +557,50 @@ def test_evaluate_ablation_mirrors_the_model(tmp_path, wt_mode):
     summary, long = _evaluate_tables(per_seed, ["model", "ablation_rnn"], seeds)
     assert out.read_text() == summary
     assert (tmp_path / "m.csv.long.csv").read_text() == long
+
+
+def test_evaluate_ablation_is_trained_as_the_model_was(tmp_path):
+    # the ablation takes the model's whole training config from its manifest,
+    # truncation, batch and clipping among it, and only epochs, lr, the
+    # latent and the seed from evaluate; it used to take TrainConfig's defaults
+    sessions, model = _ragged_files(tmp_path, "--bptt-k", "2", "--batch-size", "4", "--clip-norm", "1")
+    out = tmp_path / "m.csv"
+    assert main(["evaluate", "--sessions", str(sessions), "--model", str(model), "--out", str(out),
+                 "--methods", "model,ablation_rnn", "--seeds", "0,1", "--seed", "1", "--pred-samples", "4",
+                 "--ablation-epochs", "2", "--ablation-lr", "0.02"]) == 0
+    params, _ = load_checkpoint(model)
+    model_config = TrainConfig(epochs=1, lr=0.01, hidden=4, mlp_hidden=3, seed=1,
+                               bptt_k=2, batch_size=4, clip_norm=1.0)
+    train_seqs, test_seqs = split_users(read_sessions(sessions), 0.8, 1)
+    seeds = (0, 1)
+    per_seed = {}
+    for seed in seeds:
+        ablation, _ = train(train_seqs, replace(model_config, latent_mode="fixed", epochs=2, lr=0.02, seed=seed))
+        per_seed[seed] = compare({"model": params, "ablation_rnn": ablation}, test_seqs, 4, seed)
+    summary, long = _evaluate_tables(per_seed, ["model", "ablation_rnn"], seeds)
+    assert out.read_text() == summary
+    assert (tmp_path / "m.csv.long.csv").read_text() == long
+
+
+@pytest.mark.parametrize("edit", [None, ("hidden", 5), ("wt_mode", "learned")], ids=["missing", "size", "slope"])
+def test_evaluate_ablation_needs_the_models_manifest(tmp_path, capsys, edit):
+    # without the manifest that records how the model was trained, or with
+    # one of another model, the ablation cannot mirror it: a data error
+    # naming the manifest, before anything is trained
+    sessions, model = _ragged_files(tmp_path)
+    manifest = tmp_path / "model.json.manifest.json"
+    if edit is None:
+        manifest.unlink()
+    else:
+        payload = json.loads(manifest.read_text())
+        payload["config"][edit[0]] = edit[1]
+        manifest.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["evaluate", "--sessions", str(sessions), "--model", str(model), "--out", str(tmp_path / "m.csv"),
+                 "--methods", "model,ablation_rnn", "--seeds", "0", "--ablation-epochs", "1"]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "Traceback" not in err
+    assert not (tmp_path / "m.csv").exists()
 
 
 def test_checkpoint_error_maps_to_data_error(tmp_path):

@@ -19,8 +19,8 @@ import pytest
 from churnkit import _kernels as K
 from churnkit.errors import NumericalError
 from churnkit.eventlog import Session, SessionSequence
-from churnkit.model import PARAM_FIELDS, ModelParams, _Rows, init_params
-from churnkit.train import _segment, elbo_and_grads, grad_check
+from churnkit.model import PARAM_FIELDS, ModelParams, _pack, _Rows, _table, init_params
+from churnkit.train import _segment, _unroll, grad_check
 
 H, P = 3, 2
 
@@ -200,18 +200,17 @@ def test_log_domain_and_exp_overflow_errors(monkeypatch):
     """The batched unroll keeps the tape's guards: exp overflow in a head,
     and a non-positive std before the KL takes its log, each naming step and
     user."""
-    seq = _diverging_seq()
-    eps = np.zeros((1, len(seq)))
+    rows = _pack(_table([_diverging_seq()]), [0], np.zeros(3))
     p = init_params(H, P, seed=2)
-    with pytest.raises(NumericalError, match=r"step 1 of 'u7': head value outside the exp range: \|a\|"):
-        elbo_and_grads(p.replace(head_bt=800.0), seq, eps)
-    with pytest.raises(NumericalError, match=r"step 0 of 'u7': head value outside the exp range: log gamma"):
-        elbo_and_grads(p.replace(dur_b=-800.0), seq, eps)
-    # a negative floor drives every std below zero; the regular steps take
-    # the log of their ratio, so the check before the KL-only step n fires
+    with pytest.raises(NumericalError, match=r"step 0 of 'u7': head value outside the exp range: a 8"):
+        _unroll(p.replace(head_bt=800.0), rows, 0)
+    with pytest.raises(NumericalError, match=r"step 0 of 'u7': head value outside the exp range: a .*, log gamma -8"):
+        _unroll(p.replace(dur_b=-800.0), rows, 0)
+    # a negative floor drives every std below zero, which the check before
+    # the KL of the first step that takes one, step 1, catches
     monkeypatch.setattr(K, "SIGMA_FLOOR", -10.0)
-    with pytest.raises(NumericalError, match=r"step 3 of 'u7': non-positive std"):
-        elbo_and_grads(p, seq, eps)
+    with pytest.raises(NumericalError, match=r"step 1 of 'u7': non-positive std"):
+        _unroll(p, rows, 0)
 
 
 # ------------------------------------------------------- per-op FD sweep

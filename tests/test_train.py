@@ -19,6 +19,7 @@ from churnkit.errors import (
     NumericalError,
 )
 from churnkit.eventlog import Session, SessionSequence
+from churnkit.inference import rolling_columns
 from churnkit.model import (
     LATENT_MODES,
     PARAM_FIELDS,
@@ -30,11 +31,9 @@ from churnkit.model import (
 from churnkit.simulate import GeneratorSpec, generate
 from churnkit.train import (
     TrainConfig,
-    _elbo_value,
     _segment,
     _unroll,
     clip_gradients,
-    elbo_and_grads,
     grad_check,
     gradcheck_elbo,
     load_checkpoint,
@@ -78,9 +77,17 @@ def _reference_terms(p, seq, eps_row):
     return ll, kl
 
 
+def _elbo_and_grads(p, seq, eps, bptt_k=0, backward=True):
+    """(ELBO, gradient by trainable name) of seq, each averaged over its
+    latent trajectories, the rows of eps: the unroll of one user's pack."""
+    values, grads = _unroll(p, _pack(_table([seq]), [0] * len(eps), eps), bptt_k, backward)
+    L = len(eps)
+    return float(values.sum()) / L, grads and {name: getattr(grads, name) / L for name in p.trainable_names()}
+
+
 def _elbo(p, seq, mc_samples, rng):
     """The full-unroll ELBO over mc_samples latent trajectories drawn from rng."""
-    return _elbo_value(p, seq, rng.standard_normal((mc_samples, len(seq))))
+    return _elbo_and_grads(p, seq, rng.standard_normal((mc_samples, len(seq))), backward=False)[0]
 
 
 def _reference_elbo(p, seq, eps):
@@ -132,7 +139,7 @@ class TestSequenceElbo:
         p.head_wt[...] = 0.2
         seq = _seq([0.0, 1.5, 0.7, 2.0, 1.1], [3, 1, 4, 2, 6])
         eps = np.random.default_rng(3).standard_normal((2, 5))
-        value, grads = elbo_and_grads(p, seq, eps, 0)
+        value, grads = _elbo_and_grads(p, seq, eps, 0)
         assert value == pytest.approx(_reference_elbo(p, seq, eps), rel=1e-12)
 
         values = {name: getattr(p, name) for name in p.trainable_names()}
@@ -148,8 +155,8 @@ class TestSequenceElbo:
         p = init_params(4, 3, seed=25)
         seq = _seq([0.0, 1.0, 2.5, 0.6], [2, 1, 3, 2])
         eps = np.random.default_rng(5).standard_normal((1, 4))
-        v1, g1 = elbo_and_grads(p, seq, eps, 0)
-        v2, g2 = elbo_and_grads(p, seq, eps, 0)
+        v1, g1 = _elbo_and_grads(p, seq, eps, 0)
+        v2, g2 = _elbo_and_grads(p, seq, eps, 0)
         assert v1 == v2
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
@@ -161,9 +168,9 @@ class TestSequenceElbo:
         # segment; bptt_k = 1 makes every step its own segment
         for latent_mode in ("full", "fixed"):
             p = init_params(4, 3, seed=24, latent_mode=latent_mode)
-            v_full, g_full = elbo_and_grads(p, seq, eps, 0)
+            v_full, g_full = _elbo_and_grads(p, seq, eps, 0)
             for bptt_k in (4, 12, 1):
-                v_k, g_k = elbo_and_grads(p, seq, eps, bptt_k)
+                v_k, g_k = _elbo_and_grads(p, seq, eps, bptt_k)
                 assert v_full == pytest.approx(v_k, rel=1e-12)
                 diffs = [np.max(np.abs(np.asarray(g_full[n]) - np.asarray(g_k[n]))) for n in g_full]
                 if latent_mode == "fixed" and bptt_k == len(seq):
@@ -223,7 +230,10 @@ def test_steps_on_the_active_prefix_equal_single_rows():
     table = _table(seqs)
     eps = [rng.standard_normal(len(s)) for s in seqs]
     rows = _pack(table, range(len(seqs)), np.concatenate(eps))
-    assert any(K.width(int((rows.n >= i).sum()), len(seqs)) < len(seqs) for i in range(len(rows.g)))
+    w, state = K.Cell(p), np.zeros((len(seqs), 4))
+    u = K.Unroll(w, rows.feat, state, state, rows.eps)
+    u.run(w, rows.n, 0)
+    assert min(u.widths) < len(seqs)  # the driver's step widths, which the reverse pass reuses
     for bptt_k in (0, 4):
         values, grads = _unroll(p, rows, bptt_k)
         singles = [_unroll(p, _pack(table, [k], e), bptt_k) for k, e in enumerate(eps)]
@@ -311,7 +321,19 @@ def test_slope_gradient_overflow_names_the_user_and_step():
     seg = _segment(p, rows, 0, len(rows.g), np.zeros((1, 4)), np.zeros((1, 4)), backward=False)
     assert np.isfinite(seg.values).all() and seg.failures == {0: (2, "intensity-slope gradient overflow")}
     with pytest.raises(NumericalError, match=r"^step 2 of 'u7': intensity-slope gradient overflow$"):
-        elbo_and_grads(p, seq, np.zeros((1, 3)))
+        _unroll(p, rows, 0)
+
+
+def test_training_and_filtering_refuse_a_model_at_the_same_step():
+    # both run the one forward driver and the one rule, Unroll.healthy: a
+    # gap head of 800 is outside the exp range from the pre-data step on,
+    # whose gap head training did not check before
+    p = init_params(4, 3, seed=1).replace(head_bt=800.0)
+    seq = _seq([0.0, 1.0, 2.0], [2, 3, 1], user="u7")
+    with pytest.raises(NumericalError, match=r"^step 0 of 'u7': head value outside the exp range: a 8"):
+        _unroll(p, _pack(_table([seq]), [0], np.zeros(3)), 0)
+    with pytest.raises(NumericalError, match=r"^filter: step 0 of 'u7' diverged$"):
+        rolling_columns(p, [seq], 4, 0)
 
 
 class TestGradcheckElbo:
